@@ -14,7 +14,6 @@ Both need PYTHONPATH to reach the package sources.
 
 import contextlib
 import io
-import subprocess
 import sys
 import time
 
@@ -35,6 +34,8 @@ def setup(workload: str, args: list) -> None:
         with contextlib.redirect_stdout(io.StringIO()):
             econamp.cli.main(["analyze", args[0]])
     else:
+        import subprocess  # only here: `cli` children must not pay for it
+
         subprocess.run(
             [sys.executable, "-m", "econamp", *args[1:]],
             cwd=args[0], capture_output=True, check=True,

@@ -33,6 +33,13 @@ def check_stage(design, op, ss, gains):
         return f"i_e={op.i_e!r} != i_b + i_c = {op.i_b + op.i_c!r}"
     if not math.isclose(op.i_c, alpha_n * i_e, rel_tol=REL_TOL):
         return f"i_c={op.i_c!r}, expected {alpha_n * i_e!r}"
+    drop = alpha_n * i_e * r_l
+    if not abs(op.v_ce - (v_cc - drop)) <= REL_TOL * (abs(v_cc) + abs(drop)):
+        return f"v_ce={op.v_ce!r}, expected {v_cc - drop!r}"
+    if op.saturated != (op.v_ce <= 0.0):
+        return f"saturated={op.saturated!r} at v_ce={op.v_ce!r}"
+    if ss is not None and not math.isclose(ss.slope_s, op.i_c / vt, rel_tol=1e-12):
+        return f"slope_s={ss.slope_s!r}, expected i_c/Vt = {op.i_c / vt!r}"
     if gains is not None and not math.isclose(
         gains.voltage_gain, ss.slope_s * r_l, rel_tol=1e-12
     ):

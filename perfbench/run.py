@@ -77,14 +77,6 @@ SPEC = {
 }
 
 
-def tail_quantile(samples: int) -> float:
-    """Highest of p99/p95/p90/p75 with at least ten samples beyond it, else p50."""
-    for q in (0.99, 0.95, 0.9, 0.75):
-        if samples * (1.0 - q) >= 10:
-            return q
-    return 0.5
-
-
 def environment(seed: int) -> dict:
     """What the start-up split and the timings are only meaningful next to."""
     probe = subprocess.run(
@@ -136,7 +128,7 @@ def run_one(name: str, seed: int, seconds: float, traced: bool) -> dict:
         shutil.rmtree(workdir)
     attempted = tally.attempted
     failed = tally.outcomes["failed"]
-    q_tail = tail_quantile(attempted)
+    q_tail = workload.tail_quantile
 
     def timings(samples, setup_samples):
         return {

@@ -33,6 +33,22 @@ def _build(design):
     return AmplifierConfig(v_cc=v_cc, r_b1=r_b1, r_b2=r_b2, r_l=r_l, device=device)
 
 
+def _gains(op, ss, r_l):
+    gains = stage_gain(op, ss, r_l)
+    breakdown_check(op, LIMITS)
+    return gains
+
+
+# The module-level names `evaluate` looks up on every call; a traced run
+# replaces each by a version that records a span under the given name.
+LAYERS = (
+    ("_build", "circuit.build"),
+    ("solve_operating_point", "circuit.solve"),
+    ("small_signal_params", "circuit.small_signal"),
+    ("_gains", "amplifier.gain"),
+)
+
+
 def evaluate(design) -> tuple:
     """Build, solve, small-signal, gains and limit check of one design.
 
@@ -44,26 +60,7 @@ def evaluate(design) -> tuple:
         config = _build(design)
         op = solve_operating_point(config)
         ss = small_signal_params(config.device, op)
-        gains = stage_gain(op, ss, config.r_l)
-        breakdown_check(op, LIMITS)
-    except Exception as exc:  # every outcome is counted, none stops the sweep
-        return (*classify(exc), op, ss, gains)
-    return OK, "", op, ss, gains
-
-
-def evaluate_traced(design, tracer) -> tuple:
-    """`evaluate` with a span around each layer call."""
-    op = ss = gains = None
-    try:
-        with tracer.span("circuit.build"):
-            config = _build(design)
-        with tracer.span("circuit.solve"):
-            op = solve_operating_point(config)
-        with tracer.span("circuit.small_signal"):
-            ss = small_signal_params(config.device, op)
-        with tracer.span("amplifier.gain"):
-            gains = stage_gain(op, ss, config.r_l)
-            breakdown_check(op, LIMITS)
+        gains = _gains(op, ss, config.r_l)
     except Exception as exc:  # every outcome is counted, none stops the sweep
         return (*classify(exc), op, ss, gains)
     return OK, "", op, ss, gains

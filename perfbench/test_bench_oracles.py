@@ -7,6 +7,7 @@ from contextlib import redirect_stdout
 import inputs
 import oracles
 import stage
+from econamp.circuit import SolverError
 from econamp.cli import main
 
 # A design from the acceptance ranges that solves in the active region.
@@ -36,14 +37,40 @@ def test_inconsistent_voltage_gain_is_flagged():
     assert "voltage_gain" in oracles.check_stage(GOOD_DESIGN, op, ss, wrong)
 
 
-def test_saturated_design_is_a_counted_failure():
-    # r_l = 20e3 drives the demo stage deep into saturation, where the
-    # small-signal step overflows instead of giving a domain verdict.
+def test_perturbed_v_ce_is_flagged():
+    op, ss, gains = _solved()
+    moved = dataclasses.replace(op, v_ce=op.v_ce * (1 + 1e-6))
+    assert "v_ce" in oracles.check_stage(GOOD_DESIGN, moved, ss, gains)
+
+
+def test_wrong_saturated_flag_is_flagged():
+    op, ss, gains = _solved()
+    wrong = dataclasses.replace(op, saturated=not op.saturated)
+    assert "saturated" in oracles.check_stage(GOOD_DESIGN, wrong, ss, gains)
+
+
+def test_wrong_slope_is_flagged_even_with_consistent_gain():
+    op, ss, gains = _solved()
+    slope = ss.slope_s * (1 + 1e-9)
+    wrong_ss = dataclasses.replace(ss, slope_s=slope)
+    wrong_gains = dataclasses.replace(gains, voltage_gain=slope * GOOD_DESIGN[3])
+    assert "slope_s" in oracles.check_stage(GOOD_DESIGN, op, wrong_ss, wrong_gains)
+
+
+def test_classify():
+    assert stage.classify(OverflowError("math range error")) == (stage.FAILED, "OverflowError")
+    verdict = SolverError("no bias solution below the exponential overflow cap")
+    assert stage.classify(verdict) == (stage.VERDICT, "SolverError")
+    assert stage.classify(SolverError("did not converge")) == (stage.FAILED, "SolverError")
+
+
+def test_saturated_operating_point_passes():
+    # r_l = 20e3 drives the demo stage deep into saturation; whatever the
+    # later steps do with it, the solved operating point itself is right.
     design = (12.0, 1e5, 2e4, 2e4, 1e-14, 1e-14, 0.99, 300.0)
-    outcome, detail, op, ss, _ = stage.evaluate(design)
-    assert (outcome, detail) == (stage.FAILED, "OverflowError")
-    assert op.saturated and ss is None
-    assert oracles.check_stage(design, op, None, None) is None
+    _, _, op, ss, gains = stage.evaluate(design)
+    assert op.saturated
+    assert oracles.check_stage(design, op, ss, gains) is None
 
 
 def _analyze_stdout(tmp_path, columns):

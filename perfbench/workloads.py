@@ -90,6 +90,7 @@ class BiasSweep:
     name = "bias_sweep"
     work_unit = "stages"
     work_per_op = 1
+    tail_quantile = 0.99
     reference = staticmethod(speed.kernel_factor)
     chunk = 1024
     # Prefix of the design stream over which device calls are counted, so
@@ -124,20 +125,16 @@ class BiasSweep:
                     calls["n"] += 1
 
             econamp.circuit.active_region_currents = counted_active
+            for attr, name in stage.LAYERS:
+                tracer.wrap(stage, attr, name)
         deadline = clock() + int(seconds * 1e9)
         while clock() < deadline:
             for design in stream.take(self.chunk):
                 if tracer:
                     tracer.op += 1
-                    start = clock()
-                    with tracer.span("bench.stage"):
-                        result = stage.evaluate_traced(design, tracer)
-                    end = clock()
-                else:
-                    start = clock()
-                    result = stage.evaluate(design)
-                    end = clock()
-                outcome, detail, op, ss, gains = result
+                start = clock()
+                outcome, detail, op, ss, gains = stage.evaluate(design)
+                end = clock()
                 reason = None
                 if op is not None:
                     solved += 1
@@ -174,6 +171,7 @@ class SeriesAnalysis:
     name = "series_analysis"
     work_unit = "rows"
     work_per_op = 2 * inputs.SERIES_ROWS  # each pass reads the series twice
+    tail_quantile = 0.5  # a run has too few passes for a tail
     reference = staticmethod(speed.kernel_factor)
     files = 3
     fit_args = ("--x", "investments", "--y", "incomes")
@@ -273,6 +271,7 @@ class CliInvocations:
     name = "cli_invocations"
     work_unit = "invocations"
     work_per_op = 1
+    tail_quantile = 0.95
     reference = staticmethod(speed.startup_factor)
     commands = {
         "simulate": ("simulate", "demo_amplifier.cfg"),
