@@ -128,6 +128,7 @@ def run_one(name: str, seed: int, seconds: float, traced: bool) -> dict:
         shutil.rmtree(workdir)
     attempted = tally.attempted
     failed = tally.outcomes["failed"]
+    not_ok = failed + tally.outcomes["known_defect"]
     q_tail = workload.tail_quantile
 
     def timings(samples, setup_samples):
@@ -135,7 +136,7 @@ def run_one(name: str, seed: int, seconds: float, traced: bool) -> dict:
             "throughput_per_s": attempted * workload.work_per_op / (sum(samples) / 1e9),
             "p50_ms": percentile(samples, 0.5) / 1e6,
             "tail_ms": percentile(samples, q_tail) / 1e6,
-            "ok_share": 1.0 - failed / attempted,
+            "ok_share": 1.0 - not_ok / attempted,
             "setup_s": statistics.median(setup_samples),
         }
 
@@ -157,6 +158,7 @@ def run_one(name: str, seed: int, seconds: float, traced: bool) -> dict:
         "tail_quantile": q_tail,
         "outcomes": dict(tally.outcomes),
         "failed_share": failed / attempted,
+        "known_defect_share": tally.outcomes["known_defect"] / attempted,
         "failure_kinds": dict(tally.failure_kinds),
         "wrong_examples": tally.wrong,
         "speed_factor_median": statistics.median(tally.factor),
@@ -182,6 +184,7 @@ def print_result(result: dict) -> None:
           f"(work unit: {result['work_unit']})")
     print("environment", json.dumps(result["environment"]))
     print(f"outcomes {json.dumps(result['outcomes'])}  failed_share {result['failed_share']:.6f}  "
+          f"known_defect_share {result['known_defect_share']:.6f}  "
           f"failure kinds {json.dumps(result['failure_kinds'])}")
     for reason in result["wrong_examples"]:
         print("WRONG", reason)

@@ -13,17 +13,23 @@ LIMITS = OperatingLimits()
 
 OK = "ok"
 VERDICT = "verdict"
+KNOWN_DEFECT = "known_defect"
 FAILED = "failed"
 
 
-def classify(exc: Exception) -> tuple:
-    """(outcome, detail) of a stage that raised.
+def classify(exc: Exception, op=None, ss=None) -> tuple:
+    """(outcome, detail) of a stage that raised after building `op` and `ss`.
 
-    Only the documented "no bias solution" SolverError is a domain verdict;
-    anything else (an OverflowError above all) stands in for one and fails.
+    Only the documented "no bias solution" SolverError is a domain verdict.
+    An OverflowError from the small-signal step at a saturated operating
+    point is the known saturation defect (ROADMAP item 3): it is no verdict
+    either, and is counted apart so that it shows in ok_share on every run.
+    Anything else stands in for a verdict and fails.
     """
     if isinstance(exc, SolverError) and "no bias solution" in str(exc):
         return VERDICT, "SolverError"
+    if isinstance(exc, OverflowError) and op is not None and op.saturated and ss is None:
+        return KNOWN_DEFECT, "OverflowError"
     return FAILED, type(exc).__name__
 
 
@@ -62,5 +68,5 @@ def evaluate(design) -> tuple:
         ss = small_signal_params(config.device, op)
         gains = _gains(op, ss, config.r_l)
     except Exception as exc:  # every outcome is counted, none stops the sweep
-        return (*classify(exc), op, ss, gains)
+        return (*classify(exc, op, ss), op, ss, gains)
     return OK, "", op, ss, gains

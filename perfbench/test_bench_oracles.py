@@ -3,6 +3,7 @@
 import dataclasses
 import io
 from contextlib import redirect_stdout
+from types import SimpleNamespace
 
 import inputs
 import oracles
@@ -59,6 +60,11 @@ def test_wrong_slope_is_flagged_even_with_consistent_gain():
 
 def test_classify():
     assert stage.classify(OverflowError("math range error")) == (stage.FAILED, "OverflowError")
+    saturated = SimpleNamespace(saturated=True)
+    assert stage.classify(OverflowError("cap"), saturated) == (stage.KNOWN_DEFECT, "OverflowError")
+    active = SimpleNamespace(saturated=False)
+    assert stage.classify(OverflowError("cap"), active) == (stage.FAILED, "OverflowError")
+    assert stage.classify(ValueError("i_c"), saturated) == (stage.FAILED, "ValueError")
     verdict = SolverError("no bias solution below the exponential overflow cap")
     assert stage.classify(verdict) == (stage.VERDICT, "SolverError")
     assert stage.classify(SolverError("did not converge")) == (stage.FAILED, "SolverError")
