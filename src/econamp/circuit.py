@@ -10,6 +10,11 @@ accepted only while it stays inside the sign-change bracket and keeps
 cutting the residual, otherwise the bracket is bisected. Plain Newton is
 not enough here; descending the exponential it gains only one thermal
 voltage per step.
+
+Each evaluation of the balance costs one exp(v_be/Vt): the base current
+is computed inline with active_region_currents' arithmetic, and the same
+exponential gives the Newton slope. Only the returned point goes through
+the device model and its conservation checks.
 """
 
 import math
@@ -44,11 +49,11 @@ class AmplifierConfig:
     device: BjtParams
 
     def __post_init__(self):
-        if self.v_cc <= 0:
-            raise ValueError(f"v_cc must be > 0, got {self.v_cc}")
-        for name in ("r_b1", "r_b2", "r_l"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+        # the chained test also rejects NaN and inf
+        for name in ("v_cc", "r_b1", "r_b2", "r_l"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
 
     def thevenin(self):
         """(v_th, r_th) of the base divider."""
@@ -107,24 +112,22 @@ def solve_operating_point(
     dev = config.device
     vt = thermal_voltage(dev.temperature)
     v_th, r_th = config.thevenin()
-
-    def i_b_of(v):
-        return active_region_currents(dev, v).i_b
-
-    def residual(v):
-        return (v_th - v) / r_th - i_b_of(v)
+    k_b = 1.0 - dev.alpha_n
+    i_es = dev.i_es
 
     # One thermal voltage of margin keeps every evaluation below the cap.
     lo = 0.0
     hi = min(config.v_cc, vt * (EXP_ARG_CAP - 1.0))
-    if residual(hi) > 0.0:
+    i_b, _ = _base_current(hi, vt, k_b, i_es)
+    if (v_th - hi) / r_th - i_b > 0.0:
         raise SolverError(
             f"no bias solution below the exponential overflow cap "
             f"(residual at v_be={hi:g} V is still positive)"
         )
 
     v = INITIAL_GUESS if lo < INITIAL_GUESS < hi else 0.5 * (lo + hi)
-    f = residual(v)
+    i_b, e = _base_current(v, vt, k_b, i_es)
+    f = (v_th - v) / r_th - i_b
     step = math.inf
     for _ in range(max_iterations):
         if abs(f) < residual_tol and (f == 0.0 or abs(step) < STEP_TOL):
@@ -134,12 +137,13 @@ def solve_operating_point(
         else:
             hi = v
         # d(residual)/dv, strictly negative for any valid config
-        di_b = (1.0 - dev.alpha_n) * dev.i_es * math.exp(v / vt) / vt
+        di_b = k_b * i_es * e / vt
         candidate = v - f / (-1.0 / r_th - di_b)
         if lo < candidate < hi:
-            f_candidate = residual(candidate)
+            i_b, e_candidate = _base_current(candidate, vt, k_b, i_es)
+            f_candidate = (v_th - candidate) / r_th - i_b
             if abs(f_candidate) <= 0.25 * abs(f):
-                step, v, f = candidate - v, candidate, f_candidate
+                step, v, f, e = candidate - v, candidate, f_candidate, e_candidate
                 continue
             # Newton is crawling along the exponential; keep the bracket
             # shrinkage it bought and bisect instead.
@@ -148,11 +152,29 @@ def solve_operating_point(
             else:
                 hi = candidate
         mid = 0.5 * (lo + hi)
-        step, v, f = mid - v, mid, residual(mid)
+        i_b, e = _base_current(mid, vt, k_b, i_es)
+        step, v, f = mid - v, mid, (v_th - mid) / r_th - i_b
     raise SolverError(
         f"bias solve did not converge in {max_iterations} iterations "
         f"(last residual {f:.3e} A at v_be={v:.6f} V)"
     )
+
+
+def _base_current(v_be: float, vt: float, k_b: float, i_es: float) -> tuple[float, float]:
+    """(i_b, exp(v_be/Vt)) of the active-region law, k_b = 1 - alpha_n.
+
+    The arithmetic and its order are those of active_region_currents, so
+    i_b equals active_region_currents(...).i_b bit for bit; the exponential
+    is handed back for the Newton slope.
+    """
+    arg = v_be / vt
+    if arg > EXP_ARG_CAP:
+        raise OverflowError(
+            f"v_be = {v_be:g} V gives exp argument {arg:.1f} "
+            f"above the overflow cap {EXP_ARG_CAP:g}"
+        )
+    e = math.exp(arg)
+    return k_b * (i_es * (e - 1.0)), e
 
 
 def _operating_point(config: AmplifierConfig, v_be: float) -> OperatingPoint:

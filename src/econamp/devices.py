@@ -47,12 +47,11 @@ class BjtParams:
     temperature: float = DEFAULT_TEMPERATURE
 
     def __post_init__(self):
-        if self.i_es <= 0:
-            raise ValueError(f"i_es must be > 0, got {self.i_es}")
-        if self.i_cs <= 0:
-            raise ValueError(f"i_cs must be > 0, got {self.i_cs}")
-        if self.temperature <= 0:
-            raise ValueError(f"temperature must be > 0 K, got {self.temperature}")
+        # the chained test also rejects NaN and inf
+        for name in ("i_es", "i_cs", "temperature"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
         if not 0.0 < self.alpha_n < 1.0:
             raise ValueError(f"alpha_n must lie strictly in (0, 1), got {self.alpha_n}")
         if not 0.0 <= self.alpha_i < self.alpha_n:

@@ -9,15 +9,28 @@ import random
 
 import pytest
 
+import econamp.circuit
 from econamp.circuit import (
+    INITIAL_GUESS,
+    MAX_ITERATIONS,
+    RESIDUAL_TOL,
+    STEP_TOL,
     AmplifierConfig,
     OperatingPoint,
     SolverError,
+    _base_current,
     small_signal_params,
     solve_operating_point,
     static_finite_params,
 )
-from econamp.devices import BjtParams, beta_from_alpha, ebers_moll_currents
+from econamp.devices import (
+    EXP_ARG_CAP,
+    BjtParams,
+    active_region_currents,
+    beta_from_alpha,
+    ebers_moll_currents,
+    thermal_voltage,
+)
 
 K_BOLTZMANN = 1.380649e-23
 Q_ELECTRON = 1.602176634e-19
@@ -51,6 +64,48 @@ def bisection_v_be(config, iterations=200):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def reference_v_be(config, max_iterations=MAX_ITERATIONS):
+    """The safeguarded Newton iteration as first written, or None if it fails.
+
+    Every evaluation goes through active_region_currents. The solver
+    evaluates the base current inline instead and must land on this v_be
+    bit for bit.
+    """
+    dev = config.device
+    vt = thermal_voltage(dev.temperature)
+    v_th, r_th = config.thevenin()
+
+    def residual(v):
+        return (v_th - v) / r_th - active_region_currents(dev, v).i_b
+
+    lo, hi = 0.0, min(config.v_cc, vt * (EXP_ARG_CAP - 1.0))
+    if residual(hi) > 0.0:
+        return None
+    v = INITIAL_GUESS if lo < INITIAL_GUESS < hi else 0.5 * (lo + hi)
+    f, step = residual(v), math.inf
+    for _ in range(max_iterations):
+        if abs(f) < RESIDUAL_TOL and (f == 0.0 or abs(step) < STEP_TOL):
+            return v
+        if f > 0.0:
+            lo = v
+        else:
+            hi = v
+        di_b = (1.0 - dev.alpha_n) * dev.i_es * math.exp(v / vt) / vt
+        candidate = v - f / (-1.0 / r_th - di_b)
+        if lo < candidate < hi:
+            f_candidate = residual(candidate)
+            if abs(f_candidate) <= 0.25 * abs(f):
+                step, v, f = candidate - v, candidate, f_candidate
+                continue
+            if f_candidate > 0.0:
+                lo = candidate
+            else:
+                hi = candidate
+        mid = 0.5 * (lo + hi)
+        step, v, f = mid - v, mid, residual(mid)
+    return None
 
 
 def base_node_residual(config, op):
@@ -131,6 +186,79 @@ class TestSolveOperatingPoint:
         assert op.v_ce <= 0.0
         assert op.saturated
 
+    def test_derived_config_solution_is_pinned(self):
+        # Exactly the [values] block `simulate` prints for
+        # data/demo_amplifier.cfg; any change to the iteration path moves it.
+        assert solve_operating_point(DERIVED_CONFIG) == OperatingPoint(
+            v_be=0.7077395589436246,
+            i_b=7.753562646511914e-05,
+            i_c=0.007676027020046787,
+            i_e=0.007753562646511907,
+            v_ce=4.323972979953212,
+            saturated=False,
+        )
+
+    def test_iterates_match_reference_iteration(self):
+        # Ranges far wider than random_config's: the harder the solve, the
+        # more iterates a drift in the arithmetic can show up in.
+        rng = random.Random(606)
+        for k in range(1000):
+            config = AmplifierConfig(
+                v_cc=10 ** rng.uniform(-3.0, 4.0),
+                r_b1=10 ** rng.uniform(0.0, 9.0),
+                r_b2=10 ** rng.uniform(0.0, 9.0),
+                r_l=10 ** rng.uniform(0.0, 6.0),
+                device=BjtParams(
+                    i_es=10 ** rng.uniform(-30, -3),
+                    i_cs=1e-14,
+                    alpha_n=rng.uniform(0.01, 0.999999),
+                    temperature=rng.uniform(1.0, 1000.0),
+                ),
+            )
+            max_iterations = (3, 7, MAX_ITERATIONS)[k % 3]
+            expected = reference_v_be(config, max_iterations)
+            if expected is None:
+                with pytest.raises(SolverError):
+                    solve_operating_point(config, max_iterations=max_iterations)
+            else:
+                op = solve_operating_point(config, max_iterations=max_iterations)
+                assert op.v_be == expected
+
+    def test_inline_base_current_matches_device_model(self):
+        # The solver evaluates the base current itself; it must stay
+        # bit-identical to the device model it stands in for.
+        rng = random.Random(505)
+        for _ in range(200):
+            dev = random_config(rng).device
+            vt = thermal_voltage(dev.temperature)
+            grid = [0.0, 1e-12, 0.3, 0.6, 0.7, 0.8, vt * (EXP_ARG_CAP - 1.0)]
+            grid += [rng.uniform(-0.1, 1.0) for _ in range(20)]
+            for v in grid:
+                i_b, e = _base_current(v, vt, 1.0 - dev.alpha_n, dev.i_es)
+                assert i_b == active_region_currents(dev, v).i_b
+                assert e == math.exp(v / vt)
+
+    def test_inline_base_current_keeps_overflow_cap(self):
+        dev = DERIVED_CONFIG.device
+        vt = thermal_voltage(dev.temperature)
+        v = vt * (EXP_ARG_CAP + 0.5)
+        with pytest.raises(OverflowError, match="v_be") as inline:
+            _base_current(v, vt, 1.0 - dev.alpha_n, dev.i_es)
+        with pytest.raises(OverflowError) as device:
+            active_region_currents(dev, v)
+        assert str(inline.value) == str(device.value)
+
+    def test_device_model_builds_only_the_returned_point(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return active_region_currents(*args, **kwargs)
+
+        monkeypatch.setattr(econamp.circuit, "active_region_currents", counted)
+        op = solve_operating_point(DERIVED_CONFIG)
+        assert [args[1] for args in calls] == [op.v_be]
+
     def test_nonconvergence_reports_solver_error(self):
         with pytest.raises(SolverError, match="did not converge"):
             solve_operating_point(DERIVED_CONFIG, max_iterations=2)
@@ -146,6 +274,26 @@ class TestSolveOperatingPoint:
     )
     def test_config_invariants(self, kwargs):
         with pytest.raises(ValueError):
+            AmplifierConfig(device=DERIVED_CONFIG.device, **kwargs)
+
+    # Each non-finite value used to get past validation: v_cc=nan ran 100
+    # iterations to "did not converge", v_cc=inf got the verdict "no bias
+    # solution", r_l=nan solved to v_ce=nan with saturated=False.
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("v_cc", math.nan),
+            ("v_cc", math.inf),
+            ("r_l", math.nan),
+            ("r_l", math.inf),
+            ("r_b1", math.inf),
+            ("r_b2", math.nan),
+        ],
+    )
+    def test_config_rejects_non_finite(self, field, value):
+        kwargs = dict(v_cc=12.0, r_b1=100e3, r_b2=20e3, r_l=1e3)
+        kwargs[field] = value
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
             AmplifierConfig(device=DERIVED_CONFIG.device, **kwargs)
 
     def test_operating_point_conservation_enforced(self):

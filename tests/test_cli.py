@@ -1,9 +1,11 @@
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import econamp
 from econamp.cli import build_simulation, main, parse_config_text, points_file_path
 
 DERIVED_CONFIG_TEXT = """\
@@ -129,6 +131,15 @@ class TestSimulate:
         assert code == 4
         assert out == ""
         assert "alpha_n" in err
+
+    def test_non_finite_value_is_domain_error(self, capsys, tmp_path):
+        # used to run the solver into "bias solve did not converge"
+        path = tmp_path / "nan.cfg"
+        path.write_text(DERIVED_CONFIG_TEXT.replace("v_cc = 12", "v_cc = nan"))
+        code, out, err = run_cli(capsys, "simulate", str(path))
+        assert code == 4
+        assert out == ""
+        assert "v_cc" in err
 
 
 @pytest.fixture
@@ -283,10 +294,14 @@ class TestCascade:
 
 
 def test_module_entry_point():
+    # the child imports the same econamp as this test, installed or not
+    package_root = str(Path(econamp.__file__).resolve().parent.parent)
+    pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "econamp", "cascade", "10", "20"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": pythonpath},
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "200.0"

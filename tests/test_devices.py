@@ -5,6 +5,7 @@ Expected values tagged "oracle" were computed ahead of time with a
 difference checks are independent of the analytic formulas they verify.
 """
 
+import math
 import random
 
 import pytest
@@ -201,6 +202,25 @@ class TestParamValidation:
     )
     def test_bjt_invariants(self, kwargs):
         with pytest.raises(ValueError):
+            BjtParams(**kwargs)
+
+    # i_es=nan and temperature=inf used to be accepted: the bias solve then
+    # ran to "did not converge", or to a zero-current point at Vt = inf.
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("i_es", math.nan),
+            ("i_es", math.inf),
+            ("i_cs", math.nan),
+            ("i_cs", math.inf),
+            ("temperature", math.inf),
+            ("temperature", math.nan),
+        ],
+    )
+    def test_bjt_rejects_non_finite(self, field, value):
+        kwargs = dict(i_es=1e-14, i_cs=1e-14, alpha_n=0.99)
+        kwargs[field] = value
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
             BjtParams(**kwargs)
 
     def test_bjt_defaults(self):
