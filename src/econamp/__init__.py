@@ -7,6 +7,8 @@ coefficients, the Harrod, Domar, Cobb-Douglas and Keynes correspondences,
 and the income-vs-investment regression.
 """
 
+from types import ModuleType as _ModuleType
+
 from .amplifier import (
     BreakdownStatus,
     OperatingLimits,
@@ -59,46 +61,8 @@ from .econmap import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AmplifierConfig",
-    "BjtCurrents",
-    "BjtParams",
-    "BreakdownStatus",
-    "CobbDouglasParams",
-    "CoefficientReport",
-    "EconPeriod",
-    "EconSeries",
-    "MosParams",
-    "OperatingLimits",
-    "OperatingPoint",
-    "PhysicalConstants",
-    "RegressionFit",
-    "SmallSignalParams",
-    "SolverError",
-    "StageGain",
-    "active_region_currents",
-    "analyze_series",
-    "beta_bank",
-    "beta_from_alpha",
-    "beta_p_economic",
-    "beta_v_economic",
-    "breakdown_check",
-    "cascade_gain",
-    "cobb_douglas",
-    "current_gain",
-    "domar_sigma",
-    "ebers_moll_currents",
-    "fit_linear",
-    "harrod_b",
-    "keynes_multiplier",
-    "mos_drain_current",
-    "mos_transconductance",
-    "output_power",
-    "output_voltage",
-    "small_signal_params",
-    "solve_operating_point",
-    "stage_gain",
-    "stage_voltage_gain",
-    "static_finite_params",
-    "thermal_voltage",
-]
+# every public class and function bound above, not the submodules
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -27,9 +27,11 @@ class OperatingLimits:
     p_max: float = 0.5
 
     def __post_init__(self):
+        # the chained test also rejects NaN and inf
         for name in ("i_c_max", "v_ce_max", "p_max"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -75,10 +77,21 @@ def stage_voltage_gain(ss: SmallSignalParams, r_l: float) -> float:
 
 
 def cascade_gain(stage_gains: Sequence[float]) -> float:
-    """Total gain of stages in cascade: the product of the stage gains."""
+    """Total gain of stages in cascade: the product of the stage gains.
+
+    A non-finite stage gain, or a product that overflows, raises ValueError
+    naming the (1-based) stage.
+    """
     if not stage_gains:
         raise ValueError("cascade needs at least one stage gain")
-    return math.prod(stage_gains)
+    total = 1.0
+    for stage, gain in enumerate(stage_gains, start=1):
+        if not math.isfinite(gain):
+            raise ValueError(f"stage {stage} gain must be finite, got {gain}")
+        total *= gain
+        if not math.isfinite(total):
+            raise ValueError(f"cascade gain overflows at stage {stage}")
+    return total
 
 
 def stage_gain(op: OperatingPoint, ss: SmallSignalParams, r_l: float) -> StageGain:

@@ -16,25 +16,10 @@ import argparse
 import csv
 import math
 import sys
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import fields
 
-from .amplifier import (
-    BreakdownStatus,
-    OperatingLimits,
-    StageGain,
-    breakdown_check,
-    cascade_gain,
-    stage_gain,
-)
-from .circuit import (
-    AmplifierConfig,
-    OperatingPoint,
-    SmallSignalParams,
-    SolverError,
-    small_signal_params,
-    solve_operating_point,
-)
+from .amplifier import OperatingLimits, breakdown_check, cascade_gain, stage_gain
+from .circuit import AmplifierConfig, SolverError, small_signal_params, solve_operating_point
 from .devices import BjtParams
 from .econmap import CoefficientReport, EconPeriod, EconSeries, analyze_series, fit_linear
 
@@ -57,9 +42,32 @@ class InputFormatError(Exception):
     """Malformed config or CSV content (maps to exit code 3)."""
 
 
-def _fmt(value: float) -> str:
-    # human tables: 6 significant digits
-    return format(value, ".6g")
+# ---------------------------------------------------------------------------
+# report rendering: every report is rows of (key, value, unit)
+
+def _fmt(value) -> str:
+    # human tables: 6 significant digits; ints whole (".6g" gives 1e+06)
+    if value is None:
+        return "n/a"
+    return str(value) if isinstance(value, int) else format(value, ".6g")
+
+
+def table(rows, width: int = 0) -> list[str]:
+    """Human rows `  key = value unit`, keys padded to the longest or `width`."""
+    width = max(width, *(len(key) for key, _, _ in rows))
+    return [
+        f"  {key:<{width}} = {_fmt(value)}" + (f" {unit}" if unit else "")
+        for key, value, unit in rows
+    ]
+
+
+def values_block(rows) -> list[str]:
+    """The `[values]` block: full-precision `key=value`, None rows left out."""
+    return ["[values]"] + [
+        f"{key}={str(value).lower() if isinstance(value, bool) else repr(value)}"
+        for key, value, _ in rows
+        if value is not None
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -92,153 +100,84 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
     return values
 
 
+def _given(cls, values: dict) -> dict:
+    return {f.name: values[f.name] for f in fields(cls) if f.name in values}
+
+
 def build_simulation(values: dict) -> tuple[AmplifierConfig, OperatingLimits]:
-    """Resolve parsed config values (defaults applied) into typed objects."""
-    device = BjtParams(
-        i_es=values["i_es"],
-        i_cs=values.get("i_cs", values["i_es"]),
-        alpha_n=values["alpha_n"],
-        alpha_i=values.get("alpha_i", 0.0),
-        temperature=values.get("temperature", 300.0),
-    )
-    config = AmplifierConfig(
-        v_cc=values["v_cc"],
-        r_b1=values["r_b1"],
-        r_b2=values["r_b2"],
-        r_l=values["r_l"],
-        device=device,
-    )
-    limits = OperatingLimits(
-        i_c_max=values.get("i_c_max", OperatingLimits.i_c_max),
-        v_ce_max=values.get("v_ce_max", OperatingLimits.v_ce_max),
-        p_max=values.get("p_max", OperatingLimits.p_max),
-    )
-    return config, limits
+    """Resolve parsed config values into typed objects.
 
-
-def echo_config(config: AmplifierConfig, limits: OperatingLimits) -> str:
-    """Render the resolved configuration in the config-file format."""
-    dev = config.device
-    pairs = (
-        ("v_cc", config.v_cc), ("r_b1", config.r_b1), ("r_b2", config.r_b2),
-        ("r_l", config.r_l),
-        ("i_es", dev.i_es), ("i_cs", dev.i_cs), ("alpha_n", dev.alpha_n),
-        ("alpha_i", dev.alpha_i), ("temperature", dev.temperature),
-        ("i_c_max", limits.i_c_max), ("v_ce_max", limits.v_ce_max),
-        ("p_max", limits.p_max),
-    )
-    return "\n".join(f"{key} = {value!r}" for key, value in pairs)
+    Omitted keys take the dataclass defaults, except i_cs, which defaults to i_es.
+    """
+    device = BjtParams(**_given(BjtParams, {"i_cs": values["i_es"], **values}))
+    config = AmplifierConfig(device=device, **_given(AmplifierConfig, values))
+    return config, OperatingLimits(**_given(OperatingLimits, values))
 
 
 # ---------------------------------------------------------------------------
 # simulate
 
-@dataclass(frozen=True)
-class RunReport:
-    config: AmplifierConfig
-    limits: OperatingLimits
-    op: OperatingPoint
-    small_signal: SmallSignalParams
-    gains: StageGain
-    status: BreakdownStatus
-    coefficients: Optional[CoefficientReport] = None
-
-    def __post_init__(self):
-        numbers = (
-            self.op.v_be, self.op.i_b, self.op.i_c, self.op.i_e, self.op.v_ce,
-            self.small_signal.r_in, self.small_signal.g_out, self.small_signal.slope_s,
-            self.gains.beta_current, self.gains.voltage_gain, self.gains.power_out,
-        )
-        if not all(math.isfinite(v) for v in numbers):
-            raise ValueError("run report contains non-finite values")
-
-    @property
-    def warnings(self) -> tuple[str, ...]:
-        out = []
-        if self.op.saturated:
-            out.append(
-                f"saturation: v_ce = {_fmt(self.op.v_ce)} V <= 0, "
-                "device out of active region"
-            )
-        if not self.status.healthy:
-            out.append("breakdown: " + ", ".join(self.status.violations))
-        return tuple(out)
-
-    def render(self) -> str:
-        op, ss, g = self.op, self.small_signal, self.gains
-        lines = [
-            "config:",
-            echo_config(self.config, self.limits),
-            "",
-            "operating point:",
-            f"  v_be  = {_fmt(op.v_be)} V",
-            f"  i_b   = {_fmt(op.i_b)} A",
-            f"  i_c   = {_fmt(op.i_c)} A",
-            f"  i_e   = {_fmt(op.i_e)} A",
-            f"  v_ce  = {_fmt(op.v_ce)} V",
-            "",
-            "small signal:",
-            f"  r_in    = {_fmt(ss.r_in)} ohm",
-            f"  g_out   = {_fmt(ss.g_out)} S",
-            f"  slope_s = {_fmt(ss.slope_s)} S",
-            "",
-            "stage gains:",
-            f"  beta_current = {_fmt(g.beta_current)}",
-            f"  voltage_gain = {_fmt(g.voltage_gain)}",
-            f"  power_out    = {_fmt(g.power_out)} W",
-            "",
-            "warnings:",
-        ]
-        if self.warnings:
-            lines.extend(f"  {w}" for w in self.warnings)
-        else:
-            lines.append("  none")
-        lines.append("")
-        lines.append("[values]")
-        for key, value in (
-            ("v_be", op.v_be), ("i_b", op.i_b), ("i_c", op.i_c), ("i_e", op.i_e),
-            ("v_ce", op.v_ce), ("r_in", ss.r_in), ("g_out", ss.g_out),
-            ("slope_s", ss.slope_s), ("beta_current", g.beta_current),
-            ("voltage_gain", g.voltage_gain), ("power_out", g.power_out),
-        ):
-            lines.append(f"{key}={value!r}")
-        lines.append(f"saturated={str(op.saturated).lower()}")
-        lines.append(f"healthy={str(self.status.healthy).lower()}")
-        return "\n".join(lines)
-
-
-def run_simulate(config_path: str) -> RunReport:
-    with open(config_path, encoding="utf-8") as fh:
-        values = parse_config_text(fh.read(), source=config_path)
+def _cmd_simulate(args) -> int:
+    with open(args.config, encoding="utf-8") as fh:
+        values = parse_config_text(fh.read(), source=args.config)
     config, limits = build_simulation(values)
     op = solve_operating_point(config)
     ss = small_signal_params(config.device, op)
-    return RunReport(
-        config=config,
-        limits=limits,
-        op=op,
-        small_signal=ss,
-        gains=stage_gain(op, ss, config.r_l),
-        status=breakdown_check(op, limits),
-    )
-
-
-def _cmd_simulate(args) -> int:
-    print(run_simulate(args.config).render())
+    gains = stage_gain(op, ss, config.r_l)
+    status = breakdown_check(op, limits)
+    op_rows = [
+        ("v_be", op.v_be, "V"), ("i_b", op.i_b, "A"), ("i_c", op.i_c, "A"),
+        ("i_e", op.i_e, "A"), ("v_ce", op.v_ce, "V"),
+    ]
+    ss_rows = [("r_in", ss.r_in, "ohm"), ("g_out", ss.g_out, "S"), ("slope_s", ss.slope_s, "S")]
+    gain_rows = [
+        ("beta_current", gains.beta_current, ""),
+        ("voltage_gain", gains.voltage_gain, ""),
+        ("power_out", gains.power_out, "W"),
+    ]
+    figures = op_rows + ss_rows + gain_rows
+    if not all(math.isfinite(value) for _, value, _ in figures):
+        raise ValueError("run report contains non-finite values")
+    warnings = []
+    if op.saturated:
+        warnings.append(f"saturation: v_ce = {_fmt(op.v_ce)} V <= 0, device out of active region")
+    if not status.healthy:
+        warnings.append("breakdown: " + ", ".join(status.violations))
+    resolved = {**vars(config), **vars(config.device), **vars(limits)}
+    lines = [
+        "config:",
+        *(f"{key} = {resolved[key]!r}" for key in CONFIG_KEYS),
+        "",
+        "operating point:", *table(op_rows, width=5), "",  # width as in the shipped format
+        "small signal:", *table(ss_rows), "",
+        "stage gains:", *table(gain_rows), "",
+        "warnings:", *(f"  {w}" for w in warnings or ["none"]), "",
+        *values_block(
+            figures + [("saturated", op.saturated, ""), ("healthy", status.healthy, "")]
+        ),
+    ]
+    print("\n".join(lines))
     return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # CSV handling
 
-def _read_csv_rows(path: str) -> tuple[list[str], list[list[str]]]:
+def _read_csv_rows(path: str, columns) -> tuple[list[str], list[int], list[list[str]]]:
+    """Header, the index of each required column, and the non-blank data rows."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
         rows = [row for row in csv.reader(fh)]
     rows = [row for row in rows if any(cell.strip() for cell in row)]
     if not rows:
         raise InputFormatError(f"{path}: empty CSV")
     header = [cell.strip() for cell in rows[0]]
-    return header, rows[1:]
+    missing = [c for c in columns if c not in header]
+    if missing:
+        raise InputFormatError(
+            f"{path}: missing column(s) {', '.join(repr(c) for c in missing)}; "
+            f"header has {header}"
+        )
+    return header, [header.index(c) for c in columns], rows[1:]
 
 
 def _cell(path: str, row: list[str], rowno: int, index: int, column: str) -> str:
@@ -250,22 +189,16 @@ def _cell(path: str, row: list[str], rowno: int, index: int, column: str) -> str
 def _float_cell(path: str, row: list[str], rowno: int, index: int, column: str) -> float:
     text = _cell(path, row, rowno, index, column)
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
-        raise InputFormatError(
-            f"{path}:{rowno}: {column!r} is not a number: {text!r}"
-        ) from None
+        value = math.nan
+    if not math.isfinite(value):
+        raise InputFormatError(f"{path}:{rowno}: {column!r} is not a finite number: {text!r}")
+    return value
 
 
 def read_xy_columns(path: str, x_column: str, y_column: str):
-    header, rows = _read_csv_rows(path)
-    missing = [c for c in (x_column, y_column) if c not in header]
-    if missing:
-        raise InputFormatError(
-            f"{path}: missing column(s) {', '.join(repr(c) for c in missing)}; "
-            f"header has {header}"
-        )
-    ix, iy = header.index(x_column), header.index(y_column)
+    _, (ix, iy), rows = _read_csv_rows(path, (x_column, y_column))
     xs, ys = [], []
     for rowno, row in enumerate(rows, start=2):
         xs.append(_float_cell(path, row, rowno, ix, x_column))
@@ -274,14 +207,7 @@ def read_xy_columns(path: str, x_column: str, y_column: str):
 
 
 def read_econ_series(path: str) -> EconSeries:
-    header, rows = _read_csv_rows(path)
-    missing = [c for c in ECON_COLUMNS if c not in header]
-    if missing:
-        raise InputFormatError(
-            f"{path}: missing column(s) {', '.join(repr(c) for c in missing)}; "
-            f"header has {header}"
-        )
-    indices = {c: header.index(c) for c in ECON_COLUMNS}
+    header, (i_label, i_inv, i_exp, i_inc), rows = _read_csv_rows(path, ECON_COLUMNS)
     qty_index = header.index("quantity_out") if "quantity_out" in header else None
     periods = []
     for rowno, row in enumerate(rows, start=2):
@@ -290,10 +216,10 @@ def read_econ_series(path: str) -> EconSeries:
             quantity = _float_cell(path, row, rowno, qty_index, "quantity_out")
         periods.append(
             EconPeriod(
-                label=_cell(path, row, rowno, indices["period"], "period"),
-                investments=_float_cell(path, row, rowno, indices["investments"], "investments"),
-                expenses=_float_cell(path, row, rowno, indices["expenses"], "expenses"),
-                incomes=_float_cell(path, row, rowno, indices["incomes"], "incomes"),
+                label=_cell(path, row, rowno, i_label, "period"),
+                investments=_float_cell(path, row, rowno, i_inv, "investments"),
+                expenses=_float_cell(path, row, rowno, i_exp, "expenses"),
+                incomes=_float_cell(path, row, rowno, i_inc, "incomes"),
                 quantity_out=quantity,
             )
         )
@@ -307,6 +233,11 @@ def points_file_path(csv_path: str) -> str:
     return csv_path + ".points.csv"
 
 
+def _fit_rows(fit) -> list:
+    return [("a0", fit.a0, ""), ("beta", fit.beta, ""), ("r_squared", fit.r_squared, ""),
+            ("n", fit.n, "")]
+
+
 def _cmd_fit(args) -> int:
     xs, ys = read_xy_columns(args.csv, args.x, args.y)
     fit = fit_linear(xs, ys)
@@ -315,19 +246,13 @@ def _cmd_fit(args) -> int:
         fh.write("x,y_observed,y_fitted\n")
         for x, y in zip(xs, ys):
             fh.write(f"{x!r},{y!r},{fit.a0 + fit.beta * x!r}\n")
+    rows = _fit_rows(fit)
     lines = [
         f"fit: {args.y} = a0 + beta * {args.x}",
-        f"  n         = {fit.n}",
-        f"  a0        = {_fmt(fit.a0)}",
-        f"  beta      = {_fmt(fit.beta)}",
-        f"  r_squared = {_fmt(fit.r_squared)}",
+        *table(rows[-1:] + rows[:-1]),
         f"  points file: {out_path}",
         "",
-        "[values]",
-        f"a0={fit.a0!r}",
-        f"beta={fit.beta!r}",
-        f"r_squared={fit.r_squared!r}",
-        f"n={fit.n}",
+        *values_block(rows),
     ]
     print("\n".join(lines))
     return EXIT_OK
@@ -337,46 +262,20 @@ def _cmd_fit(args) -> int:
 # analyze
 
 def render_coefficients(report: CoefficientReport, n_periods: int) -> str:
-    def opt(value):
-        return "n/a" if value is None else _fmt(value)
-
-    lines = [
-        f"periods: {n_periods}",
-        "",
-        "coefficients:",
-        f"  beta_v      = {_fmt(report.beta_v)}",
-        f"  harrod_b    = {_fmt(report.harrod_b)}",
-        f"  domar_sigma = {_fmt(report.domar_sigma)}",
-        f"  mean_beta   = {_fmt(report.mean_beta)}",
-        f"  beta_p      = {opt(report.beta_p)}",
-        f"  keynes_m    = {opt(report.keynes_m)}",
-        "",
-        "regression (incomes vs investments+expenses):",
+    rows = [
+        ("beta_v", report.beta_v, ""), ("harrod_b", report.harrod_b, ""),
+        ("domar_sigma", report.domar_sigma, ""), ("mean_beta", report.mean_beta, ""),
+        ("beta_p", report.beta_p, ""), ("keynes_m", report.keynes_m, ""),
     ]
-    if report.fit is None:
-        lines.append("  n/a (needs >= 2 periods with varying inputs)")
-    else:
-        lines.extend([
-            f"  a0        = {_fmt(report.fit.a0)}",
-            f"  beta      = {_fmt(report.fit.beta)}",
-            f"  r_squared = {_fmt(report.fit.r_squared)}",
-            f"  n         = {report.fit.n}",
-        ])
-    lines.append("")
-    lines.append("[values]")
-    lines.append(f"beta_v={report.beta_v!r}")
-    lines.append(f"harrod_b={report.harrod_b!r}")
-    lines.append(f"domar_sigma={report.domar_sigma!r}")
-    lines.append(f"mean_beta={report.mean_beta!r}")
-    if report.beta_p is not None:
-        lines.append(f"beta_p={report.beta_p!r}")
-    if report.keynes_m is not None:
-        lines.append(f"keynes_m={report.keynes_m!r}")
-    if report.fit is not None:
-        lines.append(f"fit_a0={report.fit.a0!r}")
-        lines.append(f"fit_beta={report.fit.beta!r}")
-        lines.append(f"fit_r_squared={report.fit.r_squared!r}")
-        lines.append(f"fit_n={report.fit.n}")
+    fit_rows = [] if report.fit is None else _fit_rows(report.fit)
+    lines = [
+        f"periods: {n_periods}", "",
+        "coefficients:", *table(rows), "",
+        "regression (incomes vs investments+expenses):",
+        *(table(fit_rows) if fit_rows else ["  n/a (needs >= 2 periods with varying inputs)"]),
+        "",
+        *values_block(rows + [(f"fit_{key}", value, unit) for key, value, unit in fit_rows]),
+    ]
     return "\n".join(lines)
 
 

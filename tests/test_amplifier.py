@@ -117,6 +117,16 @@ class TestCascade:
         with pytest.raises(ValueError):
             cascade_gain([])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_stage_rejected(self, bad):
+        # used to return nan or inf
+        with pytest.raises(ValueError, match="stage 2 gain must be finite"):
+            cascade_gain([3.0, bad, 2.0])
+
+    def test_overflow_rejected(self):
+        with pytest.raises(ValueError, match="overflows at stage 3"):
+            cascade_gain([1e200, 1e-10, 1e200, 1.0])
+
 
 class TestBreakdown:
     def test_current_limit(self):
@@ -163,6 +173,13 @@ class TestBreakdown:
     def test_limit_validation(self):
         with pytest.raises(ValueError):
             OperatingLimits(i_c_max=0.0)
+
+    @pytest.mark.parametrize("name", ["i_c_max", "v_ce_max", "p_max"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_limit_rejected(self, name, bad):
+        # NaN used to pass and turn every comparison into "healthy"
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            OperatingLimits(**{name: bad})
 
     def test_status_default_is_healthy(self):
         assert BreakdownStatus().healthy

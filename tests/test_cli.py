@@ -6,7 +6,18 @@ from pathlib import Path
 import pytest
 
 import econamp
+from econamp import cli
 from econamp.cli import build_simulation, main, parse_config_text, points_file_path
+
+GOLDEN_DIR = Path(__file__).resolve().parent.parent / "perfbench" / "golden"
+
+# the argv of each golden capture, run in a directory holding copies of data/
+GOLDEN_COMMANDS = {
+    "simulate": ("simulate", "demo_amplifier.cfg"),
+    "fit": ("fit", "synthetic_series.csv", "--x", "investments", "--y", "incomes"),
+    "analyze": ("analyze", "synthetic_series.csv"),
+    "cascade": ("cascade", "2.5", "4", "10"),
+}
 
 DERIVED_CONFIG_TEXT = """\
 # CE stage used across the test suite
@@ -44,6 +55,26 @@ def config_file(tmp_path):
     path = tmp_path / "stage.cfg"
     path.write_text(DERIVED_CONFIG_TEXT)
     return path
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_COMMANDS))
+def test_stdout_matches_golden(capsys, monkeypatch, tmp_path, data_dir, command):
+    for name in ("demo_amplifier.cfg", "synthetic_series.csv"):
+        (tmp_path / name).write_bytes((data_dir / name).read_bytes())
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *GOLDEN_COMMANDS[command])
+    assert (code, err) == (0, "")
+    assert out.encode() == (GOLDEN_DIR / f"{command}.out").read_bytes()
+
+
+def test_report_rows_render_both_views():
+    rows = [("n", 10**6, ""), ("gain", 1234567.0, "W"), ("beta_p", None, ""), ("ok", True, "")]
+    assert cli.table(rows[:3], width=5) == [
+        "  n      = 1000000",  # ".6g" would print 1e+06
+        "  gain   = 1.23457e+06 W",
+        "  beta_p = n/a",
+    ]
+    assert cli.values_block(rows) == ["[values]", "n=1000000", "gain=1234567.0", "ok=true"]
 
 
 class TestSimulate:
@@ -141,6 +172,15 @@ class TestSimulate:
         assert out == ""
         assert "v_cc" in err
 
+    def test_non_finite_limit_is_domain_error(self, capsys, tmp_path):
+        # used to print healthy=true and exit 0
+        path = tmp_path / "nan_limit.cfg"
+        path.write_text(DERIVED_CONFIG_TEXT + "i_c_max = nan\n")
+        code, out, err = run_cli(capsys, "simulate", str(path))
+        assert code == 4
+        assert out == ""
+        assert "i_c_max" in err
+
 
 @pytest.fixture
 def ols_csv(tmp_path):
@@ -213,6 +253,16 @@ class TestFit:
         assert code == 3
         assert ":3:" in err
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-Infinity"])
+    def test_non_finite_cell_is_parse_error(self, capsys, tmp_path, bad):
+        # used to exit 4 with "r_squared out of [0, 1]: nan"
+        path = tmp_path / "nan.csv"
+        path.write_text(f"x,y\n1,2\n2,{bad}\n3,5\n")
+        code, out, err = run_cli(capsys, "fit", str(path), "--x", "x", "--y", "y")
+        assert code == 3
+        assert out == ""
+        assert f"{path}:3: 'y'" in err
+
 
 class TestAnalyze:
     def test_single_period(self, capsys, tmp_path):
@@ -273,6 +323,17 @@ class TestAnalyze:
         assert code == 4
         assert "1990" in err
 
+    @pytest.mark.parametrize(
+        "column,row", [("expenses", "a,10,nan,100"), ("quantity_out", "a,10,5,100,inf")]
+    )
+    def test_non_finite_cell_is_parse_error(self, capsys, tmp_path, column, row):
+        path = tmp_path / "nan.csv"
+        path.write_text(f"period,investments,expenses,incomes,quantity_out\nz,1,1,9,3\n{row}\n")
+        code, out, err = run_cli(capsys, "analyze", str(path))
+        assert code == 3
+        assert out == ""
+        assert f"{path}:3: {column!r}" in err
+
 
 class TestCascade:
     @pytest.mark.parametrize(
@@ -291,6 +352,16 @@ class TestCascade:
     def test_non_numeric_argument_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "cascade", "ten")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "gains,stage", [(["nan", "2"], "stage 1"), (["1e200", "1e200"], "stage 2")]
+    )
+    def test_non_finite_gain_is_domain_error(self, capsys, gains, stage):
+        # `cascade nan 2` used to print nan and exit 0
+        code, out, err = run_cli(capsys, "cascade", *gains)
+        assert code == 4
+        assert out == ""
+        assert stage in err
 
 
 def test_module_entry_point():
