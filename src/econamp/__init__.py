@@ -34,7 +34,6 @@ from .devices import (
     BjtCurrents,
     BjtParams,
     MosParams,
-    PhysicalConstants,
     active_region_currents,
     beta_from_alpha,
     ebers_moll_currents,

@@ -5,6 +5,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .circuit import OperatingPoint, SmallSignalParams
+from .devices import require_finite
 
 
 @dataclass(frozen=True)
@@ -14,8 +15,8 @@ class StageGain:
     power_out: float
 
     def __post_init__(self):
-        if self.power_out < 0:
-            raise ValueError(f"power_out must be >= 0, got {self.power_out}")
+        require_finite("beta_current, voltage_gain", (self.beta_current, self.voltage_gain))
+        require_finite("power_out", (self.power_out,), ">= 0")
 
 
 @dataclass(frozen=True)
@@ -27,11 +28,9 @@ class OperatingLimits:
     p_max: float = 0.5
 
     def __post_init__(self):
-        # the chained test also rejects NaN and inf
-        for name in ("i_c_max", "v_ce_max", "p_max"):
-            value = getattr(self, name)
-            if not 0.0 < value < math.inf:
-                raise ValueError(f"{name} must be finite and > 0, got {value}")
+        require_finite(
+            "i_c_max, v_ce_max, p_max", (self.i_c_max, self.v_ce_max, self.p_max), "> 0"
+        )
 
 
 @dataclass(frozen=True)
@@ -54,15 +53,13 @@ def current_gain(i_out: float, i_in: float) -> float:
 
 def output_voltage(i_out: float, r_l: float) -> float:
     """Voltage taken from the load resistor: i_out * r_l."""
-    if r_l <= 0:
-        raise ValueError(f"r_l must be > 0, got {r_l}")
+    require_finite("r_l", (r_l,), "> 0")
     return i_out * r_l
 
 
 def output_power(i_c: float, r_l: float) -> float:
     """Power delivered to the load: r_l * i_c^2."""
-    if r_l <= 0:
-        raise ValueError(f"r_l must be > 0, got {r_l}")
+    require_finite("r_l", (r_l,), "> 0")
     return r_l * i_c * i_c
 
 
@@ -71,8 +68,7 @@ def stage_voltage_gain(ss: SmallSignalParams, r_l: float) -> float:
 
     The CE stage inverts; the sign is a convention and is not returned.
     """
-    if r_l <= 0:
-        raise ValueError(f"r_l must be > 0, got {r_l}")
+    require_finite("r_l", (r_l,), "> 0")
     return ss.slope_s * r_l
 
 
@@ -86,8 +82,7 @@ def cascade_gain(stage_gains: Sequence[float]) -> float:
         raise ValueError("cascade needs at least one stage gain")
     total = 1.0
     for stage, gain in enumerate(stage_gains, start=1):
-        if not math.isfinite(gain):
-            raise ValueError(f"stage {stage} gain must be finite, got {gain}")
+        require_finite(f"stage {stage} gain", (gain,))
         total *= gain
         if not math.isfinite(total):
             raise ValueError(f"cascade gain overflows at stage {stage}")

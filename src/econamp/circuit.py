@@ -23,9 +23,12 @@ from dataclasses import dataclass
 from .devices import (
     EXP_ARG_CAP,
     BjtParams,
+    _thermal_voltage,
     active_region_currents,
     beta_from_alpha,
-    thermal_voltage,
+    exp_cap_error,
+    require_conserved,
+    require_finite,
 )
 
 RESIDUAL_TOL = 1e-12   # amperes, base-node Kirchhoff residual
@@ -49,11 +52,9 @@ class AmplifierConfig:
     device: BjtParams
 
     def __post_init__(self):
-        # the chained test also rejects NaN and inf
-        for name in ("v_cc", "r_b1", "r_b2", "r_l"):
-            value = getattr(self, name)
-            if not 0.0 < value < math.inf:
-                raise ValueError(f"{name} must be finite and > 0, got {value}")
+        require_finite(
+            "v_cc, r_b1, r_b2, r_l", (self.v_cc, self.r_b1, self.r_b2, self.r_l), "> 0"
+        )
 
     def thevenin(self):
         """(v_th, r_th) of the base divider."""
@@ -73,12 +74,8 @@ class OperatingPoint:
     saturated: bool = False
 
     def __post_init__(self):
-        scale = max(abs(self.i_e), abs(self.i_b), abs(self.i_c))
-        if abs(self.i_e - (self.i_b + self.i_c)) > 1e-12 * scale:
-            raise ValueError(
-                f"current conservation violated: i_e={self.i_e} != "
-                f"i_b + i_c = {self.i_b + self.i_c}"
-            )
+        require_conserved(self.i_e, self.i_b, self.i_c)
+        require_finite("v_be, v_ce", (self.v_be, self.v_ce))
 
 
 @dataclass(frozen=True)
@@ -90,27 +87,21 @@ class SmallSignalParams:
     slope_s: float
 
     def __post_init__(self):
-        if self.r_in <= 0:
-            raise ValueError(f"r_in must be > 0, got {self.r_in}")
-        if self.slope_s <= 0:
-            raise ValueError(f"slope_s must be > 0, got {self.slope_s}")
-        if self.g_out < 0:
-            raise ValueError(f"g_out must be >= 0, got {self.g_out}")
+        require_finite("r_in, slope_s", (self.r_in, self.slope_s), "> 0")
+        require_finite("g_out", (self.g_out,), ">= 0")
 
 
 def solve_operating_point(
-    config: AmplifierConfig,
-    residual_tol: float = RESIDUAL_TOL,
-    max_iterations: int = MAX_ITERATIONS,
+    config: AmplifierConfig, max_iterations: int = MAX_ITERATIONS
 ) -> OperatingPoint:
     """Solve the base-node balance and return the full DC state.
 
     Raises SolverError when the residual cannot be brought under
-    `residual_tol` within `max_iterations`, or when the solution would sit
+    RESIDUAL_TOL within `max_iterations`, or when the solution would sit
     past the device's exponential overflow cap.
     """
     dev = config.device
-    vt = thermal_voltage(dev.temperature)
+    vt = _thermal_voltage(dev.temperature)
     v_th, r_th = config.thevenin()
     k_b = 1.0 - dev.alpha_n
     i_es = dev.i_es
@@ -130,7 +121,7 @@ def solve_operating_point(
     f = (v_th - v) / r_th - i_b
     step = math.inf
     for _ in range(max_iterations):
-        if abs(f) < residual_tol and (f == 0.0 or abs(step) < STEP_TOL):
+        if abs(f) < RESIDUAL_TOL and (f == 0.0 or abs(step) < STEP_TOL):
             return _operating_point(config, v)
         if f > 0.0:
             lo = v
@@ -169,10 +160,7 @@ def _base_current(v_be: float, vt: float, k_b: float, i_es: float) -> tuple[floa
     """
     arg = v_be / vt
     if arg > EXP_ARG_CAP:
-        raise OverflowError(
-            f"v_be = {v_be:g} V gives exp argument {arg:.1f} "
-            f"above the overflow cap {EXP_ARG_CAP:g}"
-        )
+        raise exp_cap_error("v_be", v_be, arg)
     e = math.exp(arg)
     return k_b * (i_es * (e - 1.0)), e
 
@@ -200,17 +188,13 @@ def small_signal_params(device: BjtParams, op: OperatingPoint) -> SmallSignalPar
     (negative when reverse biased); only the magnitude of the output
     conductance is reported.
     """
-    if op.i_c <= 0:
-        raise ValueError(f"operating point must carry positive i_c, got {op.i_c}")
-    vt = thermal_voltage(device.temperature)
+    require_finite("i_c", (op.i_c,), "> 0")
+    vt = _thermal_voltage(device.temperature)
     slope_s = op.i_c / vt
     r_in = beta_from_alpha(device.alpha_n) / slope_s
     v_cb = op.v_be - op.v_ce
     if v_cb / vt > EXP_ARG_CAP:
-        raise OverflowError(
-            f"v_cb = {v_cb:g} V gives exp argument {v_cb / vt:.1f} "
-            f"above the overflow cap {EXP_ARG_CAP:g}"
-        )
+        raise exp_cap_error("v_cb", v_cb, v_cb / vt)
     g_out = device.i_cs * math.exp(v_cb / vt) / vt
     return SmallSignalParams(r_in=r_in, g_out=g_out, slope_s=slope_s)
 
@@ -224,8 +208,7 @@ def static_finite_params(
     v_be + delta]; second-order accurate in delta. g_out is 0 because the
     active-region law carries no collector-voltage dependence.
     """
-    if delta <= 0:
-        raise ValueError(f"delta must be > 0, got {delta}")
+    require_finite("delta", (delta,), "> 0")
     if v_be - delta < 0:
         raise ValueError(
             f"delta {delta:g} flips the current sign at v_be - delta = "

@@ -136,8 +136,6 @@ def _cmd_simulate(args) -> int:
         ("power_out", gains.power_out, "W"),
     ]
     figures = op_rows + ss_rows + gain_rows
-    if not all(math.isfinite(value) for _, value, _ in figures):
-        raise ValueError("run report contains non-finite values")
     warnings = []
     if op.saturated:
         warnings.append(f"saturation: v_ce = {_fmt(op.v_ce)} V <= 0, device out of active region")

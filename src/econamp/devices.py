@@ -18,17 +18,39 @@ EXP_ARG_CAP = 200.0
 DEFAULT_TEMPERATURE = 300.0     # K, room temperature convention
 
 
-@dataclass(frozen=True)
-class PhysicalConstants:
-    boltzmann_k: float = BOLTZMANN_K
-    electron_charge_e: float = ELECTRON_CHARGE
+def require_finite(names: str, values: tuple, bound: str = "") -> None:
+    """Raise ValueError naming the first value that is not finite, or not past `bound`.
 
-    def __post_init__(self):
-        if self.boltzmann_k <= 0 or self.electron_charge_e <= 0:
-            raise ValueError("physical constants must be strictly positive")
+    The one validation rule of the package. `names` are the comma-separated
+    names of `values`; `bound` is "" (finite only), "> 0" or ">= 0".
+    """
+    low = 0.0 if bound else -math.inf
+    for value in values:  # the chained comparison also rejects NaN
+        if not low < value < math.inf and not (value == 0.0 and bound == ">= 0"):
+            # built only on failure; index() matches by identity first, so finds a NaN
+            name = names.split(", ")[values.index(value)]
+            raise ValueError(
+                f"{name} must be finite{' and ' + bound if bound else ''}, got {value}"
+            )
 
 
-CODATA = PhysicalConstants()
+def require_conserved(i_e: float, i_b: float, i_c: float) -> None:
+    """Raise ValueError unless the currents are finite and i_e = i_b + i_c (rel 1e-12)."""
+    scale = max(abs(i_e), abs(i_c), abs(i_b))
+    # NaN fails the first comparison, inf the second
+    if not abs(i_e - (i_b + i_c)) <= 1e-12 * scale < math.inf:
+        raise ValueError(
+            f"currents must be finite and obey conservation i_e = i_b + i_c, "
+            f"got i_e={i_e}, i_b={i_b}, i_c={i_c}"
+        )
+
+
+def exp_cap_error(name: str, voltage: float, arg: float) -> OverflowError:
+    """The error for an exponent argument `arg` = voltage/Vt past EXP_ARG_CAP."""
+    return OverflowError(
+        f"{name} = {voltage:g} V gives exp argument {arg:.1f} "
+        f"above the overflow cap {EXP_ARG_CAP:g}"
+    )
 
 
 @dataclass(frozen=True)
@@ -47,11 +69,9 @@ class BjtParams:
     temperature: float = DEFAULT_TEMPERATURE
 
     def __post_init__(self):
-        # the chained test also rejects NaN and inf
-        for name in ("i_es", "i_cs", "temperature"):
-            value = getattr(self, name)
-            if not 0.0 < value < math.inf:
-                raise ValueError(f"{name} must be finite and > 0, got {value}")
+        require_finite(
+            "i_es, i_cs, temperature", (self.i_es, self.i_cs, self.temperature), "> 0"
+        )
         if not 0.0 < self.alpha_n < 1.0:
             raise ValueError(f"alpha_n must lie strictly in (0, 1), got {self.alpha_n}")
         if not 0.0 <= self.alpha_i < self.alpha_n:
@@ -68,8 +88,8 @@ class MosParams:
     v_threshold: float
 
     def __post_init__(self):
-        if self.k_prime <= 0:
-            raise ValueError(f"k_prime must be > 0, got {self.k_prime}")
+        require_finite("k_prime", (self.k_prime,), "> 0")
+        require_finite("v_threshold", (self.v_threshold,))
 
 
 @dataclass(frozen=True)
@@ -81,35 +101,29 @@ class BjtCurrents:
     i_b: float
 
     def __post_init__(self):
-        scale = max(abs(self.i_e), abs(self.i_c), abs(self.i_b))
-        if abs(self.i_e - (self.i_b + self.i_c)) > 1e-12 * scale:
-            raise ValueError(
-                f"current conservation violated: i_e={self.i_e} != "
-                f"i_b + i_c = {self.i_b + self.i_c}"
-            )
+        require_conserved(self.i_e, self.i_b, self.i_c)
 
 
-def thermal_voltage(temperature: float, constants: PhysicalConstants = CODATA) -> float:
+def thermal_voltage(temperature: float) -> float:
     """kT/e in volts (~25.85 mV at 300 K)."""
-    if temperature <= 0:
-        raise ValueError(f"temperature must be > 0 K, got {temperature}")
-    return constants.boltzmann_k * temperature / constants.electron_charge_e
+    require_finite("temperature", (temperature,), "> 0")
+    return _thermal_voltage(temperature)
 
 
-def _junction_term(voltage: float, vt: float, cap: float, name: str) -> float:
+def _thermal_voltage(temperature: float) -> float:
+    # for a temperature already validated, as every BjtParams one is
+    return BOLTZMANN_K * temperature / ELECTRON_CHARGE
+
+
+def _junction_term(voltage: float, vt: float, name: str) -> float:
     # exp(v/Vt) - 1, refusing arguments past the overflow cap.
     arg = voltage / vt
-    if arg > cap:
-        raise OverflowError(
-            f"{name} = {voltage:g} V gives exp argument {arg:.1f} "
-            f"above the overflow cap {cap:g}"
-        )
+    if arg > EXP_ARG_CAP:
+        raise exp_cap_error(name, voltage, arg)
     return math.exp(arg) - 1.0
 
 
-def ebers_moll_currents(
-    params: BjtParams, v_be: float, v_cb: float, exp_cap: float = EXP_ARG_CAP
-) -> BjtCurrents:
+def ebers_moll_currents(params: BjtParams, v_be: float, v_cb: float) -> BjtCurrents:
     """Static terminal currents from the full two-junction coupled exponentials.
 
     i_e = i_es*(exp(v_be/Vt) - 1) - alpha_i*i_cs*(exp(v_cb/Vt) - 1)
@@ -119,17 +133,15 @@ def ebers_moll_currents(
     v_cb is the collector-junction forward voltage: negative when the
     junction is reverse biased (the normal amplification regime).
     """
-    vt = thermal_voltage(params.temperature)
-    x_be = _junction_term(v_be, vt, exp_cap, "v_be")
-    x_cb = _junction_term(v_cb, vt, exp_cap, "v_cb")
+    vt = _thermal_voltage(params.temperature)
+    x_be = _junction_term(v_be, vt, "v_be")
+    x_cb = _junction_term(v_cb, vt, "v_cb")
     i_e = params.i_es * x_be - params.alpha_i * params.i_cs * x_cb
     i_c = params.alpha_n * params.i_es * x_be - params.i_cs * x_cb
     return BjtCurrents(i_e=i_e, i_c=i_c, i_b=i_e - i_c)
 
 
-def active_region_currents(
-    params: BjtParams, v_be: float, exp_cap: float = EXP_ARG_CAP
-) -> BjtCurrents:
+def active_region_currents(params: BjtParams, v_be: float) -> BjtCurrents:
     """Terminal currents with the collector junction strongly reverse biased.
 
     The collector-junction exponential drops out and only the emitter
@@ -139,8 +151,8 @@ def active_region_currents(
     i_c = alpha_n * i_e
     i_b = (1 - alpha_n) * i_e
     """
-    vt = thermal_voltage(params.temperature)
-    i_e = params.i_es * _junction_term(v_be, vt, exp_cap, "v_be")
+    vt = _thermal_voltage(params.temperature)
+    i_e = params.i_es * _junction_term(v_be, vt, "v_be")
     return BjtCurrents(
         i_e=i_e,
         i_c=params.alpha_n * i_e,
@@ -159,8 +171,7 @@ def beta_from_alpha(alpha_n: float) -> float:
 
 def mos_drain_current(params: MosParams, v_gs: float, v_ds: float) -> float:
     """Square-law drain current with cutoff, triode and saturation regions."""
-    if v_ds < 0:
-        raise ValueError(f"v_ds must be >= 0, got {v_ds}")
+    require_finite("v_ds", (v_ds,), ">= 0")
     v_ov = v_gs - params.v_threshold
     if v_ov <= 0:
         return 0.0

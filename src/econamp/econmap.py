@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from .devices import require_finite
+
 
 @dataclass(frozen=True)
 class EconPeriod:
@@ -24,17 +26,12 @@ class EconPeriod:
     quantity_out: Optional[float] = None
 
     def __post_init__(self):
-        for name in ("investments", "expenses", "incomes"):
-            if getattr(self, name) < 0:
-                raise ValueError(
-                    f"period {self.label!r}: {name} must be >= 0, "
-                    f"got {getattr(self, name)}"
-                )
-        if self.quantity_out is not None and self.quantity_out < 0:
-            raise ValueError(
-                f"period {self.label!r}: quantity_out must be >= 0, "
-                f"got {self.quantity_out}"
-            )
+        names = "investments, expenses, incomes, quantity_out"  # quantity_out None passes as 0
+        values = (self.investments, self.expenses, self.incomes, self.quantity_out or 0.0)
+        try:
+            require_finite(names, values, ">= 0")
+        except ValueError as exc:
+            raise ValueError(f"period {self.label!r}: {exc}") from None
 
     @property
     def inputs(self) -> float:
@@ -69,6 +66,7 @@ class RegressionFit:
     n: int
 
     def __post_init__(self):
+        require_finite("a0, beta", (self.a0, self.beta))
         if self.n < 2:
             raise ValueError(f"fit needs n >= 2, got {self.n}")
         if not -1e-12 <= self.r_squared <= 1.0 + 1e-12:
@@ -94,20 +92,20 @@ class CoefficientReport:
     keynes_m: Optional[float] = None
     fit: Optional[RegressionFit] = None
 
+    def __post_init__(self):
+        given = {name: value for name, value in vars(self).items() if isinstance(value, float)}
+        require_finite(", ".join(given), tuple(given.values()))
+
 
 def beta_p_economic(total_finished_products: float, inputs_value: float) -> float:
     """Product gain: total finished products over the value of the inputs."""
-    if inputs_value <= 0:
-        raise ValueError(f"inputs_value must be > 0, got {inputs_value}")
+    require_finite("inputs_value", (inputs_value,), "> 0")
     return total_finished_products / inputs_value
 
 
 def beta_v_economic(total_incomes: float, investments_plus_expenses: float) -> float:
     """Value gain: total incomes over invested inputs; > 1 means amplification."""
-    if investments_plus_expenses <= 0:
-        raise ValueError(
-            f"investments_plus_expenses must be > 0, got {investments_plus_expenses}"
-        )
+    require_finite("investments_plus_expenses", (investments_plus_expenses,), "> 0")
     return total_incomes / investments_plus_expenses
 
 
@@ -117,15 +115,13 @@ def beta_bank(output_values: float, total_values: float) -> float:
     The caller composes total_values (initial capital + amount obtained +
     given interests) and fixes the standard period.
     """
-    if total_values <= 0:
-        raise ValueError(f"total_values must be > 0, got {total_values}")
+    require_finite("total_values", (total_values,), "> 0")
     return output_values / total_values
 
 
 def harrod_b(investments: float, incomes: float) -> float:
     """Capital coefficient: investments over incomes (reciprocal of the gain)."""
-    if incomes <= 0:
-        raise ValueError(f"incomes must be > 0, got {incomes}")
+    require_finite("incomes", (incomes,), "> 0")
     return investments / incomes
 
 
@@ -135,8 +131,7 @@ def domar_sigma(delta_q: float, total_investments: float) -> float:
     With the production increment read as total income efficiency this is
     the same number as beta_v_economic.
     """
-    if total_investments <= 0:
-        raise ValueError(f"total_investments must be > 0, got {total_investments}")
+    require_finite("total_investments", (total_investments,), "> 0")
     return delta_q / total_investments
 
 
@@ -149,12 +144,13 @@ class CobbDouglasParams:
     mu: float
 
     def __post_init__(self):
-        if self.g <= 0:
-            raise ValueError(f"g must be > 0, got {self.g}")
+        require_finite("g", (self.g,), "> 0")
+        require_finite("lam, mu", (self.lam, self.mu))
 
 
 def cobb_douglas(params: CobbDouglasParams, labour_l: float, capital_k: float) -> float:
     """Production Q = g * L^lambda * K^mu."""
+    require_finite("labour_l, capital_k", (labour_l, capital_k))
     for base, exponent, name in (
         (labour_l, params.lam, "labour_l"),
         (capital_k, params.mu, "capital_k"),
@@ -168,9 +164,20 @@ def cobb_douglas(params: CobbDouglasParams, labour_l: float, capital_k: float) -
 
 def keynes_multiplier(delta_v: float, delta_i: float) -> float:
     """Investment multiplier: income increment over investment increment."""
+    require_finite("delta_i", (delta_i,))
     if delta_i == 0:
         raise ValueError("investment increment must be non-zero")
     return delta_v / delta_i
+
+
+def _fsum(name: str, terms) -> float:
+    """math.fsum, with a sum past the float range reported as a ValueError naming it."""
+    try:
+        total = math.fsum(terms)
+    except (OverflowError, ValueError):  # a term or the sum overflowed, or inf - inf
+        total = math.inf
+    require_finite(name, (total,))
+    return total
 
 
 def fit_linear(xs: Sequence[float], ys: Sequence[float]) -> RegressionFit:
@@ -184,16 +191,16 @@ def fit_linear(xs: Sequence[float], ys: Sequence[float]) -> RegressionFit:
     n = len(xs)
     if n < 2:
         raise ValueError(f"need at least 2 points, got {n}")
-    x_bar = math.fsum(xs) / n
-    y_bar = math.fsum(ys) / n
-    s_xx = math.fsum((x - x_bar) ** 2 for x in xs)
+    x_bar = _fsum("sum of x", xs) / n
+    y_bar = _fsum("sum of y", ys) / n
+    s_xx = _fsum("s_xx", ((x - x_bar) ** 2 for x in xs))
     if s_xx == 0:
         raise ValueError("x values are all identical; slope is undefined")
-    s_xy = math.fsum((x - x_bar) * (y - y_bar) for x, y in zip(xs, ys))
+    s_xy = _fsum("s_xy", ((x - x_bar) * (y - y_bar) for x, y in zip(xs, ys)))
     beta = s_xy / s_xx
     a0 = y_bar - beta * x_bar
-    ss_res = math.fsum((y - (a0 + beta * x)) ** 2 for x, y in zip(xs, ys))
-    ss_tot = math.fsum((y - y_bar) ** 2 for y in ys)
+    ss_res = _fsum("ss_res", ((y - (a0 + beta * x)) ** 2 for x, y in zip(xs, ys)))
+    ss_tot = _fsum("ss_tot", ((y - y_bar) ** 2 for y in ys))
     r_squared = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
     return RegressionFit(a0=a0, beta=beta, r_squared=r_squared, n=n)
 
@@ -209,26 +216,23 @@ def analyze_series(series: EconSeries) -> CoefficientReport:
     needs two periods and non-degenerate inputs.
     """
     periods = series.periods
-    total_inv = math.fsum(p.investments for p in periods)
-    total_exp = math.fsum(p.expenses for p in periods)
-    total_inc = math.fsum(p.incomes for p in periods)
+    total_inv = _fsum("total investments", (p.investments for p in periods))
+    total_exp = _fsum("total expenses", (p.expenses for p in periods))
+    total_inc = _fsum("total incomes", (p.incomes for p in periods))
     total_inputs = total_inv + total_exp
-    if total_inputs <= 0:
-        raise ValueError("series has zero total inputs; gain is undefined")
-    if total_inc <= 0:
-        raise ValueError("series has zero total incomes; harrod_b is undefined")
+    require_finite("total inputs, total incomes", (total_inputs, total_inc), "> 0")
 
     ratios = []
     for p in periods:
         if p.inputs <= 0:
             raise ValueError(f"period {p.label!r}: zero inputs, ratio undefined")
         ratios.append(p.incomes / p.inputs)
-    mean_beta = math.fsum(ratios) / len(ratios)
+    mean_beta = _fsum("sum of period gains", ratios) / len(ratios)
 
     beta_p = None
     if all(p.quantity_out is not None for p in periods):
         beta_p = beta_p_economic(
-            math.fsum(p.quantity_out for p in periods), total_inputs
+            _fsum("total quantity_out", (p.quantity_out for p in periods)), total_inputs
         )
 
     keynes_m = None

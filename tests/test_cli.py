@@ -253,6 +253,14 @@ class TestFit:
         assert code == 3
         assert ":3:" in err
 
+    def test_overflowing_sum_is_domain_error(self, capsys, tmp_path):
+        # used to exit 4 with "error: (34, 'Numerical result out of range')"
+        path = tmp_path / "huge.csv"
+        path.write_text("x,y\n1,1e308\n2,-1e308\n3,1e308\n")
+        code, out, err = run_cli(capsys, "fit", str(path), "--x", "x", "--y", "y")
+        assert (code, out) == (4, "")
+        assert "ss_res must be finite" in err
+
     @pytest.mark.parametrize("bad", ["nan", "inf", "-Infinity"])
     def test_non_finite_cell_is_parse_error(self, capsys, tmp_path, bad):
         # used to exit 4 with "r_squared out of [0, 1]: nan"
@@ -322,6 +330,22 @@ class TestAnalyze:
         code, _, err = run_cli(capsys, "analyze", str(path))
         assert code == 4
         assert "1990" in err
+
+    @pytest.mark.parametrize(
+        "rows, total",
+        [
+            # used to print beta_v=0.0, fit_a0=nan, fit_r_squared=1.0 and exit 0
+            ("1990,1e308,1e308,5\n1991,2,3,5\n", "total inputs"),
+            # used to exit 4 with "intermediate overflow in fsum"
+            ("1990,1e308,0,5\n1991,1e308,0,5\n", "total investments"),
+        ],
+    )
+    def test_overflowing_total_is_domain_error(self, capsys, tmp_path, rows, total):
+        path = tmp_path / "huge.csv"
+        path.write_text("period,investments,expenses,incomes\n" + rows)
+        code, out, err = run_cli(capsys, "analyze", str(path))
+        assert (code, out) == (4, "")
+        assert f"{total} must be finite" in err
 
     @pytest.mark.parametrize(
         "column,row", [("expenses", "a,10,nan,100"), ("quantity_out", "a,10,5,100,inf")]

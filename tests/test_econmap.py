@@ -219,6 +219,20 @@ class TestFitLinear:
         with pytest.raises(ValueError, match="at least 2"):
             fit_linear([1.0], [1.0])
 
+    # Finite points whose squared deviations overflow used to escape as the
+    # float `**` OverflowError "(34, 'Numerical result out of range')".
+    @pytest.mark.parametrize(
+        "xs, ys, total",
+        [
+            ([1.0, 2.0, 3.0], [1e308, -1e308, 1e308], "ss_res"),
+            ([-1e308, 0.0, 1e308], [1.0, 2.0, 3.0], "s_xx"),
+            ([1e308, 1e308, 1.0], [1.0, 2.0, 3.0], "sum of x"),
+        ],
+    )
+    def test_overflowing_sum_names_it(self, xs, ys, total):
+        with pytest.raises(ValueError, match=f"{total} must be finite"):
+            fit_linear(xs, ys)
+
 
 class TestSeries:
     def test_validation(self):
@@ -313,6 +327,27 @@ class TestSeries:
             EconPeriod("b", 100.0, 0.0, 590.0),
         ]
         assert analyze_series(EconSeries(periods)).fit is None
+
+    # Finite cells whose totals overflow used to report beta_v = 0 with a
+    # NaN fit, or to escape as "intermediate overflow in fsum".
+    @pytest.mark.parametrize(
+        "rows, total",
+        [
+            ([("1990", 1e308, 1e308, 5.0), ("1991", 2.0, 3.0, 5.0)], "total inputs"),
+            ([("1990", 1e308, 0.0, 5.0), ("1991", 1e308, 0.0, 5.0)], "total investments"),
+            ([("1990", 1.0, 0.0, 1e308), ("1991", 2.0, 0.0, 1e308)], "total incomes"),
+        ],
+    )
+    def test_overflowing_total_names_it(self, rows, total):
+        series = EconSeries([EconPeriod(*row) for row in rows])
+        with pytest.raises(ValueError, match=f"{total} must be finite"):
+            analyze_series(series)
+
+    def test_overflowing_gain_is_rejected(self):
+        # tiny inputs: every total is finite, but incomes/inputs is not
+        series = EconSeries([EconPeriod("a", 1e-320, 0.0, 5.0), EconPeriod("b", 1e-320, 0.0, 5.0)])
+        with pytest.raises(ValueError, match="must be finite"):
+            analyze_series(series)
 
     def test_zero_input_period_is_labeled(self):
         periods = [
