@@ -4,8 +4,11 @@ The series is built on the line incomes = 5.19 * (investments + expenses)
 with at most 1% multiplicative noise per period. The noise draws are
 recentered to zero mean, so the per-period mean income/inputs ratio is
 5.19 up to rounding of the printed values.
+
+Run with no arguments to rewrite the file; `--help` only prints this text.
 """
 
+import argparse
 import random
 from pathlib import Path
 
@@ -17,7 +20,8 @@ SEED = 20240519
 OUT = Path(__file__).resolve().parent.parent / "data" / "synthetic_series.csv"
 
 
-def main():
+def series_text() -> str:
+    """The CSV text of the series; the same on every call."""
     rng = random.Random(SEED)
     inputs = []
     for k in range(N_PERIODS):
@@ -33,12 +37,19 @@ def main():
         expenses = round(0.4 * total_in, 2)
         incomes = round(TARGET_BETA * (investments + expenses) * (1.0 + eps), 2)
         lines.append(f"{FIRST_YEAR + k},{investments},{expenses},{incomes}")
+    return "\n".join(lines) + "\n"
 
+
+def main():
+    argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    ).parse_args()
+    text = series_text()
     OUT.parent.mkdir(parents=True, exist_ok=True)
-    OUT.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    OUT.write_text(text, encoding="utf-8")
 
     ratios = []
-    for line in lines[1:]:
+    for line in text.splitlines()[1:]:
         _, inv, exp, inc = line.split(",")
         ratios.append(float(inc) / (float(inv) + float(exp)))
     mean_beta = sum(ratios) / len(ratios)

@@ -44,7 +44,6 @@ from .devices import (
 from .econmap import (
     CobbDouglasParams,
     CoefficientReport,
-    EconPeriod,
     EconSeries,
     RegressionFit,
     analyze_series,

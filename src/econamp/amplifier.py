@@ -46,6 +46,7 @@ class BreakdownStatus:
 
 def current_gain(i_out: float, i_in: float) -> float:
     """Output current over input current."""
+    require_finite("i_out, i_in", (i_out, i_in))
     if i_in == 0:
         raise ValueError("input current must be non-zero")
     return i_out / i_in

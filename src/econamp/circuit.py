@@ -208,6 +208,7 @@ def static_finite_params(
     v_be + delta]; second-order accurate in delta. g_out is 0 because the
     active-region law carries no collector-voltage dependence.
     """
+    require_finite("v_be", (v_be,))
     require_finite("delta", (delta,), "> 0")
     if v_be - delta < 0:
         raise ValueError(

@@ -16,24 +16,28 @@ import argparse
 import csv
 import math
 import sys
-from dataclasses import fields
+from dataclasses import MISSING, fields
 
 from .amplifier import OperatingLimits, breakdown_check, cascade_gain, stage_gain
 from .circuit import AmplifierConfig, SolverError, small_signal_params, solve_operating_point
 from .devices import BjtParams
-from .econmap import CoefficientReport, EconPeriod, EconSeries, analyze_series, fit_linear
+from .econmap import CoefficientReport, EconSeries, analyze_series, fit_linear
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_PARSE = 3
 EXIT_DOMAIN = 4
 
-CONFIG_KEYS = (
-    "v_cc", "r_b1", "r_b2", "r_l",
-    "i_es", "i_cs", "alpha_n", "alpha_i", "temperature",
-    "i_c_max", "v_ce_max", "p_max",
+# the config schema is the fields of the three types a config builds
+_CONFIG_FIELDS = [
+    f for cls in (AmplifierConfig, BjtParams, OperatingLimits) for f in fields(cls)
+    if f.name != "device"
+]
+CONFIG_KEYS = tuple(f.name for f in _CONFIG_FIELDS)
+# i_cs has no dataclass default but defaults to i_es in a config
+REQUIRED_CONFIG_KEYS = tuple(
+    f.name for f in _CONFIG_FIELDS if f.default is MISSING and f.name != "i_cs"
 )
-REQUIRED_CONFIG_KEYS = ("v_cc", "r_b1", "r_b2", "r_l", "i_es", "alpha_n")
 
 ECON_COLUMNS = ("period", "investments", "expenses", "incomes")
 
@@ -52,11 +56,19 @@ def _fmt(value) -> str:
     return str(value) if isinstance(value, int) else format(value, ".6g")
 
 
+def _rows(obj, **units) -> list:
+    """(key, value, unit) rows of obj's fields named in `units`; None values for no obj."""
+    return [(key, None if obj is None else getattr(obj, key), unit) for key, unit in units.items()]
+
+
 def table(rows, width: int = 0) -> list[str]:
-    """Human rows `  key = value unit`, keys padded to the longest or `width`."""
+    """Human rows `  key = value unit`, keys padded to the longest or `width`.
+
+    A None value prints as `n/a`, without its unit.
+    """
     width = max(width, *(len(key) for key, _, _ in rows))
     return [
-        f"  {key:<{width}} = {_fmt(value)}" + (f" {unit}" if unit else "")
+        f"  {key:<{width}} = {_fmt(value)}" + (f" {unit}" if unit and value is not None else "")
         for key, value, unit in rows
     ]
 
@@ -122,19 +134,14 @@ def _cmd_simulate(args) -> int:
         values = parse_config_text(fh.read(), source=args.config)
     config, limits = build_simulation(values)
     op = solve_operating_point(config)
-    ss = small_signal_params(config.device, op)
-    gains = stage_gain(op, ss, config.r_l)
+    ss = gains = None  # the small-signal model holds only in the active region
+    if not op.saturated:
+        ss = small_signal_params(config.device, op)
+        gains = stage_gain(op, ss, config.r_l)
     status = breakdown_check(op, limits)
-    op_rows = [
-        ("v_be", op.v_be, "V"), ("i_b", op.i_b, "A"), ("i_c", op.i_c, "A"),
-        ("i_e", op.i_e, "A"), ("v_ce", op.v_ce, "V"),
-    ]
-    ss_rows = [("r_in", ss.r_in, "ohm"), ("g_out", ss.g_out, "S"), ("slope_s", ss.slope_s, "S")]
-    gain_rows = [
-        ("beta_current", gains.beta_current, ""),
-        ("voltage_gain", gains.voltage_gain, ""),
-        ("power_out", gains.power_out, "W"),
-    ]
+    op_rows = _rows(op, v_be="V", i_b="A", i_c="A", i_e="A", v_ce="V")
+    ss_rows = _rows(ss, r_in="ohm", g_out="S", slope_s="S")
+    gain_rows = _rows(gains, beta_current="", voltage_gain="", power_out="W")
     figures = op_rows + ss_rows + gain_rows
     warnings = []
     if op.saturated:
@@ -207,21 +214,18 @@ def read_xy_columns(path: str, x_column: str, y_column: str):
 def read_econ_series(path: str) -> EconSeries:
     header, (i_label, i_inv, i_exp, i_inc), rows = _read_csv_rows(path, ECON_COLUMNS)
     qty_index = header.index("quantity_out") if "quantity_out" in header else None
-    periods = []
+    labels, investments, expenses, incomes, quantities = [], [], [], [], []
     for rowno, row in enumerate(rows, start=2):
         quantity = None
         if qty_index is not None and qty_index < len(row) and row[qty_index].strip():
             quantity = _float_cell(path, row, rowno, qty_index, "quantity_out")
-        periods.append(
-            EconPeriod(
-                label=_cell(path, row, rowno, i_label, "period"),
-                investments=_float_cell(path, row, rowno, i_inv, "investments"),
-                expenses=_float_cell(path, row, rowno, i_exp, "expenses"),
-                incomes=_float_cell(path, row, rowno, i_inc, "incomes"),
-                quantity_out=quantity,
-            )
-        )
-    return EconSeries(periods)
+        quantities.append(quantity)
+        labels.append(_cell(path, row, rowno, i_label, "period"))
+        investments.append(_float_cell(path, row, rowno, i_inv, "investments"))
+        expenses.append(_float_cell(path, row, rowno, i_exp, "expenses"))
+        incomes.append(_float_cell(path, row, rowno, i_inc, "incomes"))
+    # every cell is parsed before any value is judged
+    return EconSeries(labels, investments, expenses, incomes, quantities)
 
 
 # ---------------------------------------------------------------------------
@@ -232,8 +236,7 @@ def points_file_path(csv_path: str) -> str:
 
 
 def _fit_rows(fit) -> list:
-    return [("a0", fit.a0, ""), ("beta", fit.beta, ""), ("r_squared", fit.r_squared, ""),
-            ("n", fit.n, "")]
+    return _rows(fit, a0="", beta="", r_squared="", n="")
 
 
 def _cmd_fit(args) -> int:
@@ -260,11 +263,8 @@ def _cmd_fit(args) -> int:
 # analyze
 
 def render_coefficients(report: CoefficientReport, n_periods: int) -> str:
-    rows = [
-        ("beta_v", report.beta_v, ""), ("harrod_b", report.harrod_b, ""),
-        ("domar_sigma", report.domar_sigma, ""), ("mean_beta", report.mean_beta, ""),
-        ("beta_p", report.beta_p, ""), ("keynes_m", report.keynes_m, ""),
-    ]
+    rows = _rows(report, beta_v="", harrod_b="", domar_sigma="", mean_beta="", beta_p="",
+                 keynes_m="")
     fit_rows = [] if report.fit is None else _fit_rows(report.fit)
     lines = [
         f"periods: {n_periods}", "",

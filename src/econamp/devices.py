@@ -116,9 +116,10 @@ def _thermal_voltage(temperature: float) -> float:
 
 
 def _junction_term(voltage: float, vt: float, name: str) -> float:
-    # exp(v/Vt) - 1, refusing arguments past the overflow cap.
+    # exp(v/Vt) - 1, refusing a non-finite voltage and arguments past the overflow cap.
     arg = voltage / vt
-    if arg > EXP_ARG_CAP:
+    if not (arg <= EXP_ARG_CAP and voltage > -math.inf):  # NaN fails the first test
+        require_finite(name, (voltage,))
         raise exp_cap_error(name, voltage, arg)
     return math.exp(arg) - 1.0
 
@@ -171,6 +172,7 @@ def beta_from_alpha(alpha_n: float) -> float:
 
 def mos_drain_current(params: MosParams, v_gs: float, v_ds: float) -> float:
     """Square-law drain current with cutoff, triode and saturation regions."""
+    require_finite("v_gs", (v_gs,))
     require_finite("v_ds", (v_ds,), ">= 0")
     v_ov = v_gs - params.v_threshold
     if v_ov <= 0:
@@ -182,6 +184,7 @@ def mos_drain_current(params: MosParams, v_gs: float, v_ds: float) -> float:
 
 def mos_transconductance(params: MosParams, v_gs: float) -> float:
     """Saturation-region slope dI_D/dV_GS = k_prime*(v_gs - V_T); 0 in cutoff."""
+    require_finite("v_gs", (v_gs,))
     v_ov = v_gs - params.v_threshold
     if v_ov <= 0:
         return 0.0

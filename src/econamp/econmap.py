@@ -9,51 +9,46 @@ ordinary least squares.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
 from .devices import require_finite
 
 
 @dataclass(frozen=True)
-class EconPeriod:
-    """One labeled accounting period; quantity_out counts finished products."""
+class EconSeries:
+    """A period series as parallel columns, one entry per labeled period.
 
-    label: str
-    investments: float
-    expenses: float
-    incomes: float
-    quantity_out: Optional[float] = None
+    quantity_out counts finished products; an entry is None for a period
+    without a count.
+    """
+
+    labels: tuple[str, ...]
+    investments: tuple[float, ...]
+    expenses: tuple[float, ...]
+    incomes: tuple[float, ...]
+    quantity_out: tuple[Optional[float], ...]
 
     def __post_init__(self):
-        names = "investments, expenses, incomes, quantity_out"  # quantity_out None passes as 0
-        values = (self.investments, self.expenses, self.incomes, self.quantity_out or 0.0)
-        try:
-            require_finite(names, values, ">= 0")
-        except ValueError as exc:
-            raise ValueError(f"period {self.label!r}: {exc}") from None
-
-    @property
-    def inputs(self) -> float:
-        """Invested inputs of the period: investments + expenses."""
-        return self.investments + self.expenses
-
-
-@dataclass(frozen=True)
-class EconSeries:
-    periods: tuple[EconPeriod, ...]
-
-    def __init__(self, periods: Sequence[EconPeriod]):
-        object.__setattr__(self, "periods", tuple(periods))
-        if not self.periods:
+        columns = [tuple(getattr(self, f.name)) for f in fields(self)]
+        for f, column in zip(fields(self), columns):
+            object.__setattr__(self, f.name, column)
+        if not self.labels:
             raise ValueError("series needs at least one period")
-        labels = [p.label for p in self.periods]
-        if len(set(labels)) != len(labels):
-            dupes = sorted({l for l in labels if labels.count(l) > 1})
+        if len({len(column) for column in columns}) != 1:
+            raise ValueError(f"column lengths differ: {[len(column) for column in columns]}")
+        names = "investments, expenses, incomes, quantity_out"  # quantity_out None passes as 0
+        for label, inv, exp, inc, qty in zip(*columns):
+            try:
+                require_finite(names, (inv, exp, inc, qty or 0.0), ">= 0")
+            except ValueError as exc:
+                raise ValueError(f"period {label!r}: {exc}") from None
+        if len(set(self.labels)) != len(self):
+            dupes = sorted({l for l in self.labels if self.labels.count(l) > 1})
             raise ValueError(f"duplicate period labels: {dupes}")
 
     def __len__(self):
-        return len(self.periods)
+        return len(self.labels)
 
 
 @dataclass(frozen=True)
@@ -79,8 +74,6 @@ class CoefficientReport:
 
     beta_p is a products-per-money ratio (dimensionally mixed, reported
     as a plain number); the purely monetary coefficients are dimensionless.
-    beta_bank is only meaningful for bank-style data and stays absent here
-    unless supplied by the caller.
     """
 
     beta_v: float
@@ -88,7 +81,6 @@ class CoefficientReport:
     domar_sigma: float
     mean_beta: float
     beta_p: Optional[float] = None
-    beta_bank: Optional[float] = None
     keynes_m: Optional[float] = None
     fit: Optional[RegressionFit] = None
 
@@ -215,39 +207,35 @@ def analyze_series(series: EconSeries) -> CoefficientReport:
     least two periods with a non-zero mean investment increment; the fit
     needs two periods and non-degenerate inputs.
     """
-    periods = series.periods
-    total_inv = _fsum("total investments", (p.investments for p in periods))
-    total_exp = _fsum("total expenses", (p.expenses for p in periods))
-    total_inc = _fsum("total incomes", (p.incomes for p in periods))
+    investments, expenses, incomes = series.investments, series.expenses, series.incomes
+    total_inv = _fsum("total investments", investments)
+    total_exp = _fsum("total expenses", expenses)
+    total_inc = _fsum("total incomes", incomes)
     total_inputs = total_inv + total_exp
     require_finite("total inputs, total incomes", (total_inputs, total_inc), "> 0")
 
-    ratios = []
-    for p in periods:
-        if p.inputs <= 0:
-            raise ValueError(f"period {p.label!r}: zero inputs, ratio undefined")
-        ratios.append(p.incomes / p.inputs)
+    inputs = [i + e for i, e in zip(investments, expenses)]
+    if min(inputs) <= 0:  # every entry is >= 0, so the first zero names the period
+        label = series.labels[inputs.index(0.0)]
+        raise ValueError(f"period {label!r}: zero inputs, ratio undefined")
+    ratios = [y / x for x, y in zip(inputs, incomes)]
     mean_beta = _fsum("sum of period gains", ratios) / len(ratios)
 
     beta_p = None
-    if all(p.quantity_out is not None for p in periods):
-        beta_p = beta_p_economic(
-            _fsum("total quantity_out", (p.quantity_out for p in periods)), total_inputs
-        )
+    if None not in series.quantity_out:
+        beta_p = beta_p_economic(_fsum("total quantity_out", series.quantity_out), total_inputs)
 
     keynes_m = None
-    if len(periods) >= 2:
-        dv = [b.incomes - a.incomes for a, b in zip(periods, periods[1:])]
-        di = [b.investments - a.investments for a, b in zip(periods, periods[1:])]
+    if len(inputs) >= 2:
+        dv = [b - a for a, b in zip(incomes, incomes[1:])]
+        di = [b - a for a, b in zip(investments, investments[1:])]
         mean_di = math.fsum(di) / len(di)
         if mean_di != 0:
             keynes_m = keynes_multiplier(math.fsum(dv) / len(dv), mean_di)
 
     fit = None
-    if len(periods) >= 2:
-        xs = [p.inputs for p in periods]
-        if max(xs) > min(xs):
-            fit = fit_linear(xs, [p.incomes for p in periods])
+    if len(inputs) >= 2 and max(inputs) > min(inputs):
+        fit = fit_linear(inputs, incomes)
 
     return CoefficientReport(
         beta_v=beta_v_economic(total_inc, total_inputs),

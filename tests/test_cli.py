@@ -153,7 +153,28 @@ class TestSimulate:
         path.write_text("v_cc = 12\n")
         code, _, err = run_cli(capsys, "simulate", str(path))
         assert code == 3
-        assert "missing required" in err
+        assert err == f"error: {path}: missing required keys: r_b1, r_b2, r_l, i_es, alpha_n\n"
+
+    # r_l = 20e3 used to exit 4 with "v_cb = 142.228 V gives exp argument 5501.6
+    # above the overflow cap 200"; r_l = 1.7e3 printed g_out = 1.2693e+17 S and
+    # voltage_gain = 504.767, small-signal figures of a saturated device.
+    @pytest.mark.parametrize("r_l, v_ce", [("20e3", "-141.521"), ("1.7e3", "-1.04925")])
+    def test_saturated_stage_prints_na(self, capsys, tmp_path, data_dir, r_l, v_ce):
+        path = tmp_path / "saturated.cfg"
+        path.write_text((data_dir / "demo_amplifier.cfg").read_text().replace(
+            "r_l  = 1e3", f"r_l  = {r_l}"
+        ))
+        code, out, err = run_cli(capsys, "simulate", str(path))
+        assert (code, err) == (0, "")
+        assert f"  v_ce  = {v_ce} V\n" in out
+        assert "small signal:\n  r_in    = n/a\n  g_out   = n/a\n  slope_s = n/a\n" in out
+        assert (
+            "stage gains:\n  beta_current = n/a\n  voltage_gain = n/a\n  power_out    = n/a\n"
+        ) in out
+        assert f"saturation: v_ce = {v_ce} V <= 0, device out of active region" in out
+        values = values_block(out)
+        assert values["saturated"] == "true"
+        assert set(values) == {"v_be", "i_b", "i_c", "i_e", "v_ce", "saturated", "healthy"}
 
     def test_domain_error_exit_code(self, capsys, tmp_path):
         path = tmp_path / "invalid.cfg"
@@ -346,6 +367,14 @@ class TestAnalyze:
         code, out, err = run_cli(capsys, "analyze", str(path))
         assert (code, out) == (4, "")
         assert f"{total} must be finite" in err
+
+    def test_file_is_parsed_before_values_are_judged(self, capsys, tmp_path):
+        # a negative value in row 2 used to win over the bad cell in row 3 (exit 4)
+        path = tmp_path / "mixed.csv"
+        path.write_text("period,investments,expenses,incomes\n1990,-5,1,10\n1991,foo,1,10\n")
+        code, out, err = run_cli(capsys, "analyze", str(path))
+        assert (code, out) == (3, "")
+        assert f"{path}:3: 'investments'" in err
 
     @pytest.mark.parametrize(
         "column,row", [("expenses", "a,10,nan,100"), ("quantity_out", "a,10,5,100,inf")]

@@ -11,7 +11,6 @@ import pytest
 
 from econamp.econmap import (
     CobbDouglasParams,
-    EconPeriod,
     EconSeries,
     analyze_series,
     beta_bank,
@@ -23,6 +22,11 @@ from econamp.econmap import (
     harrod_b,
     keynes_multiplier,
 )
+
+
+def series(*rows):
+    """EconSeries from (label, investments, expenses, incomes[, quantity_out]) rows."""
+    return EconSeries(*zip(*((*row, None)[:5] for row in rows)))
 
 
 def ols_oracle(xs, ys):
@@ -237,18 +241,37 @@ class TestFitLinear:
 class TestSeries:
     def test_validation(self):
         with pytest.raises(ValueError, match="at least one"):
-            EconSeries([])
+            EconSeries((), (), (), (), ())
         with pytest.raises(ValueError, match="duplicate"):
-            EconSeries([
-                EconPeriod("1990", 1.0, 1.0, 1.0),
-                EconPeriod("1990", 2.0, 2.0, 2.0),
-            ])
+            series(("1990", 1.0, 1.0, 1.0), ("1990", 2.0, 2.0, 2.0))
         with pytest.raises(ValueError, match="investments"):
-            EconPeriod("1990", -1.0, 1.0, 1.0)
+            series(("1990", -1.0, 1.0, 1.0))
+        with pytest.raises(ValueError, match="column lengths differ"):
+            EconSeries(("1990", "1991"), (1.0, 2.0), (1.0, 2.0), (1.0,), (None, None))
+
+    def test_columns_are_tuples(self):
+        built = EconSeries(["a", "b"], [1.0, 2.0], [0.0, 0.0], [5.0, 9.0], [None, 3.0])
+        assert built == series(("a", 1.0, 0.0, 5.0), ("b", 2.0, 0.0, 9.0, 3.0))
+        assert built.investments == (1.0, 2.0)
+        assert len(built) == 2
+
+    # each cell is checked with the label of its period, after the earlier periods
+    @pytest.mark.parametrize(
+        "column, bad",
+        [
+            (column, bad)
+            for column in ("investments", "expenses", "incomes", "quantity_out")
+            for bad in (math.nan, math.inf, -math.inf)
+        ],
+    )
+    def test_non_finite_cell_names_column_and_label(self, column, bad):
+        cells = dict(investments=1.0, expenses=1.0, incomes=1.0, quantity_out=1.0)
+        bad_row = ("1991", *{**cells, column: bad}.values())
+        with pytest.raises(ValueError, match=rf"^period '1991': {column} must be finite"):
+            series(("1990", *cells.values()), bad_row)
 
     def test_single_period_report(self):
-        series = EconSeries([EconPeriod("p1", investments=200.0, expenses=0.0, incomes=1000.0)])
-        report = analyze_series(series)
+        report = analyze_series(series(("p1", 200.0, 0.0, 1000.0)))
         assert report.beta_v == pytest.approx(5.0)
         assert report.harrod_b == pytest.approx(0.2)
         assert report.domar_sigma == pytest.approx(5.0)
@@ -256,16 +279,14 @@ class TestSeries:
         assert report.fit is None
         assert report.keynes_m is None
         assert report.beta_p is None
-        assert report.beta_bank is None
         # reciprocity holds field-wise when expenses vanish
         assert report.beta_v * report.harrod_b == pytest.approx(1.0, rel=1e-12)
 
     def test_exact_line_series(self):
-        periods = [
-            EconPeriod(str(year), investments=7.0 * k, expenses=3.0 * k, incomes=2.0 + 50.0 * k)
+        report = analyze_series(series(*(
+            (str(year), 7.0 * k, 3.0 * k, 2.0 + 50.0 * k)
             for year, k in zip(range(1990, 1996), (1.0, 2.0, 3.0, 4.0, 5.0, 6.0))
-        ]
-        report = analyze_series(EconSeries(periods))
+        )))
         assert report.fit is not None
         assert report.fit.beta == pytest.approx(5.0, abs=1e-12)
         assert report.fit.a0 == pytest.approx(2.0, abs=1e-12)
@@ -273,60 +294,40 @@ class TestSeries:
 
     def test_internal_consistency(self):
         rng = random.Random(25)
-        periods = [
-            EconPeriod(
-                str(k),
-                investments=rng.uniform(10.0, 100.0),
-                expenses=rng.uniform(10.0, 100.0),
-                incomes=rng.uniform(50.0, 900.0),
-            )
+        rows = [
+            (str(k), rng.uniform(10.0, 100.0), rng.uniform(10.0, 100.0), rng.uniform(50.0, 900.0))
             for k in range(8)
         ]
-        report = analyze_series(EconSeries(periods))
+        report = analyze_series(series(*rows))
         # identification: same totals feed both coefficients
         assert report.domar_sigma == report.beta_v
         # reciprocity: harrod_b inverts the investments-only gain
-        total_inv = sum(p.investments for p in periods)
-        total_inc = sum(p.incomes for p in periods)
+        total_inv = sum(row[1] for row in rows)
+        total_inc = sum(row[3] for row in rows)
         assert report.harrod_b * beta_v_economic(total_inc, total_inv) == pytest.approx(
             1.0, rel=1e-12
         )
 
     def test_beta_p_needs_quantity_in_every_period(self):
-        with_qty = EconSeries([
-            EconPeriod("a", 10.0, 10.0, 100.0, quantity_out=50.0),
-            EconPeriod("b", 20.0, 20.0, 200.0, quantity_out=150.0),
-        ])
+        with_qty = series(("a", 10.0, 10.0, 100.0, 50.0), ("b", 20.0, 20.0, 200.0, 150.0))
         assert analyze_series(with_qty).beta_p == pytest.approx(200.0 / 60.0)
-        partial = EconSeries([
-            EconPeriod("a", 10.0, 10.0, 100.0, quantity_out=50.0),
-            EconPeriod("b", 20.0, 20.0, 200.0),
-        ])
+        partial = series(("a", 10.0, 10.0, 100.0, 50.0), ("b", 20.0, 20.0, 200.0))
         assert analyze_series(partial).beta_p is None
 
     def test_keynes_from_first_differences(self):
-        periods = [
-            EconPeriod("a", 100.0, 0.0, 500.0),
-            EconPeriod("b", 120.0, 0.0, 590.0),
-            EconPeriod("c", 150.0, 0.0, 740.0),
-        ]
-        report = analyze_series(EconSeries(periods))
+        report = analyze_series(series(
+            ("a", 100.0, 0.0, 500.0), ("b", 120.0, 0.0, 590.0), ("c", 150.0, 0.0, 740.0)
+        ))
         # mean dV / mean dI = ((90 + 150)/2) / ((20 + 30)/2)
         assert report.keynes_m == pytest.approx(240.0 / 50.0)
 
     def test_keynes_absent_for_constant_investments(self):
-        periods = [
-            EconPeriod("a", 100.0, 5.0, 500.0),
-            EconPeriod("b", 100.0, 6.0, 590.0),
-        ]
-        assert analyze_series(EconSeries(periods)).keynes_m is None
+        constant = series(("a", 100.0, 5.0, 500.0), ("b", 100.0, 6.0, 590.0))
+        assert analyze_series(constant).keynes_m is None
 
     def test_fit_absent_for_constant_inputs(self):
-        periods = [
-            EconPeriod("a", 100.0, 0.0, 500.0),
-            EconPeriod("b", 100.0, 0.0, 590.0),
-        ]
-        assert analyze_series(EconSeries(periods)).fit is None
+        constant = series(("a", 100.0, 0.0, 500.0), ("b", 100.0, 0.0, 590.0))
+        assert analyze_series(constant).fit is None
 
     # Finite cells whose totals overflow used to report beta_v = 0 with a
     # NaN fit, or to escape as "intermediate overflow in fsum".
@@ -339,32 +340,28 @@ class TestSeries:
         ],
     )
     def test_overflowing_total_names_it(self, rows, total):
-        series = EconSeries([EconPeriod(*row) for row in rows])
         with pytest.raises(ValueError, match=f"{total} must be finite"):
-            analyze_series(series)
+            analyze_series(series(*rows))
 
     def test_overflowing_gain_is_rejected(self):
         # tiny inputs: every total is finite, but incomes/inputs is not
-        series = EconSeries([EconPeriod("a", 1e-320, 0.0, 5.0), EconPeriod("b", 1e-320, 0.0, 5.0)])
+        tiny = series(("a", 1e-320, 0.0, 5.0), ("b", 1e-320, 0.0, 5.0))
         with pytest.raises(ValueError, match="must be finite"):
-            analyze_series(series)
+            analyze_series(tiny)
 
     def test_zero_input_period_is_labeled(self):
-        periods = [
-            EconPeriod("1990", 100.0, 0.0, 500.0),
-            EconPeriod("1991", 0.0, 0.0, 100.0),
-        ]
+        zero = series(("1990", 100.0, 0.0, 500.0), ("1991", 0.0, 0.0, 100.0))
         with pytest.raises(ValueError, match="1991"):
-            analyze_series(EconSeries(periods))
+            analyze_series(zero)
 
     @pytest.mark.parametrize("c", [1e-3, 1.0, 1e6])
     def test_report_currency_invariance(self, c):
         def scaled(factor):
-            return EconSeries([
-                EconPeriod("a", 100.0 * factor, 30.0 * factor, 500.0 * factor),
-                EconPeriod("b", 150.0 * factor, 40.0 * factor, 800.0 * factor),
-                EconPeriod("c", 210.0 * factor, 55.0 * factor, 1150.0 * factor),
-            ])
+            return series(
+                ("a", 100.0 * factor, 30.0 * factor, 500.0 * factor),
+                ("b", 150.0 * factor, 40.0 * factor, 800.0 * factor),
+                ("c", 210.0 * factor, 55.0 * factor, 1150.0 * factor),
+            )
 
         base = analyze_series(scaled(1.0))
         other = analyze_series(scaled(c))

@@ -38,11 +38,9 @@ VALID_FIELDS = {
     "SmallSignalParams": dict(r_in=2.5e3, g_out=1e-9, slope_s=0.04),
     "StageGain": dict(beta_current=99.0, voltage_gain=40.0, power_out=1e-3),
     "OperatingLimits": dict(i_c_max=0.1, v_ce_max=40.0, p_max=0.5),
-    "EconPeriod": dict(label="1990", investments=100.0, expenses=50.0, incomes=300.0,
-                       quantity_out=10.0),
     "RegressionFit": dict(a0=1.0, beta=2.0, r_squared=0.9, n=5),
     "CoefficientReport": dict(beta_v=2.0, harrod_b=0.5, domar_sigma=2.0, mean_beta=2.0,
-                              beta_p=0.1, beta_bank=1.1, keynes_m=3.0),
+                              beta_p=0.1, keynes_m=3.0),
     "CobbDouglasParams": dict(g=1.0, lam=0.7, mu=0.3),
 }
 
@@ -98,10 +96,16 @@ _DEVICE = econamp.BjtParams(i_es=1e-14, i_cs=1e-14, alpha_n=0.99)
 # (function, valid keyword arguments, the checked arguments)
 CHECKED_ARGUMENTS = [
     (econamp.thermal_voltage, dict(temperature=300.0), ["temperature"]),
+    (econamp.ebers_moll_currents, dict(params=_DEVICE, v_be=0.6, v_cb=-5.0), ["v_be", "v_cb"]),
+    (econamp.active_region_currents, dict(params=_DEVICE, v_be=0.6), ["v_be"]),
     (econamp.mos_drain_current,
      dict(params=econamp.MosParams(k_prime=2e-3, v_threshold=1.0), v_gs=2.0, v_ds=1.0),
-     ["v_ds"]),
-    (econamp.static_finite_params, dict(device=_DEVICE, v_be=0.65, delta=1e-3), ["delta"]),
+     ["v_gs", "v_ds"]),
+    (econamp.mos_transconductance,
+     dict(params=econamp.MosParams(k_prime=2e-3, v_threshold=1.0), v_gs=2.0), ["v_gs"]),
+    (econamp.static_finite_params, dict(device=_DEVICE, v_be=0.65, delta=1e-3),
+     ["v_be", "delta"]),
+    (econamp.current_gain, dict(i_out=1e-3, i_in=1e-5), ["i_out", "i_in"]),
     (econamp.output_voltage, dict(i_out=1e-3, r_l=1e3), ["r_l"]),
     (econamp.output_power, dict(i_c=1e-3, r_l=1e3), ["r_l"]),
     (econamp.stage_voltage_gain,
