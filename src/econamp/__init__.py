@@ -10,7 +10,6 @@ and the income-vs-investment regression.
 from types import ModuleType as _ModuleType
 
 from .amplifier import (
-    BreakdownStatus,
     OperatingLimits,
     StageGain,
     breakdown_check,

@@ -33,17 +33,6 @@ class OperatingLimits:
         )
 
 
-@dataclass(frozen=True)
-class BreakdownStatus:
-    """Healthy, or the names of every violated limit."""
-
-    violations: tuple[str, ...] = ()
-
-    @property
-    def healthy(self) -> bool:
-        return not self.violations
-
-
 def current_gain(i_out: float, i_in: float) -> float:
     """Output current over input current."""
     require_finite("i_out, i_in", (i_out, i_in))
@@ -54,12 +43,14 @@ def current_gain(i_out: float, i_in: float) -> float:
 
 def output_voltage(i_out: float, r_l: float) -> float:
     """Voltage taken from the load resistor: i_out * r_l."""
+    require_finite("i_out", (i_out,))
     require_finite("r_l", (r_l,), "> 0")
     return i_out * r_l
 
 
 def output_power(i_c: float, r_l: float) -> float:
     """Power delivered to the load: r_l * i_c^2."""
+    require_finite("i_c", (i_c,))
     require_finite("r_l", (r_l,), "> 0")
     return r_l * i_c * i_c
 
@@ -99,10 +90,11 @@ def stage_gain(op: OperatingPoint, ss: SmallSignalParams, r_l: float) -> StageGa
     )
 
 
-def breakdown_check(op: OperatingPoint, limits: OperatingLimits) -> BreakdownStatus:
-    """Flag every operating limit the point exceeds.
+def breakdown_check(op: OperatingPoint, limits: OperatingLimits) -> tuple[str, ...]:
+    """Names of the operating limits the point exceeds; empty when healthy.
 
-    Strict violation triggers; sitting exactly at a limit is healthy.
+    The names come in the order i_c, v_ce, power. Strict violation
+    triggers; sitting exactly at a limit is healthy.
     """
     violations = []
     if op.i_c > limits.i_c_max:
@@ -111,4 +103,4 @@ def breakdown_check(op: OperatingPoint, limits: OperatingLimits) -> BreakdownSta
         violations.append("v_ce")
     if op.i_c * op.v_ce > limits.p_max:
         violations.append("power")
-    return BreakdownStatus(violations=tuple(violations))
+    return tuple(violations)

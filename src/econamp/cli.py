@@ -138,7 +138,7 @@ def _cmd_simulate(args) -> int:
     if not op.saturated:
         ss = small_signal_params(config.device, op)
         gains = stage_gain(op, ss, config.r_l)
-    status = breakdown_check(op, limits)
+    violations = breakdown_check(op, limits)
     op_rows = _rows(op, v_be="V", i_b="A", i_c="A", i_e="A", v_ce="V")
     ss_rows = _rows(ss, r_in="ohm", g_out="S", slope_s="S")
     gain_rows = _rows(gains, beta_current="", voltage_gain="", power_out="W")
@@ -146,8 +146,8 @@ def _cmd_simulate(args) -> int:
     warnings = []
     if op.saturated:
         warnings.append(f"saturation: v_ce = {_fmt(op.v_ce)} V <= 0, device out of active region")
-    if not status.healthy:
-        warnings.append("breakdown: " + ", ".join(status.violations))
+    if violations:
+        warnings.append("breakdown: " + ", ".join(violations))
     resolved = {**vars(config), **vars(config.device), **vars(limits)}
     lines = [
         "config:",
@@ -158,7 +158,7 @@ def _cmd_simulate(args) -> int:
         "stage gains:", *table(gain_rows), "",
         "warnings:", *(f"  {w}" for w in warnings or ["none"]), "",
         *values_block(
-            figures + [("saturated", op.saturated, ""), ("healthy", status.healthy, "")]
+            figures + [("saturated", op.saturated, ""), ("healthy", not violations, "")]
         ),
     ]
     print("\n".join(lines))
@@ -168,14 +168,15 @@ def _cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 # CSV handling
 
-def _read_csv_rows(path: str, columns) -> tuple[list[str], list[int], list[list[str]]]:
-    """Header, the index of each required column, and the non-blank data rows."""
+def _read_csv_rows(path: str, columns) -> tuple[list[str], list[int], list[tuple[int, list]]]:
+    """Header, the index of each required column, and the non-blank data rows
+    as (file line, cells): blank lines are dropped but still counted."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        rows = [row for row in csv.reader(fh)]
-    rows = [row for row in rows if any(cell.strip() for cell in row)]
+        reader = csv.reader(fh)
+        rows = [(reader.line_num, row) for row in reader if any(cell.strip() for cell in row)]
     if not rows:
         raise InputFormatError(f"{path}: empty CSV")
-    header = [cell.strip() for cell in rows[0]]
+    header = [cell.strip() for cell in rows[0][1]]
     missing = [c for c in columns if c not in header]
     if missing:
         raise InputFormatError(
@@ -205,7 +206,7 @@ def _float_cell(path: str, row: list[str], rowno: int, index: int, column: str) 
 def read_xy_columns(path: str, x_column: str, y_column: str):
     _, (ix, iy), rows = _read_csv_rows(path, (x_column, y_column))
     xs, ys = [], []
-    for rowno, row in enumerate(rows, start=2):
+    for rowno, row in rows:
         xs.append(_float_cell(path, row, rowno, ix, x_column))
         ys.append(_float_cell(path, row, rowno, iy, y_column))
     return xs, ys
@@ -215,7 +216,7 @@ def read_econ_series(path: str) -> EconSeries:
     header, (i_label, i_inv, i_exp, i_inc), rows = _read_csv_rows(path, ECON_COLUMNS)
     qty_index = header.index("quantity_out") if "quantity_out" in header else None
     labels, investments, expenses, incomes, quantities = [], [], [], [], []
-    for rowno, row in enumerate(rows, start=2):
+    for rowno, row in rows:
         quantity = None
         if qty_index is not None and qty_index < len(row) and row[qty_index].strip():
             quantity = _float_cell(path, row, rowno, qty_index, "quantity_out")

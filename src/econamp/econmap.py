@@ -91,12 +91,14 @@ class CoefficientReport:
 
 def beta_p_economic(total_finished_products: float, inputs_value: float) -> float:
     """Product gain: total finished products over the value of the inputs."""
+    require_finite("total_finished_products", (total_finished_products,))
     require_finite("inputs_value", (inputs_value,), "> 0")
     return total_finished_products / inputs_value
 
 
 def beta_v_economic(total_incomes: float, investments_plus_expenses: float) -> float:
     """Value gain: total incomes over invested inputs; > 1 means amplification."""
+    require_finite("total_incomes", (total_incomes,))
     require_finite("investments_plus_expenses", (investments_plus_expenses,), "> 0")
     return total_incomes / investments_plus_expenses
 
@@ -107,12 +109,14 @@ def beta_bank(output_values: float, total_values: float) -> float:
     The caller composes total_values (initial capital + amount obtained +
     given interests) and fixes the standard period.
     """
+    require_finite("output_values", (output_values,))
     require_finite("total_values", (total_values,), "> 0")
     return output_values / total_values
 
 
 def harrod_b(investments: float, incomes: float) -> float:
     """Capital coefficient: investments over incomes (reciprocal of the gain)."""
+    require_finite("investments", (investments,))
     require_finite("incomes", (incomes,), "> 0")
     return investments / incomes
 
@@ -123,6 +127,7 @@ def domar_sigma(delta_q: float, total_investments: float) -> float:
     With the production increment read as total income efficiency this is
     the same number as beta_v_economic.
     """
+    require_finite("delta_q", (delta_q,))
     require_finite("total_investments", (total_investments,), "> 0")
     return delta_q / total_investments
 
@@ -156,7 +161,7 @@ def cobb_douglas(params: CobbDouglasParams, labour_l: float, capital_k: float) -
 
 def keynes_multiplier(delta_v: float, delta_i: float) -> float:
     """Investment multiplier: income increment over investment increment."""
-    require_finite("delta_i", (delta_i,))
+    require_finite("delta_v, delta_i", (delta_v, delta_i))
     if delta_i == 0:
         raise ValueError("investment increment must be non-zero")
     return delta_v / delta_i
@@ -175,8 +180,9 @@ def _fsum(name: str, terms) -> float:
 def fit_linear(xs: Sequence[float], ys: Sequence[float]) -> RegressionFit:
     """Ordinary least squares for y = a0 + beta*x.
 
-    r_squared = 1 - SS_res/SS_tot; an exactly constant y (SS_tot = 0, so
-    the fit is a perfect horizontal line) reports r_squared = 1.
+    r_squared = beta * S_xy/SS_tot, which equals 1 - SS_res/SS_tot for least
+    squares with an intercept; an exactly constant y (SS_tot = 0, so the fit
+    is a perfect horizontal line) reports r_squared = 1.
     """
     if len(xs) != len(ys):
         raise ValueError(f"column lengths differ: {len(xs)} vs {len(ys)}")
@@ -191,9 +197,8 @@ def fit_linear(xs: Sequence[float], ys: Sequence[float]) -> RegressionFit:
     s_xy = _fsum("s_xy", ((x - x_bar) * (y - y_bar) for x, y in zip(xs, ys)))
     beta = s_xy / s_xx
     a0 = y_bar - beta * x_bar
-    ss_res = _fsum("ss_res", ((y - (a0 + beta * x)) ** 2 for x, y in zip(xs, ys)))
     ss_tot = _fsum("ss_tot", ((y - y_bar) ** 2 for y in ys))
-    r_squared = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
+    r_squared = 1.0 if ss_tot == 0.0 else beta * (s_xy / ss_tot)
     return RegressionFit(a0=a0, beta=beta, r_squared=r_squared, n=n)
 
 
@@ -203,9 +208,11 @@ def analyze_series(series: EconSeries) -> CoefficientReport:
     Totals feed beta_v, domar_sigma (same inputs denominator) and harrod_b
     (investments alone, so its reciprocal is the income/investment gain).
     mean_beta is the per-period mean income/inputs ratio. beta_p appears
-    only when every period counts its finished products; keynes_m needs at
-    least two periods with a non-zero mean investment increment; the fit
-    needs two periods and non-degenerate inputs.
+    only when every period counts its finished products. keynes_m, the mean
+    income increment over the mean investment increment, telescopes to
+    (last - first incomes) / (last - first investments), so it needs
+    end-point investments that differ (hence two periods). The fit needs two
+    periods and non-degenerate inputs.
     """
     investments, expenses, incomes = series.investments, series.expenses, series.incomes
     total_inv = _fsum("total investments", investments)
@@ -226,12 +233,8 @@ def analyze_series(series: EconSeries) -> CoefficientReport:
         beta_p = beta_p_economic(_fsum("total quantity_out", series.quantity_out), total_inputs)
 
     keynes_m = None
-    if len(inputs) >= 2:
-        dv = [b - a for a, b in zip(incomes, incomes[1:])]
-        di = [b - a for a, b in zip(investments, investments[1:])]
-        mean_di = math.fsum(di) / len(di)
-        if mean_di != 0:
-            keynes_m = keynes_multiplier(math.fsum(dv) / len(dv), mean_di)
+    if investments[-1] != investments[0]:
+        keynes_m = keynes_multiplier(incomes[-1] - incomes[0], investments[-1] - investments[0])
 
     fit = None
     if len(inputs) >= 2 and max(inputs) > min(inputs):

@@ -280,7 +280,33 @@ class TestFit:
         path.write_text("x,y\n1,1e308\n2,-1e308\n3,1e308\n")
         code, out, err = run_cli(capsys, "fit", str(path), "--x", "x", "--y", "y")
         assert (code, out) == (4, "")
-        assert "ss_res must be finite" in err
+        assert "ss_tot must be finite" in err
+
+    # blank lines are dropped but still counted, and a quoted cell may span
+    # lines: `foo` is on line 5, 4 and 4; each used to be reported one line early
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("x,y\n1,2\n\n2,3\nfoo,3\n", 5),
+            ("\nx,y\n1,2\nfoo,3\n", 4),
+            ('x,y\n"1\n",2\nfoo,3\n', 4),
+        ],
+    )
+    def test_error_names_the_file_line(self, capsys, tmp_path, text, line):
+        path = tmp_path / "blank.csv"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "fit", str(path), "--x", "x", "--y", "y")
+        assert (code, out) == (3, "")
+        assert err == f"error: {path}:{line}: 'x' is not a finite number: 'foo'\n"
+
+    @pytest.mark.parametrize("text", ["x,y\n1,2\n3\n", "x,y\n1,2\n3\n4,zz\n"])
+    def test_ragged_row_is_parse_error(self, capsys, tmp_path, text):
+        # the short row 3 is reported, also when a bad cell follows on row 4
+        path = tmp_path / "ragged.csv"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "fit", str(path), "--x", "x", "--y", "y")
+        assert (code, out) == (3, "")
+        assert err == f"error: {path}:3: row has no 'y' cell\n"
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-Infinity"])
     def test_non_finite_cell_is_parse_error(self, capsys, tmp_path, bad):
@@ -313,6 +339,29 @@ class TestAnalyze:
         )
         _, out, _ = run_cli(capsys, "analyze", str(path))
         assert float(values_block(out)["beta_p"]) == pytest.approx(200.0 / 60.0)
+
+    def test_missing_trailing_quantity_cell_is_no_count(self, capsys, tmp_path):
+        path = tmp_path / "short.csv"
+        path.write_text(
+            "period,investments,expenses,incomes,quantity_out\n"
+            "a,10,10,100,50\nb,20,20,200\n"
+        )
+        code, out, err = run_cli(capsys, "analyze", str(path))
+        assert (code, err) == (0, "")
+        assert "  beta_p      = n/a\n" in out
+        assert "beta_p" not in values_block(out)
+
+    def test_equal_end_point_investments_give_na(self, capsys, tmp_path):
+        # the summed increments 2.8 - 2.3 - 0.5 used to round to 5.55e-17,
+        # printing keynes_m = 3.60288e+16 for an undefined multiplier
+        path = tmp_path / "round_trip.csv"
+        path.write_text(
+            "period,investments,expenses,incomes\na,0.2,1,5\nb,3.0,1,9\nc,0.7,1,6\nd,0.2,1,7\n"
+        )
+        code, out, err = run_cli(capsys, "analyze", str(path))
+        assert (code, err) == (0, "")
+        assert "  keynes_m    = n/a\n" in out
+        assert "keynes_m" not in values_block(out)
 
     def test_currency_rescaling_keeps_dimensionless_values(self, capsys, tmp_path):
         base = tmp_path / "base.csv"

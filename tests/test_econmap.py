@@ -1,11 +1,14 @@
 """Economic coefficient and regression tests.
 
 The OLS oracle is a raw-moment normal-equations solve (Cramer's rule),
-a different route from the centered-sum formulas under test.
+a different route from the centered-sum formulas under test. The accuracy
+references compute keynes_m and r_squared from their definitions in exact
+rational arithmetic (fractions.Fraction) on the same float inputs.
 """
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -40,6 +43,35 @@ def ols_oracle(xs, ys):
     beta = (n * sxy - sx * sy) / det
     a0 = (sxx * sy - sx * sxy) / det
     return a0, beta
+
+
+def ulps(got, exact):
+    """Distance of a float from an exact value, in units in the last place of the value."""
+    return float(abs(Fraction(got) - exact) / Fraction(math.ulp(float(exact))))
+
+
+def exact_keynes(incomes, investments):
+    """Mean income increment over mean investment increment, exactly; None if undefined."""
+    income_steps = [Fraction(b) - Fraction(a) for a, b in zip(incomes, incomes[1:])]
+    investment_steps = [Fraction(b) - Fraction(a) for a, b in zip(investments, investments[1:])]
+    if not investment_steps or sum(investment_steps) == 0:
+        return None
+    n_steps = len(investment_steps)
+    return (sum(income_steps) / n_steps) / (sum(investment_steps) / n_steps)
+
+
+def exact_r_squared(xs, ys):
+    """1 - SS_res/SS_tot of the exact least-squares line, and the condition
+    number sum|dx*dy| / |sum dx*dy| of its cross sum S_xy."""
+    xs, ys = [Fraction(x) for x in xs], [Fraction(y) for y in ys]
+    n = len(xs)
+    x_bar, y_bar = sum(xs) / n, sum(ys) / n
+    cross = [(x - x_bar) * (y - y_bar) for x, y in zip(xs, ys)]
+    beta = sum(cross) / sum((x - x_bar) ** 2 for x in xs)
+    a0 = y_bar - beta * x_bar
+    residual_squares = sum((y - (a0 + beta * x)) ** 2 for x, y in zip(xs, ys))
+    total_squares = sum((y - y_bar) ** 2 for y in ys)
+    return 1 - residual_squares / total_squares, float(sum(map(abs, cross)) / abs(sum(cross)))
 
 
 class TestCoefficients:
@@ -205,6 +237,22 @@ class TestFitLinear:
             for da, db in ((eps, 0.0), (-eps, 0.0), (0.0, eps), (0.0, -eps)):
                 assert rss(xs, ys, fit.a0 + da, fit.beta + db) >= best
 
+    def test_r_squared_matches_exact_reference(self):
+        # the residual pass 1 - SS_res/SS_tot was off by up to 4.2e6 ulp here
+        rng = random.Random(26)
+        for _ in range(1000):
+            n = rng.randint(3, 30)
+            x_scale, y_scale = (10.0 ** rng.uniform(-150.0, 150.0) for _ in range(2))
+            x_offset, y_offset = rng.uniform(-10.0, 10.0), rng.uniform(-10.0, 10.0)
+            slope, noise = rng.uniform(-1.0, 1.0), 10.0 ** rng.uniform(-3.0, 1.0)
+            units = [x_offset + rng.uniform(-1.0, 1.0) for _ in range(n)]
+            xs = [u * x_scale for u in units]
+            ys = [(y_offset + slope * u + noise * rng.gauss(0.0, 1.0)) * y_scale for u in units]
+            exact, kappa = exact_r_squared(xs, ys)
+            # 8 ulp while S_xy is well-conditioned; beyond, its centered terms
+            # lose accuracy in proportion to the condition number
+            assert ulps(fit_linear(xs, ys).r_squared, exact) <= 8 * max(1.0, kappa / 2)
+
     def test_constant_y_is_a_perfect_horizontal_fit(self):
         fit = fit_linear([1.0, 2.0, 3.0], [4.5, 4.5, 4.5])
         assert fit.beta == 0.0
@@ -228,7 +276,7 @@ class TestFitLinear:
     @pytest.mark.parametrize(
         "xs, ys, total",
         [
-            ([1.0, 2.0, 3.0], [1e308, -1e308, 1e308], "ss_res"),
+            ([1.0, 2.0, 3.0], [1e308, -1e308, 1e308], "ss_tot"),
             ([-1e308, 0.0, 1e308], [1.0, 2.0, 3.0], "s_xx"),
             ([1e308, 1e308, 1.0], [1.0, 2.0, 3.0], "sum of x"),
         ],
@@ -320,6 +368,26 @@ class TestSeries:
         ))
         # mean dV / mean dI = ((90 + 150)/2) / ((20 + 30)/2)
         assert report.keynes_m == pytest.approx(240.0 / 50.0)
+
+    def test_keynes_matches_exact_reference(self):
+        # the summed first differences were off by up to 1.8e3 ulp here, and gave
+        # a number for 40 of the 87 series whose multiplier is undefined
+        rng = random.Random(27)
+        for _ in range(1000):
+            n = rng.randint(1, 30)
+            scale = 10.0 ** rng.uniform(-150.0, 150.0)
+            investments, expenses, incomes = (
+                [rng.uniform(0.01, 1.0) * scale for _ in range(n)] for _ in range(3)
+            )
+            if rng.random() < 0.05:
+                investments[-1] = investments[0]
+            report = analyze_series(series(*zip(map(str, range(n)), investments, expenses,
+                                                incomes)))
+            exact = exact_keynes(incomes, investments)
+            if exact is None:
+                assert report.keynes_m is None
+            else:
+                assert ulps(report.keynes_m, exact) <= 4
 
     def test_keynes_absent_for_constant_investments(self):
         constant = series(("a", 100.0, 5.0, 500.0), ("b", 100.0, 6.0, 590.0))

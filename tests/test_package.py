@@ -106,22 +106,24 @@ CHECKED_ARGUMENTS = [
     (econamp.static_finite_params, dict(device=_DEVICE, v_be=0.65, delta=1e-3),
      ["v_be", "delta"]),
     (econamp.current_gain, dict(i_out=1e-3, i_in=1e-5), ["i_out", "i_in"]),
-    (econamp.output_voltage, dict(i_out=1e-3, r_l=1e3), ["r_l"]),
-    (econamp.output_power, dict(i_c=1e-3, r_l=1e3), ["r_l"]),
+    (econamp.output_voltage, dict(i_out=1e-3, r_l=1e3), ["i_out", "r_l"]),
+    (econamp.output_power, dict(i_c=1e-3, r_l=1e3), ["i_c", "r_l"]),
     (econamp.stage_voltage_gain,
      dict(ss=econamp.SmallSignalParams(r_in=2.5e3, g_out=0.0, slope_s=0.04), r_l=1e3),
      ["r_l"]),
     (econamp.beta_p_economic, dict(total_finished_products=10.0, inputs_value=5.0),
-     ["inputs_value"]),
+     ["total_finished_products", "inputs_value"]),
     (econamp.beta_v_economic, dict(total_incomes=10.0, investments_plus_expenses=5.0),
-     ["investments_plus_expenses"]),
-    (econamp.beta_bank, dict(output_values=10.0, total_values=5.0), ["total_values"]),
-    (econamp.harrod_b, dict(investments=5.0, incomes=10.0), ["incomes"]),
-    (econamp.domar_sigma, dict(delta_q=10.0, total_investments=5.0), ["total_investments"]),
+     ["total_incomes", "investments_plus_expenses"]),
+    (econamp.beta_bank, dict(output_values=10.0, total_values=5.0),
+     ["output_values", "total_values"]),
+    (econamp.harrod_b, dict(investments=5.0, incomes=10.0), ["investments", "incomes"]),
+    (econamp.domar_sigma, dict(delta_q=10.0, total_investments=5.0),
+     ["delta_q", "total_investments"]),
     (econamp.cobb_douglas,
      dict(params=econamp.CobbDouglasParams(g=1.0, lam=0.7, mu=0.3), labour_l=2.0, capital_k=3.0),
      ["labour_l", "capital_k"]),
-    (econamp.keynes_multiplier, dict(delta_v=10.0, delta_i=5.0), ["delta_i"]),
+    (econamp.keynes_multiplier, dict(delta_v=10.0, delta_i=5.0), ["delta_v", "delta_i"]),
 ]
 
 
