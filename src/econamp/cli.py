@@ -9,14 +9,16 @@ Subcommands:
   cascade G1 [G2 ...]           product of stage gains
 
 Exit codes: 0 success, 2 usage (bad invocation, unreadable file),
-3 parse (malformed config or CSV), 4 solver or domain error.
+3 parse (malformed or undecodable config or CSV), 4 solver or domain error.
 """
 
 import argparse
 import csv
+import io
 import math
 import sys
 from dataclasses import MISSING, fields
+from itertools import repeat
 
 from .amplifier import OperatingLimits, breakdown_check, cascade_gain, stage_gain
 from .circuit import AmplifierConfig, SolverError, small_signal_params, solve_operating_point
@@ -38,9 +40,6 @@ CONFIG_KEYS = tuple(f.name for f in _CONFIG_FIELDS)
 REQUIRED_CONFIG_KEYS = tuple(
     f.name for f in _CONFIG_FIELDS if f.default is MISSING and f.name != "i_cs"
 )
-
-ECON_COLUMNS = ("period", "investments", "expenses", "incomes")
-
 
 class InputFormatError(Exception):
     """Malformed config or CSV content (maps to exit code 3)."""
@@ -80,6 +79,23 @@ def values_block(rows) -> list[str]:
         for key, value, _ in rows
         if value is not None
     ]
+
+
+# ---------------------------------------------------------------------------
+# input files
+
+def _read_text(path: str, encoding: str) -> str:
+    """The file's text with line endings as they are; bytes that do not
+    decode are a parse error naming the file and the byte offset."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode(encoding)
+    except UnicodeDecodeError as exc:
+        offset = len(data) - len(exc.object) + exc.start  # exc.object lacks a stripped BOM
+        raise InputFormatError(
+            f"{path}: byte {data[offset]:#04x} at offset {offset} is not UTF-8 ({exc.reason})"
+        ) from None
 
 
 # ---------------------------------------------------------------------------
@@ -130,8 +146,7 @@ def build_simulation(values: dict) -> tuple[AmplifierConfig, OperatingLimits]:
 # simulate
 
 def _cmd_simulate(args) -> int:
-    with open(args.config, encoding="utf-8") as fh:
-        values = parse_config_text(fh.read(), source=args.config)
+    values = parse_config_text(_read_text(args.config, "utf-8"), source=args.config)
     config, limits = build_simulation(values)
     op = solve_operating_point(config)
     ss = gains = None  # the small-signal model holds only in the active region
@@ -167,64 +182,123 @@ def _cmd_simulate(args) -> int:
 
 # ---------------------------------------------------------------------------
 # CSV handling
+#
+# A reader names the columns it needs in cell order, as (column, kind) pairs:
+# a FLOAT cell must hold a finite number, a LABEL cell is kept as stripped
+# text, and a COUNT column may be missing from the header and reads a blank
+# or missing cell as None. The per-cell scan checks the cells row by row in
+# that order and is the one source of CSV errors; the bulk tier converts a
+# plain file column by column and defers to the scan on anything else.
 
-def _read_csv_rows(path: str, columns) -> tuple[list[str], list[int], list[tuple[int, list]]]:
-    """Header, the index of each required column, and the non-blank data rows
-    as (file line, cells): blank lines are dropped but still counted."""
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
+FLOAT, LABEL, COUNT = "float", "label", "count"
+ECON_CELLS = (
+    ("quantity_out", COUNT), ("period", LABEL),
+    ("investments", FLOAT), ("expenses", FLOAT), ("incomes", FLOAT),
+)
+
+
+def _scan_columns(path: str, text: str, columns) -> list[list]:
+    """The columns by a row-major scan of every needed cell, in the csv
+    module's excel dialect. Blank rows are dropped but still counted, so each
+    error names the file line of the first bad cell."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
         rows = [(reader.line_num, row) for row in reader if any(cell.strip() for cell in row)]
+    except csv.Error as exc:
+        raise InputFormatError(f"{path}:{reader.line_num}: {exc}") from None
     if not rows:
         raise InputFormatError(f"{path}: empty CSV")
     header = [cell.strip() for cell in rows[0][1]]
-    missing = [c for c in columns if c not in header]
+    missing = [name for name, kind in columns if kind != COUNT and name not in header]
     if missing:
         raise InputFormatError(
             f"{path}: missing column(s) {', '.join(repr(c) for c in missing)}; "
             f"header has {header}"
         )
-    return header, [header.index(c) for c in columns], rows[1:]
+    indices = [header.index(name) if name in header else None for name, _ in columns]
+    out = [[] for _ in columns]
+    for rowno, row in rows[1:]:
+        for (column, kind), index, values in zip(columns, indices, out):
+            if kind == COUNT and (index is None or index >= len(row) or not row[index].strip()):
+                values.append(None)
+                continue
+            if index >= len(row):
+                raise InputFormatError(f"{path}:{rowno}: row has no {column!r} cell")
+            cell = row[index].strip()
+            if kind == LABEL:
+                values.append(cell)
+                continue
+            try:
+                value = float(cell)
+            except ValueError:
+                value = math.nan
+            if not math.isfinite(value):
+                raise InputFormatError(
+                    f"{path}:{rowno}: {column!r} is not a finite number: {cell!r}"
+                )
+            values.append(value)
+    return out
 
 
-def _cell(path: str, row: list[str], rowno: int, index: int, column: str) -> str:
-    if index >= len(row):
-        raise InputFormatError(f"{path}:{rowno}: row has no {column!r} cell")
-    return row[index].strip()
+def _bulk_columns(text: str, columns) -> list[list] | None:
+    """The columns of a plain file, converted a column at a time, or None.
+
+    A file is plain when it holds no quote, carriage return or NUL, its
+    header line is not blank, every line has the header's comma count and
+    no line is longer than the csv field size limit. The excel dialect then
+    splits each line exactly at its commas, so a column is one stride of the
+    flat cell list. A blank data line breaks the comma count or fails a
+    FLOAT conversion, as does every other cell the scan would reject; any of
+    these gives None, and so does a blank COUNT cell, which the scan reads
+    as a missing count.
+    """
+    if '"' in text or "\r" in text or "\0" in text:
+        return None
+    lines = text.split("\n")
+    if lines[-1] == "":  # the last line's terminator
+        lines.pop()
+    if not lines or max(map(len, lines)) > csv.field_size_limit():
+        return None
+    header = [cell.strip() for cell in lines[0].split(",")]
+    width = len(header)
+    if not any(header) or set(map(str.count, lines, repeat(","))) != {width - 1}:
+        return None
+    if any(kind != COUNT and column not in header for column, kind in columns):
+        return None
+    cells = ",".join(lines[1:]).split(",") if len(lines) > 1 else []
+    out = []
+    for column, kind in columns:
+        if column not in header:  # a COUNT column the file does not have
+            out.append([None] * (len(lines) - 1))
+            continue
+        raw = cells[header.index(column)::width]
+        if kind == LABEL:
+            out.append(list(map(str.strip, raw)))
+            continue
+        try:
+            values = list(map(float, raw))
+        except ValueError:
+            return None
+        if not all(map(math.isfinite, values)):
+            return None
+        out.append(values)
+    return out
 
 
-def _float_cell(path: str, row: list[str], rowno: int, index: int, column: str) -> float:
-    text = _cell(path, row, rowno, index, column)
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise InputFormatError(f"{path}:{rowno}: {column!r} is not a finite number: {text!r}")
-    return value
+def _read_columns(path: str, columns) -> list[list]:
+    """The named columns of a CSV file, as lists in the order of `columns`."""
+    text = _read_text(path, "utf-8-sig")
+    out = _bulk_columns(text, columns)
+    return _scan_columns(path, text, columns) if out is None else out
 
 
 def read_xy_columns(path: str, x_column: str, y_column: str):
-    _, (ix, iy), rows = _read_csv_rows(path, (x_column, y_column))
-    xs, ys = [], []
-    for rowno, row in rows:
-        xs.append(_float_cell(path, row, rowno, ix, x_column))
-        ys.append(_float_cell(path, row, rowno, iy, y_column))
+    xs, ys = _read_columns(path, ((x_column, FLOAT), (y_column, FLOAT)))
     return xs, ys
 
 
 def read_econ_series(path: str) -> EconSeries:
-    header, (i_label, i_inv, i_exp, i_inc), rows = _read_csv_rows(path, ECON_COLUMNS)
-    qty_index = header.index("quantity_out") if "quantity_out" in header else None
-    labels, investments, expenses, incomes, quantities = [], [], [], [], []
-    for rowno, row in rows:
-        quantity = None
-        if qty_index is not None and qty_index < len(row) and row[qty_index].strip():
-            quantity = _float_cell(path, row, rowno, qty_index, "quantity_out")
-        quantities.append(quantity)
-        labels.append(_cell(path, row, rowno, i_label, "period"))
-        investments.append(_float_cell(path, row, rowno, i_inv, "investments"))
-        expenses.append(_float_cell(path, row, rowno, i_exp, "expenses"))
-        incomes.append(_float_cell(path, row, rowno, i_inc, "incomes"))
+    quantities, labels, investments, expenses, incomes = _read_columns(path, ECON_CELLS)
     # every cell is parsed before any value is judged
     return EconSeries(labels, investments, expenses, incomes, quantities)
 

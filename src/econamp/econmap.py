@@ -9,6 +9,7 @@ ordinary least squares.
 """
 
 import math
+import sys
 from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
@@ -37,12 +38,17 @@ class EconSeries:
             raise ValueError("series needs at least one period")
         if len({len(column) for column in columns}) != 1:
             raise ValueError(f"column lengths differ: {[len(column) for column in columns]}")
-        names = "investments, expenses, incomes, quantity_out"  # quantity_out None passes as 0
-        for label, inv, exp, inc, qty in zip(*columns):
-            try:
-                require_finite(names, (inv, exp, inc, qty or 0.0), ">= 0")
-            except ValueError as exc:
-                raise ValueError(f"period {label!r}: {exc}") from None
+        counts = [qty for qty in self.quantity_out if qty is not None]
+        if not all(
+            all(map(math.isfinite, column)) and min(column, default=0.0) >= 0
+            for column in (self.investments, self.expenses, self.incomes, counts)
+        ):  # a value fails: name the first period that holds one
+            names = "investments, expenses, incomes, quantity_out"  # None passes as 0
+            for label, inv, exp, inc, qty in zip(*columns):
+                try:
+                    require_finite(names, (inv, exp, inc, qty or 0.0), ">= 0")
+                except ValueError as exc:
+                    raise ValueError(f"period {label!r}: {exc}") from None
         if len(set(self.labels)) != len(self):
             dupes = sorted({l for l in self.labels if self.labels.count(l) > 1})
             raise ValueError(f"duplicate period labels: {dupes}")
@@ -182,7 +188,8 @@ def fit_linear(xs: Sequence[float], ys: Sequence[float]) -> RegressionFit:
 
     r_squared = beta * S_xy/SS_tot, which equals 1 - SS_res/SS_tot for least
     squares with an intercept; an exactly constant y (SS_tot = 0, so the fit
-    is a perfect horizontal line) reports r_squared = 1.
+    is a perfect horizontal line) reports r_squared = 1. A non-zero slope
+    below the smallest normal float is refused as subnormal.
     """
     if len(xs) != len(ys):
         raise ValueError(f"column lengths differ: {len(xs)} vs {len(ys)}")
@@ -196,6 +203,10 @@ def fit_linear(xs: Sequence[float], ys: Sequence[float]) -> RegressionFit:
         raise ValueError("x values are all identical; slope is undefined")
     s_xy = _fsum("s_xy", ((x - x_bar) * (y - y_bar) for x, y in zip(xs, ys)))
     beta = s_xy / s_xx
+    # s_xy/ss_tot below is r_squared/beta: it can overflow only for a subnormal
+    # beta, which has lost precision anyway
+    if 0.0 < abs(beta) < sys.float_info.min:
+        raise ValueError(f"slope beta is subnormal, below {sys.float_info.min}: {beta}")
     a0 = y_bar - beta * x_bar
     ss_tot = _fsum("ss_tot", ((y - y_bar) ** 2 for y in ys))
     r_squared = 1.0 if ss_tot == 0.0 else beta * (s_xy / ss_tot)

@@ -148,6 +148,19 @@ class TestSimulate:
         assert code == 3
         assert ":1:" in err
 
+    def test_undecodable_file_is_parse_error(self, capsys, tmp_path):
+        # used to exit 4 with the bare codec message, naming no file
+        path = tmp_path / "latin1.cfg"
+        data = DERIVED_CONFIG_TEXT.replace("# CE stage", "# CE st\xe4ge").encode("latin-1")
+        path.write_bytes(data)
+        code, out, err = run_cli(capsys, "simulate", str(path))
+        assert (code, out) == (3, "")
+        offset = data.index(b"\xe4")
+        assert err == (
+            f"error: {path}: byte 0xe4 at offset {offset} is not UTF-8"
+            " (invalid continuation byte)\n"
+        )
+
     def test_missing_required_keys_is_parse_error(self, capsys, tmp_path):
         path = tmp_path / "partial.cfg"
         path.write_text("v_cc = 12\n")
@@ -435,6 +448,48 @@ class TestAnalyze:
         assert code == 3
         assert out == ""
         assert f"{path}:3: {column!r}" in err
+
+
+# both subcommands read their CSV through one reader
+CSV_COMMANDS = [("analyze",), ("fit", "--x", "investments", "--y", "incomes")]
+ECON_HEADER = "period,investments,expenses,incomes\n"
+
+
+def run_csv_command(capsys, argv, path):
+    return run_cli(capsys, argv[0], str(path), *argv[1:])
+
+
+@pytest.mark.parametrize("argv", CSV_COMMANDS, ids=["analyze", "fit"])
+@pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["plain", "bom"])
+def test_undecodable_csv_is_parse_error(capsys, tmp_path, argv, bom):
+    # used to exit 4 with the bare codec message, naming no file
+    path = tmp_path / "latin1.csv"
+    data = bom + (ECON_HEADER + "1990,1,2,3\n1991,2,3,4\xff\n").encode("latin-1")
+    path.write_bytes(data)
+    code, out, err = run_csv_command(capsys, argv, path)
+    assert (code, out) == (3, "")
+    offset = data.index(b"\xff")  # counted from the start of the file, BOM included
+    assert err == f"error: {path}: byte 0xff at offset {offset} is not UTF-8 (invalid start byte)\n"
+
+
+@pytest.mark.parametrize("argv", CSV_COMMANDS, ids=["analyze", "fit"])
+@pytest.mark.parametrize("cell", ["a" * 131073, '"' + "a" * 131073 + '"'], ids=["plain", "quoted"])
+def test_oversized_field_is_parse_error(capsys, tmp_path, argv, cell):
+    # a cell over csv.field_size_limit() used to escape as a _csv.Error traceback
+    path = tmp_path / "wide.csv"
+    path.write_text(ECON_HEADER.replace("\n", ",note\n") + f"1990,1,2,3,x\n1991,2,3,4,{cell}\n")
+    code, out, err = run_csv_command(capsys, argv, path)
+    assert (code, out) == (3, "")
+    assert err == f"error: {path}:3: field larger than field limit (131072)\n"
+
+
+def test_subnormal_slope_is_domain_error(capsys, tmp_path):
+    # used to exit 4 with "r_squared out of [0, 1]: inf"
+    path = tmp_path / "tiny.csv"
+    path.write_text("x,y\n1e150,1e-160\n2e150,2e-160\n3e150,4e-160\n")
+    code, out, err = run_cli(capsys, "fit", str(path), "--x", "x", "--y", "y")
+    assert (code, out) == (4, "")
+    assert err.startswith("error: slope beta is subnormal")
 
 
 class TestCascade:

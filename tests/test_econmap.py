@@ -285,6 +285,11 @@ class TestFitLinear:
         with pytest.raises(ValueError, match=f"{total} must be finite"):
             fit_linear(xs, ys)
 
+    def test_subnormal_slope_is_named(self):
+        # used to raise "r_squared out of [0, 1]: inf": s_xy/ss_tot overflowed
+        with pytest.raises(ValueError, match=r"slope beta is subnormal, below .*: 1\.5e-310$"):
+            fit_linear([1e150, 2e150, 3e150], [1e-160, 2e-160, 4e-160])
+
 
 class TestSeries:
     def test_validation(self):
