@@ -1,8 +1,8 @@
 """Stage gains, output power, cascade composition and operating-limit checks."""
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Sequence
 
 from .circuit import OperatingPoint, SmallSignalParams
 from .devices import require_finite

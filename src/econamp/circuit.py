@@ -11,10 +11,10 @@ cutting the residual, otherwise the bracket is bisected. Plain Newton is
 not enough here; descending the exponential it gains only one thermal
 voltage per step.
 
-Each evaluation of the balance costs one exp(v_be/Vt): the base current
-is computed inline with active_region_currents' arithmetic, and the same
-exponential gives the Newton slope. Only the returned point goes through
-the device model and its conservation checks.
+Each evaluation of the balance costs one guarded exp(v_be/Vt): the base
+current is computed inline with active_region_currents' arithmetic, and
+the same exponential gives the Newton slope. Only the returned point goes
+through the device model and its conservation checks.
 """
 
 import math
@@ -23,10 +23,10 @@ from dataclasses import dataclass
 from .devices import (
     EXP_ARG_CAP,
     BjtParams,
+    _junction_exp,
     _thermal_voltage,
     active_region_currents,
     beta_from_alpha,
-    exp_cap_error,
     require_conserved,
     require_finite,
 )
@@ -91,14 +91,13 @@ class SmallSignalParams:
         require_finite("g_out", (self.g_out,), ">= 0")
 
 
-def solve_operating_point(
-    config: AmplifierConfig, max_iterations: int = MAX_ITERATIONS
-) -> OperatingPoint:
+def solve_operating_point(config: AmplifierConfig) -> OperatingPoint:
     """Solve the base-node balance and return the full DC state.
 
-    Raises SolverError when the residual cannot be brought under
-    RESIDUAL_TOL within `max_iterations`, or when the solution would sit
-    past the device's exponential overflow cap.
+    Stops once the residual is under RESIDUAL_TOL, or once the bracket has
+    collapsed to adjacent floats, the resolution limit of a stiff divider.
+    Raises SolverError when neither happens within MAX_ITERATIONS, or when
+    the solution would sit past the device's exponential overflow cap.
     """
     dev = config.device
     vt = _thermal_voltage(dev.temperature)
@@ -109,18 +108,18 @@ def solve_operating_point(
     # One thermal voltage of margin keeps every evaluation below the cap.
     lo = 0.0
     hi = min(config.v_cc, vt * (EXP_ARG_CAP - 1.0))
-    i_b, _ = _base_current(hi, vt, k_b, i_es)
-    if (v_th - hi) / r_th - i_b > 0.0:
+    e = _junction_exp(hi, vt, "v_be")
+    if (v_th - hi) / r_th - k_b * (i_es * (e - 1.0)) > 0.0:
         raise SolverError(
             f"no bias solution below the exponential overflow cap "
             f"(residual at v_be={hi:g} V is still positive)"
         )
 
     v = INITIAL_GUESS if lo < INITIAL_GUESS < hi else 0.5 * (lo + hi)
-    i_b, e = _base_current(v, vt, k_b, i_es)
-    f = (v_th - v) / r_th - i_b
+    e = _junction_exp(v, vt, "v_be")
+    f = (v_th - v) / r_th - k_b * (i_es * (e - 1.0))
     step = math.inf
-    for _ in range(max_iterations):
+    for _ in range(MAX_ITERATIONS):
         if abs(f) < RESIDUAL_TOL and (f == 0.0 or abs(step) < STEP_TOL):
             return _operating_point(config, v)
         if f > 0.0:
@@ -131,8 +130,8 @@ def solve_operating_point(
         di_b = k_b * i_es * e / vt
         candidate = v - f / (-1.0 / r_th - di_b)
         if lo < candidate < hi:
-            i_b, e_candidate = _base_current(candidate, vt, k_b, i_es)
-            f_candidate = (v_th - candidate) / r_th - i_b
+            e_candidate = _junction_exp(candidate, vt, "v_be")
+            f_candidate = (v_th - candidate) / r_th - k_b * (i_es * (e_candidate - 1.0))
             if abs(f_candidate) <= 0.25 * abs(f):
                 step, v, f, e = candidate - v, candidate, f_candidate, e_candidate
                 continue
@@ -143,26 +142,16 @@ def solve_operating_point(
             else:
                 hi = candidate
         mid = 0.5 * (lo + hi)
-        i_b, e = _base_current(mid, vt, k_b, i_es)
-        step, v, f = mid - v, mid, (v_th - mid) / r_th - i_b
+        if not lo < mid < hi:
+            # No float lies inside the bracket, whose ends straddle the root:
+            # the residual's rounding noise there exceeds RESIDUAL_TOL.
+            return _operating_point(config, mid)
+        e = _junction_exp(mid, vt, "v_be")
+        step, v, f = mid - v, mid, (v_th - mid) / r_th - k_b * (i_es * (e - 1.0))
     raise SolverError(
-        f"bias solve did not converge in {max_iterations} iterations "
+        f"bias solve did not converge in {MAX_ITERATIONS} iterations "
         f"(last residual {f:.3e} A at v_be={v:.6f} V)"
     )
-
-
-def _base_current(v_be: float, vt: float, k_b: float, i_es: float) -> tuple[float, float]:
-    """(i_b, exp(v_be/Vt)) of the active-region law, k_b = 1 - alpha_n.
-
-    The arithmetic and its order are those of active_region_currents, so
-    i_b equals active_region_currents(...).i_b bit for bit; the exponential
-    is handed back for the Newton slope.
-    """
-    arg = v_be / vt
-    if arg > EXP_ARG_CAP:
-        raise exp_cap_error("v_be", v_be, arg)
-    e = math.exp(arg)
-    return k_b * (i_es * (e - 1.0)), e
 
 
 def _operating_point(config: AmplifierConfig, v_be: float) -> OperatingPoint:
@@ -192,10 +181,7 @@ def small_signal_params(device: BjtParams, op: OperatingPoint) -> SmallSignalPar
     vt = _thermal_voltage(device.temperature)
     slope_s = op.i_c / vt
     r_in = beta_from_alpha(device.alpha_n) / slope_s
-    v_cb = op.v_be - op.v_ce
-    if v_cb / vt > EXP_ARG_CAP:
-        raise exp_cap_error("v_cb", v_cb, v_cb / vt)
-    g_out = device.i_cs * math.exp(v_cb / vt) / vt
+    g_out = device.i_cs * _junction_exp(op.v_be - op.v_ce, vt, "v_cb") / vt
     return SmallSignalParams(r_in=r_in, g_out=g_out, slope_s=slope_s)
 
 

@@ -45,14 +45,6 @@ def require_conserved(i_e: float, i_b: float, i_c: float) -> None:
         )
 
 
-def exp_cap_error(name: str, voltage: float, arg: float) -> OverflowError:
-    """The error for an exponent argument `arg` = voltage/Vt past EXP_ARG_CAP."""
-    return OverflowError(
-        f"{name} = {voltage:g} V gives exp argument {arg:.1f} "
-        f"above the overflow cap {EXP_ARG_CAP:g}"
-    )
-
-
 @dataclass(frozen=True)
 class BjtParams:
     """Static bipolar transistor parameters (n-p-n convention).
@@ -115,13 +107,17 @@ def _thermal_voltage(temperature: float) -> float:
     return BOLTZMANN_K * temperature / ELECTRON_CHARGE
 
 
-def _junction_term(voltage: float, vt: float, name: str) -> float:
-    # exp(v/Vt) - 1, refusing a non-finite voltage and arguments past the overflow cap.
+def _junction_exp(voltage: float, vt: float, name: str) -> float:
+    # exp(v/Vt), refusing a non-finite voltage and arguments past the overflow
+    # cap: the package's one guard, used by the device laws and the bias solver.
     arg = voltage / vt
     if not (arg <= EXP_ARG_CAP and voltage > -math.inf):  # NaN fails the first test
         require_finite(name, (voltage,))
-        raise exp_cap_error(name, voltage, arg)
-    return math.exp(arg) - 1.0
+        raise OverflowError(
+            f"{name} = {voltage:g} V gives exp argument {arg:.1f} "
+            f"above the overflow cap {EXP_ARG_CAP:g}"
+        )
+    return math.exp(arg)
 
 
 def ebers_moll_currents(params: BjtParams, v_be: float, v_cb: float) -> BjtCurrents:
@@ -135,8 +131,8 @@ def ebers_moll_currents(params: BjtParams, v_be: float, v_cb: float) -> BjtCurre
     junction is reverse biased (the normal amplification regime).
     """
     vt = _thermal_voltage(params.temperature)
-    x_be = _junction_term(v_be, vt, "v_be")
-    x_cb = _junction_term(v_cb, vt, "v_cb")
+    x_be = _junction_exp(v_be, vt, "v_be") - 1.0
+    x_cb = _junction_exp(v_cb, vt, "v_cb") - 1.0
     i_e = params.i_es * x_be - params.alpha_i * params.i_cs * x_cb
     i_c = params.alpha_n * params.i_es * x_be - params.i_cs * x_cb
     return BjtCurrents(i_e=i_e, i_c=i_c, i_b=i_e - i_c)
@@ -153,7 +149,7 @@ def active_region_currents(params: BjtParams, v_be: float) -> BjtCurrents:
     i_b = (1 - alpha_n) * i_e
     """
     vt = _thermal_voltage(params.temperature)
-    i_e = params.i_es * _junction_term(v_be, vt, "v_be")
+    i_e = params.i_es * (_junction_exp(v_be, vt, "v_be") - 1.0)
     return BjtCurrents(
         i_e=i_e,
         i_c=params.alpha_n * i_e,

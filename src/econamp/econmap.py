@@ -10,8 +10,8 @@ ordinary least squares.
 
 import math
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
-from typing import Optional, Sequence
 
 from .devices import require_finite
 
@@ -28,7 +28,7 @@ class EconSeries:
     investments: tuple[float, ...]
     expenses: tuple[float, ...]
     incomes: tuple[float, ...]
-    quantity_out: tuple[Optional[float], ...]
+    quantity_out: tuple[float | None, ...]
 
     def __post_init__(self):
         columns = [tuple(getattr(self, f.name)) for f in fields(self)]
@@ -86,9 +86,9 @@ class CoefficientReport:
     harrod_b: float
     domar_sigma: float
     mean_beta: float
-    beta_p: Optional[float] = None
-    keynes_m: Optional[float] = None
-    fit: Optional[RegressionFit] = None
+    beta_p: float | None = None
+    keynes_m: float | None = None
+    fit: RegressionFit | None = None
 
     def __post_init__(self):
         given = {name: value for name, value in vars(self).items() if isinstance(value, float)}
@@ -183,13 +183,21 @@ def _fsum(name: str, terms) -> float:
     return total
 
 
+def _require_normal(name: str, value: float) -> float:
+    """`value`, with a non-zero one below the smallest normal float refused as subnormal."""
+    if 0.0 < abs(value) < sys.float_info.min:
+        raise ValueError(f"{name} is subnormal, below {sys.float_info.min}: {value}")
+    return value
+
+
 def fit_linear(xs: Sequence[float], ys: Sequence[float]) -> RegressionFit:
     """Ordinary least squares for y = a0 + beta*x.
 
     r_squared = beta * S_xy/SS_tot, which equals 1 - SS_res/SS_tot for least
     squares with an intercept; an exactly constant y (SS_tot = 0, so the fit
-    is a perfect horizontal line) reports r_squared = 1. A non-zero slope
-    below the smallest normal float is refused as subnormal.
+    is a perfect horizontal line) reports r_squared = 1. A non-zero centred
+    sum or slope below the smallest normal float is refused as subnormal:
+    it has lost the precision r_squared is formed from.
     """
     if len(xs) != len(ys):
         raise ValueError(f"column lengths differ: {len(xs)} vs {len(ys)}")
@@ -198,17 +206,16 @@ def fit_linear(xs: Sequence[float], ys: Sequence[float]) -> RegressionFit:
         raise ValueError(f"need at least 2 points, got {n}")
     x_bar = _fsum("sum of x", xs) / n
     y_bar = _fsum("sum of y", ys) / n
-    s_xx = _fsum("s_xx", ((x - x_bar) ** 2 for x in xs))
+    s_xx = _require_normal("s_xx", _fsum("s_xx", ((x - x_bar) ** 2 for x in xs)))
     if s_xx == 0:
         raise ValueError("x values are all identical; slope is undefined")
-    s_xy = _fsum("s_xy", ((x - x_bar) * (y - y_bar) for x, y in zip(xs, ys)))
-    beta = s_xy / s_xx
-    # s_xy/ss_tot below is r_squared/beta: it can overflow only for a subnormal
-    # beta, which has lost precision anyway
-    if 0.0 < abs(beta) < sys.float_info.min:
-        raise ValueError(f"slope beta is subnormal, below {sys.float_info.min}: {beta}")
+    s_xy = _require_normal(
+        "s_xy", _fsum("s_xy", ((x - x_bar) * (y - y_bar) for x, y in zip(xs, ys)))
+    )
+    # s_xy/ss_tot below is r_squared/beta: it can overflow only for a subnormal beta
+    beta = _require_normal("slope beta", s_xy / s_xx)
     a0 = y_bar - beta * x_bar
-    ss_tot = _fsum("ss_tot", ((y - y_bar) ** 2 for y in ys))
+    ss_tot = _require_normal("ss_tot", _fsum("ss_tot", ((y - y_bar) ** 2 for y in ys)))
     r_squared = 1.0 if ss_tot == 0.0 else beta * (s_xy / ss_tot)
     return RegressionFit(a0=a0, beta=beta, r_squared=r_squared, n=n)
 

@@ -492,6 +492,15 @@ def test_subnormal_slope_is_domain_error(capsys, tmp_path):
     assert err.startswith("error: slope beta is subnormal")
 
 
+def test_subnormal_centred_sum_is_domain_error(capsys, tmp_path):
+    # used to exit 0 with r_squared 0.9643197 against an exact 0.9642857
+    path = tmp_path / "tiny.csv"
+    path.write_text("x,y\n1e-160,1e-160\n2e-160,2e-160\n3e-160,4e-160\n")
+    code, out, err = run_cli(capsys, "fit", str(path), "--x", "x", "--y", "y")
+    assert (code, out) == (4, "")
+    assert err == "error: s_xx is subnormal, below 2.2250738585072014e-308: 2e-320\n"
+
+
 class TestCascade:
     @pytest.mark.parametrize(
         "gains,expected",

@@ -10,6 +10,12 @@ import random
 
 import pytest
 
+from econamp.circuit import (
+    AmplifierConfig,
+    OperatingPoint,
+    small_signal_params,
+    solve_operating_point,
+)
 from econamp.devices import (
     BjtCurrents,
     BjtParams,
@@ -88,6 +94,65 @@ class TestEbersMoll:
             out = ebers_moll_currents(params, v_be, v_cb)
             scale = max(abs(out.i_e), abs(out.i_b), abs(out.i_c))
             assert abs(out.i_e - (out.i_b + out.i_c)) <= 1e-12 * scale
+
+
+def _small_signal_with_v_cb(v_cb):
+    # v_cb = v_be - v_ce; finite voltages of 1e308 and opposite signs give +-inf
+    v_be = 0.6 if math.isfinite(v_cb) else math.copysign(1e308, v_cb)
+    v_ce = 0.6 - v_cb if math.isfinite(v_cb) else -v_be
+    op = OperatingPoint(v_be=v_be, i_b=1e-5, i_c=1e-3, i_e=1.01e-3, v_ce=v_ce)
+    return small_signal_params(EXAMPLE_BJT, op)
+
+
+# Every exponential of the package, as (guarded voltage, evaluation at v).
+EXP_PATHS = {
+    "active_region_currents": ("v_be", lambda v: active_region_currents(EXAMPLE_BJT, v)),
+    "ebers_moll_currents-v_be": ("v_be", lambda v: ebers_moll_currents(EXAMPLE_BJT, v, -5.0)),
+    "ebers_moll_currents-v_cb": ("v_cb", lambda v: ebers_moll_currents(EXAMPLE_BJT, 0.6, v)),
+    "small_signal_params": ("v_cb", _small_signal_with_v_cb),
+}
+# A difference of finite voltages is never NaN, so small_signal_params gets none.
+NON_FINITE_CASES = [
+    (path, value)
+    for path in EXP_PATHS
+    for value in (math.nan, math.inf, -math.inf)
+    if not (path == "small_signal_params" and math.isnan(value))
+]
+
+
+class TestExponentialGuard:
+    @pytest.mark.parametrize("path", EXP_PATHS)
+    def test_over_cap_raises_overflow_error(self, path):
+        name, evaluate = EXP_PATHS[path]
+        with pytest.raises(OverflowError) as exc:
+            evaluate(6.0)
+        assert str(exc.value) == (
+            f"{name} = 6 V gives exp argument 232.1 above the overflow cap 200"
+        )
+
+    @pytest.mark.parametrize("path", EXP_PATHS)
+    def test_cap_itself_is_evaluated(self, path):
+        evaluate = EXP_PATHS[path][1]
+        evaluate(VT_300 * 199.0)
+
+    @pytest.mark.parametrize("path, value", NON_FINITE_CASES)
+    def test_non_finite_raises_value_error(self, path, value):
+        name, evaluate = EXP_PATHS[path]
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
+            evaluate(value)
+
+    def test_deep_saturated_solution_refuses_small_signal(self):
+        # the demo stage with r_l = 20e3 solves to v_ce = -141.5 V
+        config = AmplifierConfig(
+            v_cc=12.0, r_b1=100e3, r_b2=20e3, r_l=20e3, device=EXAMPLE_BJT
+        )
+        op = solve_operating_point(config)
+        assert op.saturated
+        with pytest.raises(OverflowError) as exc:
+            small_signal_params(config.device, op)
+        assert str(exc.value) == (
+            "v_cb = 142.228 V gives exp argument 5501.6 above the overflow cap 200"
+        )
 
 
 class TestActiveRegion:

@@ -290,6 +290,20 @@ class TestFitLinear:
         with pytest.raises(ValueError, match=r"slope beta is subnormal, below .*: 1\.5e-310$"):
             fit_linear([1e150, 2e150, 3e150], [1e-160, 2e-160, 4e-160])
 
+    # Each used to return a fit whose r_squared had lost precision, the first
+    # 0.9643197 against an exact 0.9642857.
+    @pytest.mark.parametrize(
+        "xs, ys, name, value",
+        [
+            ([1e-160, 2e-160, 3e-160], [1e-160, 2e-160, 4e-160], "s_xx", "2e-320"),
+            ([1e-150, 2e-150, 3e-150], [1e-160, 2e-160, 4e-160], "s_xy", "3e-310"),
+            ([1e150, 2e150, 3e150], [1e-155, 2e-155, 4e-155], "ss_tot", r"4\.66+7e-310"),
+        ],
+    )
+    def test_subnormal_centred_sum_is_named(self, xs, ys, name, value):
+        with pytest.raises(ValueError, match=rf"^{name} is subnormal, below .*: {value}$"):
+            fit_linear(xs, ys)
+
 
 class TestSeries:
     def test_validation(self):
