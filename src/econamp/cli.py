@@ -84,18 +84,19 @@ def values_block(rows) -> list[str]:
 # ---------------------------------------------------------------------------
 # input files
 
-def _read_text(path: str, encoding: str) -> str:
-    """The file's text with line endings as they are; bytes that do not
-    decode are a parse error naming the file and the byte offset."""
+def _read_text(path: str) -> str:
+    """The file's UTF-8 text without a leading BOM, with every \\r\\n and
+    lone \\r read as \\n; bytes that do not decode are a parse error naming
+    the file and the byte offset."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        return data.decode(encoding)
+        text = data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
-        offset = len(data) - len(exc.object) + exc.start  # exc.object lacks a stripped BOM
         raise InputFormatError(
-            f"{path}: byte {data[offset]:#04x} at offset {offset} is not UTF-8 ({exc.reason})"
+            f"{path}: byte {data[exc.start]:#04x} at offset {exc.start} is not UTF-8 ({exc.reason})"
         ) from None
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +105,7 @@ def _read_text(path: str, encoding: str) -> str:
 def parse_config_text(text: str, source: str = "<config>") -> dict:
     """Parse `key = value` lines with # comments into a key->float dict."""
     values = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -146,7 +147,7 @@ def build_simulation(values: dict) -> tuple[AmplifierConfig, OperatingLimits]:
 # simulate
 
 def _cmd_simulate(args) -> int:
-    values = parse_config_text(_read_text(args.config, "utf-8"), source=args.config)
+    values = parse_config_text(_read_text(args.config), source=args.config)
     config, limits = build_simulation(values)
     op = solve_operating_point(config)
     ss = gains = None  # the small-signal model holds only in the active region
@@ -243,16 +244,15 @@ def _scan_columns(path: str, text: str, columns) -> list[list]:
 def _bulk_columns(text: str, columns) -> list[list] | None:
     """The columns of a plain file, converted a column at a time, or None.
 
-    A file is plain when it holds no quote, carriage return or NUL, its
-    header line is not blank, every line has the header's comma count and
-    no line is longer than the csv field size limit. The excel dialect then
-    splits each line exactly at its commas, so a column is one stride of the
-    flat cell list. A blank data line breaks the comma count or fails a
-    FLOAT conversion, as does every other cell the scan would reject; any of
-    these gives None, and so does a blank COUNT cell, which the scan reads
-    as a missing count.
+    A file is plain when it holds no quote or NUL, its header line is not
+    blank, every line has the header's comma count and no line is longer
+    than the csv field size limit. The excel dialect then splits each line
+    exactly at its commas, so a column is one stride of the flat cell list.
+    A blank data line breaks the comma count or fails a FLOAT conversion, as
+    does every other cell the scan would reject; any of these gives None,
+    and so does a blank COUNT cell, which the scan reads as a missing count.
     """
-    if '"' in text or "\r" in text or "\0" in text:
+    if '"' in text or "\0" in text:
         return None
     lines = text.split("\n")
     if lines[-1] == "":  # the last line's terminator
@@ -287,7 +287,7 @@ def _bulk_columns(text: str, columns) -> list[list] | None:
 
 def _read_columns(path: str, columns) -> list[list]:
     """The named columns of a CSV file, as lists in the order of `columns`."""
-    text = _read_text(path, "utf-8-sig")
+    text = _read_text(path)
     out = _bulk_columns(text, columns)
     return _scan_columns(path, text, columns) if out is None else out
 

@@ -10,6 +10,7 @@ ordinary least squares.
 
 import math
 import sys
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
 
@@ -50,7 +51,7 @@ class EconSeries:
                 except ValueError as exc:
                     raise ValueError(f"period {label!r}: {exc}") from None
         if len(set(self.labels)) != len(self):
-            dupes = sorted({l for l in self.labels if self.labels.count(l) > 1})
+            dupes = sorted(l for l, count in Counter(self.labels).items() if count > 1)
             raise ValueError(f"duplicate period labels: {dupes}")
 
     def __len__(self):
@@ -254,9 +255,8 @@ def analyze_series(series: EconSeries) -> CoefficientReport:
     if investments[-1] != investments[0]:
         keynes_m = keynes_multiplier(incomes[-1] - incomes[0], investments[-1] - investments[0])
 
-    fit = None
-    if len(inputs) >= 2 and max(inputs) > min(inputs):
-        fit = fit_linear(inputs, incomes)
+    varied = len(inputs) >= 2 and max(inputs) > min(inputs)
+    fit = fit_linear(inputs, incomes) if varied else None
 
     return CoefficientReport(
         beta_v=beta_v_economic(total_inc, total_inputs),

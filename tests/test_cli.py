@@ -67,6 +67,26 @@ def test_stdout_matches_golden(capsys, monkeypatch, tmp_path, data_dir, command)
     assert out.encode() == (GOLDEN_DIR / f"{command}.out").read_bytes()
 
 
+# A BOM or \r\n or \r line endings, as editors on Windows may save a file,
+# read as the shipped files do.
+@pytest.mark.parametrize("command", ["simulate", "fit", "analyze"])
+@pytest.mark.parametrize(
+    "prefix, newline",
+    [(b"\xef\xbb\xbf", b"\n"), (b"", b"\r\n"), (b"", b"\r"), (b"\xef\xbb\xbf", b"\r\n")],
+    ids=["bom", "crlf", "cr", "bom_crlf"],
+)
+def test_saved_variant_matches_golden(
+    capsys, monkeypatch, tmp_path, data_dir, command, prefix, newline
+):
+    for name in ("demo_amplifier.cfg", "synthetic_series.csv"):
+        data = (data_dir / name).read_bytes()
+        (tmp_path / name).write_bytes(prefix + data.replace(b"\n", newline))
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *GOLDEN_COMMANDS[command])
+    assert (code, err) == (0, "")
+    assert out.encode() == (GOLDEN_DIR / f"{command}.out").read_bytes()
+
+
 def test_report_rows_render_both_views():
     rows = [("n", 10**6, ""), ("gain", 1234567.0, "W"), ("beta_p", None, ""), ("ok", True, "")]
     assert cli.table(rows[:3], width=5) == [
@@ -161,6 +181,40 @@ class TestSimulate:
             " (invalid continuation byte)\n"
         )
 
+    def test_line_without_equals_is_parse_error(self, capsys, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_text(DERIVED_CONFIG_TEXT + "r_l 1e3  # no sign\n")
+        code, out, err = run_cli(capsys, "simulate", str(path))
+        assert (code, out) == (3, "")
+        assert err == f"error: {path}:9: expected 'key = value', got 'r_l 1e3  # no sign'\n"
+
+    def test_duplicate_key_is_parse_error(self, capsys, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_text(DERIVED_CONFIG_TEXT + "v_cc = 15\n")
+        code, out, err = run_cli(capsys, "simulate", str(path))
+        assert (code, out) == (3, "")
+        assert err == f"error: {path}:9: duplicate key 'v_cc'\n"
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_error_line_counts_every_line_ending(self, capsys, tmp_path, newline):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes((DERIVED_CONFIG_TEXT + "frobnicate = 3\n").replace("\n", newline).encode())
+        code, out, err = run_cli(capsys, "simulate", str(path))
+        assert (code, out) == (3, "")
+        assert err == f"error: {path}:9: unknown key 'frobnicate'\n"
+
+    # A comment used to end at any character str.splitlines splits at, so
+    # the rest of it was read as a config line: "expected 'key = value',
+    # got 'voltage'", on a line number past the one the comment is on.
+    @pytest.mark.parametrize("char", ["\x0c", "\x1c", "\x85", "\u2028"])
+    def test_comment_holds_any_character_but_newline(self, capsys, config_file, tmp_path, char):
+        path = tmp_path / "marked.cfg"
+        text = DERIVED_CONFIG_TEXT.replace("v_cc = 12", f"v_cc = 12  # supply{char}voltage")
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "simulate", str(path))
+        assert (code, err) == (0, "")
+        assert out == run_cli(capsys, "simulate", str(config_file))[1]
+
     def test_missing_required_keys_is_parse_error(self, capsys, tmp_path):
         path = tmp_path / "partial.cfg"
         path.write_text("v_cc = 12\n")
@@ -196,6 +250,19 @@ class TestSimulate:
         assert code == 4
         assert out == ""
         assert "alpha_n" in err
+
+    def test_no_bias_solution_is_domain_error(self, capsys, tmp_path):
+        # the verdict perfbench's classify counts as a domain error
+        path = tmp_path / "tiny_i_es.cfg"
+        path.write_text(
+            "v_cc = 30\nr_b1 = 1e3\nr_b2 = 1e6\nr_l = 1e3\ni_es = 1e-100\nalpha_n = 0.99\n"
+        )
+        code, out, err = run_cli(capsys, "simulate", str(path))
+        assert (code, out) == (4, "")
+        assert err == (
+            "error: no bias solution below the exponential overflow cap"
+            " (residual at v_be=5.14455 V is still positive)\n"
+        )
 
     def test_non_finite_value_is_domain_error(self, capsys, tmp_path):
         # used to run the solver into "bias solve did not converge"
@@ -470,6 +537,14 @@ def test_undecodable_csv_is_parse_error(capsys, tmp_path, argv, bom):
     assert (code, out) == (3, "")
     offset = data.index(b"\xff")  # counted from the start of the file, BOM included
     assert err == f"error: {path}: byte 0xff at offset {offset} is not UTF-8 (invalid start byte)\n"
+
+
+@pytest.mark.parametrize("argv", CSV_COMMANDS, ids=["analyze", "fit"])
+def test_blank_lines_only_is_empty_csv(capsys, tmp_path, argv):
+    path = tmp_path / "blank.csv"
+    path.write_bytes(b"\n  \n,\r\n \t, \n")
+    code, out, err = run_csv_command(capsys, argv, path)
+    assert (code, out, err) == (3, "", f"error: {path}: empty CSV\n")
 
 
 @pytest.mark.parametrize("argv", CSV_COMMANDS, ids=["analyze", "fit"])

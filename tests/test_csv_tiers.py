@@ -107,7 +107,7 @@ def outcome(read, *args) -> str:
 
 
 def scan_outcome(path, spec) -> str:
-    return outcome(cli._scan_columns, str(path), cli._read_text(str(path), "utf-8-sig"), spec)
+    return outcome(cli._scan_columns, str(path), cli._read_text(str(path)), spec)
 
 
 def test_bulk_tier_matches_the_scan(tmp_path, small_field_limit):
@@ -129,7 +129,7 @@ def test_bulk_tier_matches_the_scan(tmp_path, small_field_limit):
         assert outcome(cli._read_columns, str(path), spec) == scan_outcome(path, spec), (text, spec)
         clean = not defects and all(name in header for name, kind in spec if kind != cli.COUNT)
         if clean and max(map(len, lines)) <= FIELD_LIMIT:
-            decoded = cli._read_text(str(path), "utf-8-sig")
+            decoded = cli._read_text(str(path))
             assert cli._bulk_columns(decoded, spec) is not None, (text, spec)
             bulk += 1
     assert bulk >= FILES // 5
@@ -146,13 +146,12 @@ XY = (("x", FLOAT), ("y", FLOAT))
     "text, spec",
     [
         ('x,y,z\n1,2,"a"\n3,4,b\n', XY),
-        ("x,y,z\n1,2,a\r\n3,4,b\r\n", XY),
         ("x,y,z\n1,2,a\0\n3,4,b\n", XY),
         (" , \n1,\n2,3\n", (("", FLOAT), ("", FLOAT))),
         ("x,y,z\n1,2,a\n3,4,b,c\n", XY),
         ("x,y,z\n1,2,a\n3,4," + "b" * FIELD_LIMIT + "\n", XY),
     ],
-    ids=["quote", "carriage_return", "nul", "blank_header", "comma_count", "line_length"],
+    ids=["quote", "nul", "blank_header", "comma_count", "line_length"],
 )
 def test_each_plain_condition_keeps_a_file_from_the_bulk_tier(
     tmp_path, small_field_limit, text, spec
@@ -162,3 +161,28 @@ def test_each_plain_condition_keeps_a_file_from_the_bulk_tier(
     path = tmp_path / "one.csv"
     path.write_text(text, newline="")
     assert outcome(cli._read_columns, str(path), spec) == scan_outcome(path, spec)
+
+
+# Every file reads \r\n and a lone \r as \n, so a file of any line ending
+# takes the bulk tier and gives the columns of its \n copy.
+@pytest.mark.parametrize(
+    "data",
+    [
+        b"x,y,z\r\n1,2,a\r\n3,4,b\r\n",
+        b"x,y,z\r1,2,a\r3,4,b\r",
+        b"\xef\xbb\xbfx,y,z\r\n1,2,a\r\n3,4,b\r\n",
+        b"x,y,z\r\n1,2,a\r3,4,b",
+    ],
+    ids=["crlf", "lone_cr", "bom_crlf", "mixed"],
+)
+def test_every_line_ending_takes_the_bulk_tier(tmp_path, data):
+    path = tmp_path / "endings.csv"
+    path.write_bytes(data)
+    assert cli._bulk_columns(cli._read_text(str(path)), XY) == [[1.0, 3.0], [2.0, 4.0]]
+    assert outcome(cli._read_columns, str(path), XY) == scan_outcome(path, XY)
+
+
+def test_line_break_in_a_quoted_cell_reads_as_newline(tmp_path):
+    path = tmp_path / "quoted.csv"
+    path.write_bytes(b'period,investments,expenses,incomes\r\n"a\r\nb",1,2,3\r\n"c\rd",2,3,4\r\n')
+    assert cli._read_columns(str(path), ECON_CELLS)[1] == ["a\nb", "c\nd"]
