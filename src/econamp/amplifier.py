@@ -4,8 +4,10 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .circuit import OperatingPoint, SmallSignalParams
-from .devices import require_finite
+from .errors import require_finite
+
+# circuit's OperatingPoint and SmallSignalParams are annotated by name only:
+# importing circuit here would load it, and devices, for every cascade call.
 
 
 @dataclass(frozen=True)
@@ -55,7 +57,7 @@ def output_power(i_c: float, r_l: float) -> float:
     return r_l * i_c * i_c
 
 
-def stage_voltage_gain(ss: SmallSignalParams, r_l: float) -> float:
+def stage_voltage_gain(ss: "SmallSignalParams", r_l: float) -> float:
     """Magnitude of the stage voltage gain, slope_s * r_l.
 
     The CE stage inverts; the sign is a convention and is not returned.
@@ -81,7 +83,7 @@ def cascade_gain(stage_gains: Sequence[float]) -> float:
     return total
 
 
-def stage_gain(op: OperatingPoint, ss: SmallSignalParams, r_l: float) -> StageGain:
+def stage_gain(op: "OperatingPoint", ss: "SmallSignalParams", r_l: float) -> StageGain:
     """Bundle the three gain figures of one solved stage."""
     return StageGain(
         beta_current=current_gain(op.i_c, op.i_b),
@@ -90,7 +92,7 @@ def stage_gain(op: OperatingPoint, ss: SmallSignalParams, r_l: float) -> StageGa
     )
 
 
-def breakdown_check(op: OperatingPoint, limits: OperatingLimits) -> tuple[str, ...]:
+def breakdown_check(op: "OperatingPoint", limits: OperatingLimits) -> tuple[str, ...]:
     """Names of the operating limits the point exceeds; empty when healthy.
 
     The names come in the order i_c, v_ce, power. Strict violation

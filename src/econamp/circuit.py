@@ -28,17 +28,13 @@ from .devices import (
     active_region_currents,
     beta_from_alpha,
     require_conserved,
-    require_finite,
 )
+from .errors import SolverError, require_finite
 
 RESIDUAL_TOL = 1e-12   # amperes, base-node Kirchhoff residual
 STEP_TOL = 1e-12       # volts; polishes v_be past the residual window
 MAX_ITERATIONS = 100
 INITIAL_GUESS = 0.6    # volts, generic forward junction drop
-
-
-class SolverError(RuntimeError):
-    """Bias-point iteration failed to converge."""
 
 
 @dataclass(frozen=True)

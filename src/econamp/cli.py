@@ -13,33 +13,52 @@ Exit codes: 0 success, 2 usage (bad invocation, unreadable file),
 """
 
 import argparse
-import csv
 import io
 import math
 import sys
 from dataclasses import MISSING, fields
+from functools import cache
 from itertools import repeat
 
-from .amplifier import OperatingLimits, breakdown_check, cascade_gain, stage_gain
-from .circuit import AmplifierConfig, SolverError, small_signal_params, solve_operating_point
-from .devices import BjtParams
+# Each subcommand imports the layers it uses, so that `cascade` loads no
+# circuit and `fit`/`analyze` no amplifier. econmap stays a module import:
+# its functions are looked up as attributes of this module, where a tracer
+# can wrap them.
 from .econmap import CoefficientReport, EconSeries, analyze_series, fit_linear
+from .errors import SolverError
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_PARSE = 3
 EXIT_DOMAIN = 4
 
-# the config schema is the fields of the three types a config builds
-_CONFIG_FIELDS = [
-    f for cls in (AmplifierConfig, BjtParams, OperatingLimits) for f in fields(cls)
-    if f.name != "device"
-]
-CONFIG_KEYS = tuple(f.name for f in _CONFIG_FIELDS)
-# i_cs has no dataclass default but defaults to i_es in a config
-REQUIRED_CONFIG_KEYS = tuple(
-    f.name for f in _CONFIG_FIELDS if f.default is MISSING and f.name != "i_cs"
-)
+
+@cache
+def _config_schema() -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """(CONFIG_KEYS, REQUIRED_CONFIG_KEYS): the fields of the three types a
+    config builds, derived on first use."""
+    from .amplifier import OperatingLimits
+    from .circuit import AmplifierConfig
+    from .devices import BjtParams
+
+    config_fields = [
+        f for cls in (AmplifierConfig, BjtParams, OperatingLimits) for f in fields(cls)
+        if f.name != "device"
+    ]
+    # i_cs has no dataclass default but defaults to i_es in a config
+    return (
+        tuple(f.name for f in config_fields),
+        tuple(f.name for f in config_fields if f.default is MISSING and f.name != "i_cs"),
+    )
+
+
+def __getattr__(name: str):
+    if name == "CONFIG_KEYS":
+        return _config_schema()[0]
+    if name == "REQUIRED_CONFIG_KEYS":
+        return _config_schema()[1]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 class InputFormatError(Exception):
     """Malformed config or CSV content (maps to exit code 3)."""
@@ -104,6 +123,7 @@ def _read_text(path: str) -> str:
 
 def parse_config_text(text: str, source: str = "<config>") -> dict:
     """Parse `key = value` lines with # comments into a key->float dict."""
+    config_keys, required_keys = _config_schema()
     values = {}
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -113,7 +133,7 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
             raise InputFormatError(f"{source}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, rhs = line.partition("=")
         key = key.strip()
-        if key not in CONFIG_KEYS:
+        if key not in config_keys:
             raise InputFormatError(f"{source}:{lineno}: unknown key {key!r}")
         if key in values:
             raise InputFormatError(f"{source}:{lineno}: duplicate key {key!r}")
@@ -123,7 +143,7 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
             raise InputFormatError(
                 f"{source}:{lineno}: value for {key!r} is not a number: {rhs.strip()!r}"
             ) from None
-    missing = [k for k in REQUIRED_CONFIG_KEYS if k not in values]
+    missing = [k for k in required_keys if k not in values]
     if missing:
         raise InputFormatError(f"{source}: missing required keys: {', '.join(missing)}")
     return values
@@ -133,11 +153,15 @@ def _given(cls, values: dict) -> dict:
     return {f.name: values[f.name] for f in fields(cls) if f.name in values}
 
 
-def build_simulation(values: dict) -> tuple[AmplifierConfig, OperatingLimits]:
+def build_simulation(values: dict) -> "tuple[AmplifierConfig, OperatingLimits]":
     """Resolve parsed config values into typed objects.
 
     Omitted keys take the dataclass defaults, except i_cs, which defaults to i_es.
     """
+    from .amplifier import OperatingLimits
+    from .circuit import AmplifierConfig
+    from .devices import BjtParams
+
     device = BjtParams(**_given(BjtParams, {"i_cs": values["i_es"], **values}))
     config = AmplifierConfig(device=device, **_given(AmplifierConfig, values))
     return config, OperatingLimits(**_given(OperatingLimits, values))
@@ -147,6 +171,9 @@ def build_simulation(values: dict) -> tuple[AmplifierConfig, OperatingLimits]:
 # simulate
 
 def _cmd_simulate(args) -> int:
+    from .amplifier import breakdown_check, stage_gain
+    from .circuit import small_signal_params, solve_operating_point
+
     values = parse_config_text(_read_text(args.config), source=args.config)
     config, limits = build_simulation(values)
     op = solve_operating_point(config)
@@ -167,7 +194,7 @@ def _cmd_simulate(args) -> int:
     resolved = {**vars(config), **vars(config.device), **vars(limits)}
     lines = [
         "config:",
-        *(f"{key} = {resolved[key]!r}" for key in CONFIG_KEYS),
+        *(f"{key} = {resolved[key]!r}" for key in _config_schema()[0]),
         "",
         "operating point:", *table(op_rows, width=5), "",  # width as in the shipped format
         "small signal:", *table(ss_rows), "",
@@ -202,6 +229,8 @@ def _scan_columns(path: str, text: str, columns) -> list[list]:
     """The columns by a row-major scan of every needed cell, in the csv
     module's excel dialect. Blank rows are dropped but still counted, so each
     error names the file line of the first bad cell."""
+    import csv
+
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
         rows = [(reader.line_num, row) for row in reader if any(cell.strip() for cell in row)]
@@ -252,6 +281,8 @@ def _bulk_columns(text: str, columns) -> list[list] | None:
     does every other cell the scan would reject; any of these gives None,
     and so does a blank COUNT cell, which the scan reads as a missing count.
     """
+    import csv
+
     if '"' in text or "\0" in text:
         return None
     lines = text.split("\n")
@@ -318,10 +349,10 @@ def _cmd_fit(args) -> int:
     xs, ys = read_xy_columns(args.csv, args.x, args.y)
     fit = fit_linear(xs, ys)
     out_path = points_file_path(args.csv)
+    a0, beta = fit.a0, fit.beta
+    points = "".join([f"{x!r},{y!r},{a0 + beta * x!r}\n" for x, y in zip(xs, ys)])
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("x,y_observed,y_fitted\n")
-        for x, y in zip(xs, ys):
-            fh.write(f"{x!r},{y!r},{fit.a0 + fit.beta * x!r}\n")
+        fh.write("x,y_observed,y_fitted\n" + points)
     rows = _fit_rows(fit)
     lines = [
         f"fit: {args.y} = a0 + beta * {args.x}",
@@ -363,6 +394,8 @@ def _cmd_analyze(args) -> int:
 # cascade
 
 def _cmd_cascade(args) -> int:
+    from .amplifier import cascade_gain
+
     print(repr(cascade_gain(args.gains)))
     return EXIT_OK
 

@@ -7,6 +7,8 @@ construction, so values can be shared freely between threads.
 import math
 from dataclasses import dataclass
 
+from .errors import require_finite
+
 # CODATA 2018 exact values
 BOLTZMANN_K = 1.380649e-23      # J/K
 ELECTRON_CHARGE = 1.602176634e-19  # C
@@ -16,22 +18,6 @@ ELECTRON_CHARGE = 1.602176634e-19  # C
 EXP_ARG_CAP = 200.0
 
 DEFAULT_TEMPERATURE = 300.0     # K, room temperature convention
-
-
-def require_finite(names: str, values: tuple, bound: str = "") -> None:
-    """Raise ValueError naming the first value that is not finite, or not past `bound`.
-
-    The one validation rule of the package. `names` are the comma-separated
-    names of `values`; `bound` is "" (finite only), "> 0" or ">= 0".
-    """
-    low = 0.0 if bound else -math.inf
-    for value in values:  # the chained comparison also rejects NaN
-        if not low < value < math.inf and not (value == 0.0 and bound == ">= 0"):
-            # built only on failure; index() matches by identity first, so finds a NaN
-            name = names.split(", ")[values.index(value)]
-            raise ValueError(
-                f"{name} must be finite{' and ' + bound if bound else ''}, got {value}"
-            )
 
 
 def require_conserved(i_e: float, i_b: float, i_c: float) -> None:

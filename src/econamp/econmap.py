@@ -14,7 +14,7 @@ from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
 
-from .devices import require_finite
+from .errors import require_finite
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,27 @@
+"""The package's one value check and its solver error.
+
+Every layer and the CLI share these two, so they live apart from the
+layers: importing one layer, or the CLI, does not import another for them.
+"""
+
+import math
+
+
+class SolverError(RuntimeError):
+    """Bias-point iteration failed to converge."""
+
+
+def require_finite(names: str, values: tuple, bound: str = "") -> None:
+    """Raise ValueError naming the first value that is not finite, or not past `bound`.
+
+    The one validation rule of the package. `names` are the comma-separated
+    names of `values`; `bound` is "" (finite only), "> 0" or ">= 0".
+    """
+    low = 0.0 if bound else -math.inf
+    for value in values:  # the chained comparison also rejects NaN
+        if not low < value < math.inf and not (value == 0.0 and bound == ">= 0"):
+            # built only on failure; index() matches by identity first, so finds a NaN
+            name = names.split(", ")[values.index(value)]
+            raise ValueError(
+                f"{name} must be finite{' and ' + bound if bound else ''}, got {value}"
+            )

@@ -87,6 +87,33 @@ def test_saved_variant_matches_golden(
     assert out.encode() == (GOLDEN_DIR / f"{command}.out").read_bytes()
 
 
+def test_traced_layers_are_looked_up_as_module_attributes(capsys, monkeypatch, tmp_path, data_dir):
+    # perfbench's traced series_analysis run times these by wrapping them on econamp.cli
+    calls = dict.fromkeys(
+        ("read_econ_series", "analyze_series", "render_coefficients", "read_xy_columns",
+         "fit_linear"),
+        0,
+    )
+
+    def counting(name):
+        inner = getattr(cli, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(cli, name, counting(name))
+    (tmp_path / "synthetic_series.csv").write_bytes((data_dir / "synthetic_series.csv").read_bytes())
+    monkeypatch.chdir(tmp_path)
+    for command in ("analyze", "fit"):
+        code, out, err = run_cli(capsys, *GOLDEN_COMMANDS[command])
+        assert (code, err) == (0, "")
+        assert out.encode() == (GOLDEN_DIR / f"{command}.out").read_bytes()
+    assert calls == dict.fromkeys(calls, 1)
+
+
 def test_report_rows_render_both_views():
     rows = [("n", 10**6, ""), ("gain", 1234567.0, "W"), ("beta_p", None, ""), ("ok", True, "")]
     assert cli.table(rows[:3], width=5) == [
@@ -221,6 +248,16 @@ class TestSimulate:
         code, _, err = run_cli(capsys, "simulate", str(path))
         assert code == 3
         assert err == f"error: {path}: missing required keys: r_b1, r_b2, r_l, i_es, alpha_n\n"
+
+    def test_config_keys_are_module_attributes(self):
+        # derived from the dataclass fields on first use, not at import
+        assert cli.CONFIG_KEYS == (
+            "v_cc", "r_b1", "r_b2", "r_l", "i_es", "i_cs", "alpha_n", "alpha_i", "temperature",
+            "i_c_max", "v_ce_max", "p_max",
+        )
+        assert cli.REQUIRED_CONFIG_KEYS == ("v_cc", "r_b1", "r_b2", "r_l", "i_es", "alpha_n")
+        with pytest.raises(AttributeError, match="no attribute 'CONFIG_KEY'"):
+            cli.CONFIG_KEY
 
     # r_l = 20e3 used to exit 4 with "v_cb = 142.228 V gives exp argument 5501.6
     # above the overflow cap 200"; r_l = 1.7e3 printed g_out = 1.2693e+17 S and
@@ -617,3 +654,53 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "200.0"
+
+
+# Runs its arguments as `python -m econamp` does (bare `import econamp` when
+# there are none) and prints to stderr the modules that loaded beyond start-up.
+LOADED_MODULES_CHILD = """\
+import runpy, sys
+before = set(sys.modules)
+try:
+    if len(sys.argv) > 1:
+        runpy.run_module("econamp", run_name="__main__", alter_sys=True)
+    else:
+        import econamp
+finally:
+    print(*sorted(set(sys.modules) - before), file=sys.stderr)
+"""
+
+CLI_MODULES = {"econamp", "econamp.cli", "econamp.errors", "econamp.econmap"}
+LOADED_ECONAMP_MODULES = {
+    None: {"econamp"},
+    "simulate": CLI_MODULES | {"econamp.amplifier", "econamp.circuit", "econamp.devices"},
+    "fit": CLI_MODULES,
+    "analyze": CLI_MODULES,
+    "cascade": CLI_MODULES | {"econamp.amplifier"},
+}
+
+
+@pytest.mark.parametrize("command", [None, *sorted(GOLDEN_COMMANDS)])
+def test_each_subcommand_loads_only_the_modules_it_uses(tmp_path, data_dir, command):
+    for name in ("demo_amplifier.cfg", "synthetic_series.csv"):
+        (tmp_path / name).write_bytes((data_dir / name).read_bytes())
+    # the child imports the same econamp as this test, as in test_module_entry_point
+    package_root = str(Path(econamp.__file__).resolve().parent.parent)
+    pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    argv = GOLDEN_COMMANDS[command] if command else ()
+    proc = subprocess.run(
+        [sys.executable, "-c", LOADED_MODULES_CHILD, *argv],
+        cwd=tmp_path,
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": pythonpath},
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stderr.decode().split())
+    assert {m for m in loaded if m.partition(".")[0] == "econamp"} == LOADED_ECONAMP_MODULES[command]
+    if command is None:
+        assert proc.stdout == b""
+        assert "dataclasses" not in loaded
+    else:
+        assert proc.stdout == (GOLDEN_DIR / f"{command}.out").read_bytes()
+    if command in (None, "simulate", "cascade"):  # csv is loaded by the CSV readers only
+        assert "csv" not in loaded

@@ -1,4 +1,5 @@
 import dataclasses
+import importlib.util
 import inspect
 import math
 from typing import Optional
@@ -8,13 +9,41 @@ import pytest
 import econamp
 
 
-def test_all_is_every_public_name_the_package_binds():
-    public = {
-        name for name, value in vars(econamp).items()
+@pytest.fixture
+def fresh_package():
+    # a second copy of the package namespace, whose names no other test has used yet
+    spec = importlib.util.find_spec("econamp")
+    package = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(package)
+    return package
+
+
+def _public_names(package) -> set:
+    return {
+        name for name, value in vars(package).items()
         if not name.startswith("_") and not inspect.ismodule(value)
     }
-    assert set(econamp.__all__) == public
-    assert len(econamp.__all__) == len(public)  # no duplicates
+
+
+def test_all_is_every_public_name_the_package_binds(fresh_package):
+    assert len(set(econamp.__all__)) == len(econamp.__all__)  # no duplicates
+    assert _public_names(fresh_package) == set()  # each name is bound on its first use
+    for package in (fresh_package, econamp):
+        for name in package.__all__:
+            getattr(package, name)
+        assert _public_names(package) == set(package.__all__)
+
+
+def test_dir_and_star_import_offer_every_public_name(fresh_package):
+    assert set(dir(fresh_package)) >= {*fresh_package.__all__, "__version__"}
+    namespace = {}
+    exec("from econamp import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(econamp.__all__)
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="module 'econamp' has no attribute 'no_such_name'"):
+        econamp.no_such_name
 
 
 def test_every_exported_name_resolves_to_econamp_code():
