@@ -18,6 +18,7 @@ through the device model and its conservation checks.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .devices import (
@@ -33,13 +34,15 @@ from .errors import SolverError, require_finite
 
 RESIDUAL_TOL = 1e-12   # amperes, base-node Kirchhoff residual
 STEP_TOL = 1e-12       # volts; polishes v_be past the residual window
-MAX_ITERATIONS = 100
 INITIAL_GUESS = 0.6    # volts, generic forward junction drop
 
 
 @dataclass(frozen=True)
 class AmplifierConfig:
-    """Supply, bias divider, load and the device of one CE stage."""
+    """Supply, bias divider, load and the device of one CE stage.
+
+    The divider's v_th and r_th must be finite normal floats, and v_th/r_th finite.
+    """
 
     v_cc: float
     r_b1: float
@@ -51,6 +54,14 @@ class AmplifierConfig:
         require_finite(
             "v_cc, r_b1, r_b2, r_l", (self.v_cc, self.r_b1, self.r_b2, self.r_l), "> 0"
         )
+        v_th, r_th = self.thevenin()
+        low = sys.float_info.min
+        # the chained comparisons also reject NaN
+        if not (low <= v_th < math.inf and low <= r_th < math.inf and v_th / r_th < math.inf):
+            raise ValueError(
+                f"v_cc, r_b1, r_b2 give v_th = {v_th} V and r_th = {r_th} ohm; both must be "
+                f"finite normal floats with v_th/r_th finite"
+            )
 
     def thevenin(self):
         """(v_th, r_th) of the base divider."""
@@ -92,8 +103,8 @@ def solve_operating_point(config: AmplifierConfig) -> OperatingPoint:
 
     Stops once the residual is under RESIDUAL_TOL, or once the bracket has
     collapsed to adjacent floats, the resolution limit of a stiff divider.
-    Raises SolverError when neither happens within MAX_ITERATIONS, or when
-    the solution would sit past the device's exponential overflow cap.
+    Raises SolverError when the solution would sit past the device's
+    exponential overflow cap.
     """
     dev = config.device
     vt = _thermal_voltage(dev.temperature)
@@ -115,7 +126,9 @@ def solve_operating_point(config: AmplifierConfig) -> OperatingPoint:
     e = _junction_exp(v, vt, "v_be")
     f = (v_th - v) / r_th - k_b * (i_es * (e - 1.0))
     step = math.inf
-    for _ in range(MAX_ITERATIONS):
+    # Every pass after the first moves lo or hi to a float strictly inside the
+    # bracket, so the residual test or the collapsed-bracket exit ends the loop.
+    while True:
         if abs(f) < RESIDUAL_TOL and (f == 0.0 or abs(step) < STEP_TOL):
             return _operating_point(config, v)
         if f > 0.0:
@@ -144,10 +157,6 @@ def solve_operating_point(config: AmplifierConfig) -> OperatingPoint:
             return _operating_point(config, mid)
         e = _junction_exp(mid, vt, "v_be")
         step, v, f = mid - v, mid, (v_th - mid) / r_th - k_b * (i_es * (e - 1.0))
-    raise SolverError(
-        f"bias solve did not converge in {MAX_ITERATIONS} iterations "
-        f"(last residual {f:.3e} A at v_be={v:.6f} V)"
-    )
 
 
 def _operating_point(config: AmplifierConfig, v_be: float) -> OperatingPoint:

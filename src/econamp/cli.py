@@ -17,7 +17,6 @@ import io
 import math
 import sys
 from dataclasses import MISSING, fields
-from functools import cache
 from itertools import repeat
 
 # Each subcommand imports the layers it uses, so that `cascade` loads no
@@ -33,10 +32,9 @@ EXIT_PARSE = 3
 EXIT_DOMAIN = 4
 
 
-@cache
 def _config_schema() -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """(CONFIG_KEYS, REQUIRED_CONFIG_KEYS): the fields of the three types a
-    config builds, derived on first use."""
+    """(config keys, required config keys): the fields of the three types a
+    config builds."""
     from .amplifier import OperatingLimits
     from .circuit import AmplifierConfig
     from .devices import BjtParams
@@ -50,14 +48,6 @@ def _config_schema() -> tuple[tuple[str, ...], tuple[str, ...]]:
         tuple(f.name for f in config_fields),
         tuple(f.name for f in config_fields if f.default is MISSING and f.name != "i_cs"),
     )
-
-
-def __getattr__(name: str):
-    if name == "CONFIG_KEYS":
-        return _config_schema()[0]
-    if name == "REQUIRED_CONFIG_KEYS":
-        return _config_schema()[1]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class InputFormatError(Exception):

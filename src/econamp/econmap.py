@@ -204,12 +204,12 @@ def fit_linear(xs: Sequence[float], ys: Sequence[float]) -> RegressionFit:
         raise ValueError(f"column lengths differ: {len(xs)} vs {len(ys)}")
     n = len(xs)
     if n < 2:
-        raise ValueError(f"need at least 2 points, got {n}")
+        raise ValueError(f"need at least 2 points, got n = {n}")
     x_bar = _fsum("sum of x", xs) / n
     y_bar = _fsum("sum of y", ys) / n
     s_xx = _require_normal("s_xx", _fsum("s_xx", ((x - x_bar) ** 2 for x in xs)))
     if s_xx == 0:
-        raise ValueError("x values are all identical; slope is undefined")
+        raise ValueError("s_xx = 0: the x values are identical or their spread underflows")
     s_xy = _require_normal(
         "s_xy", _fsum("s_xy", ((x - x_bar) * (y - y_bar) for x, y in zip(xs, ys)))
     )

@@ -8,7 +8,7 @@ import math
 
 
 class SolverError(RuntimeError):
-    """Bias-point iteration failed to converge."""
+    """No bias solution below the exponential overflow cap."""
 
 
 def require_finite(names: str, values: tuple, bound: str = "") -> None:

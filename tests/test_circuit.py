@@ -7,13 +7,13 @@ its own implementation: plain interval halving of the base-node balance.
 import decimal
 import math
 import random
+import sys
 
 import pytest
 
 import econamp.circuit
 from econamp.circuit import (
     INITIAL_GUESS,
-    MAX_ITERATIONS,
     RESIDUAL_TOL,
     STEP_TOL,
     AmplifierConfig,
@@ -66,7 +66,7 @@ def bisection_v_be(config, iterations=200):
     return 0.5 * (lo + hi)
 
 
-def reference_v_be(config, max_iterations=MAX_ITERATIONS):
+def reference_v_be(config, max_iterations=100):
     """The safeguarded Newton iteration as first written.
 
     Returns the v_be it converges to, "no bias solution" when the residual
@@ -227,12 +227,12 @@ class TestSolveOperatingPoint:
             saturated=False,
         )
 
-    def test_iterates_match_reference_iteration(self, monkeypatch):
+    def test_iterates_match_reference_iteration(self):
         # Ranges far wider than random_config's: the harder the solve, the
         # more iterates a drift in the arithmetic can show up in.
         rng = random.Random(606)
         stalled = 0
-        for k in range(1000):
+        for _ in range(1000):
             config = AmplifierConfig(
                 v_cc=10 ** rng.uniform(-3.0, 4.0),
                 r_b1=10 ** rng.uniform(0.0, 9.0),
@@ -245,21 +245,14 @@ class TestSolveOperatingPoint:
                     temperature=rng.uniform(1.0, 1000.0),
                 ),
             )
-            max_iterations = (3, 7, MAX_ITERATIONS)[k % 3]
-            monkeypatch.setattr(econamp.circuit, "MAX_ITERATIONS", max_iterations)
-            expected = reference_v_be(config, max_iterations)
+            expected = reference_v_be(config)
             if expected == "did not converge":
                 # A stiff divider whose residual noise exceeds RESIDUAL_TOL
                 # stalls the reference; the solver stops when its bracket
-                # collapses, and only a short budget may still run out first.
-                try:
-                    op = solve_operating_point(config)
-                except SolverError as exc:
-                    assert max_iterations < MAX_ITERATIONS
-                    assert f"did not converge in {max_iterations} iterations" in str(exc)
-                else:
-                    assert ulps_from(op.v_be, decimal_root(config)) <= 2.0
-                    stalled += max_iterations == MAX_ITERATIONS
+                # collapses.
+                op = solve_operating_point(config)
+                assert ulps_from(op.v_be, decimal_root(config)) <= 2.0
+                stalled += 1
             elif expected == "no bias solution":
                 with pytest.raises(SolverError, match=expected):
                     solve_operating_point(config)
@@ -277,11 +270,6 @@ class TestSolveOperatingPoint:
         monkeypatch.setattr(econamp.circuit, "active_region_currents", counted)
         op = solve_operating_point(DERIVED_CONFIG)
         assert [args[1] for args in calls] == [op.v_be]
-
-    def test_nonconvergence_reports_solver_error(self, monkeypatch):
-        monkeypatch.setattr(econamp.circuit, "MAX_ITERATIONS", 2)
-        with pytest.raises(SolverError, match="did not converge in 2 iterations"):
-            solve_operating_point(DERIVED_CONFIG)
 
     def test_stiff_divider_solves_to_float_resolution(self):
         # v_th/r_th is 2.4e3 A here, so the residual's rounding noise exceeds
@@ -326,6 +314,31 @@ class TestSolveOperatingPoint:
         kwargs[field] = value
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             AmplifierConfig(device=DERIVED_CONFIG.device, **kwargs)
+
+    # One design on each side of each divider condition: v_th and r_th normal
+    # floats (>= sys.float_info.min), each finite, and v_th/r_th finite.
+    @pytest.mark.parametrize(
+        "v_cc, r_b1, r_b2, accepted",
+        [
+            (2 * sys.float_info.min, 1.0, 1.0, True),    # v_th = min
+            (sys.float_info.min, 1.0, 1.0, False),       # v_th = min/2
+            (1e298, 1.0, 1e10, True),                    # v_cc*r_b2 = 1e308
+            (1e299, 1.0, 1e10, False),                   # v_cc*r_b2 overflows
+            (12.0, 1.0, sys.float_info.min, True),       # r_th = min
+            (12.0, 1.0, sys.float_info.min / 2, False),  # r_th = min/2
+            (12.0, 1e154, 1e154, True),                  # r_b1*r_b2 = 1e308
+            (12.0, 1e155, 1e155, False),                 # r_b1*r_b2 overflows
+            (1e290, 1e-10, 1.0, True),                   # v_th/r_th = 1e300
+            (1e300, 1e-10, 1.0, False),                  # v_th/r_th overflows
+        ],
+    )
+    def test_divider_range(self, v_cc, r_b1, r_b2, accepted):
+        kwargs = dict(v_cc=v_cc, r_b1=r_b1, r_b2=r_b2, r_l=1e3, device=DERIVED_CONFIG.device)
+        if accepted:
+            AmplifierConfig(**kwargs)
+        else:
+            with pytest.raises(ValueError, match=r"^v_cc, r_b1, r_b2 give v_th = "):
+                AmplifierConfig(**kwargs)
 
     def test_operating_point_conservation_enforced(self):
         with pytest.raises(ValueError, match="conservation"):

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import econamp
+import econamp.circuit
 from econamp import cli
 from econamp.cli import build_simulation, main, parse_config_text, points_file_path
 
@@ -249,15 +250,14 @@ class TestSimulate:
         assert code == 3
         assert err == f"error: {path}: missing required keys: r_b1, r_b2, r_l, i_es, alpha_n\n"
 
-    def test_config_keys_are_module_attributes(self):
-        # derived from the dataclass fields on first use, not at import
-        assert cli.CONFIG_KEYS == (
-            "v_cc", "r_b1", "r_b2", "r_l", "i_es", "i_cs", "alpha_n", "alpha_i", "temperature",
-            "i_c_max", "v_ce_max", "p_max",
+    def test_config_schema_is_the_dataclass_fields(self):
+        assert cli._config_schema() == (
+            (
+                "v_cc", "r_b1", "r_b2", "r_l", "i_es", "i_cs", "alpha_n", "alpha_i",
+                "temperature", "i_c_max", "v_ce_max", "p_max",
+            ),
+            ("v_cc", "r_b1", "r_b2", "r_l", "i_es", "alpha_n"),
         )
-        assert cli.REQUIRED_CONFIG_KEYS == ("v_cc", "r_b1", "r_b2", "r_l", "i_es", "alpha_n")
-        with pytest.raises(AttributeError, match="no attribute 'CONFIG_KEY'"):
-            cli.CONFIG_KEY
 
     # r_l = 20e3 used to exit 4 with "v_cb = 142.228 V gives exp argument 5501.6
     # above the overflow cap 200"; r_l = 1.7e3 printed g_out = 1.2693e+17 S and
@@ -300,6 +300,62 @@ class TestSimulate:
             "error: no bias solution below the exponential overflow cap"
             " (residual at v_be=5.14455 V is still positive)\n"
         )
+
+    def test_underflowing_divider_is_domain_error(self, capsys, tmp_path):
+        # r_b1*r_b2 underflows to r_th = 0.0: this used to escape main as a
+        # ZeroDivisionError traceback from the bias solve.
+        path = tmp_path / "underflow.cfg"
+        path.write_text(
+            "v_cc = 659599538.9470944\nr_b1 = 5e-324\nr_b2 = 3.2600901356127586e-07\n"
+            "r_l = 2.228674181096934e-48\ni_es = 1.1990606725778829e-217\n"
+            "alpha_n = 7.637398391329253e-177\n"
+        )
+        code, out, err = run_cli(capsys, "simulate", str(path))
+        assert (code, out) == (4, "")
+        assert err.startswith("error: v_cc, r_b1, r_b2 give v_th = ")
+        assert "r_th = 0.0 ohm" in err
+
+    def test_overflowing_divider_is_domain_error(self, capsys, tmp_path):
+        # v_cc*r_b2 overflows to v_th = inf: this used to exit 0 reporting
+        # i_b=1.7976931348623085e+308, a v_be that is no root of the balance.
+        path = tmp_path / "overflow.cfg"
+        path.write_text(
+            "v_cc = 7.002199614321936e+288\nr_b1 = 9.930255841793658e-06\n"
+            "r_b2 = 7.680705355996769e+297\nr_l = 6.422843016677004e+127\n"
+            "i_es = 2.257522619873115e+297\nalpha_n = 5e-324\n"
+        )
+        code, out, err = run_cli(capsys, "simulate", str(path))
+        assert (code, out) == (4, "")
+        assert err.startswith("error: v_cc, r_b1, r_b2 give v_th = inf V")
+
+    def test_long_solve_runs_to_its_end(self, capsys, monkeypatch, tmp_path):
+        # Bisecting down from a bracket near 0 V takes hundreds of passes; this
+        # design used to stop at a 100-pass budget with "did not converge".
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return junction_exp(*args)
+
+        junction_exp = econamp.circuit._junction_exp
+        monkeypatch.setattr(econamp.circuit, "_junction_exp", counted)
+        path = tmp_path / "long.cfg"
+        path.write_text(
+            "v_cc = 9.890778908677686e-13\nr_b1 = 1388670.311318406\n"
+            "r_b2 = 2.7112955100617086e-283\nr_l = 650235097604.5616\n"
+            "i_es = 1.8559055227146503e-223\ni_cs = 1.8559055227146503e-223\n"
+            "alpha_n = 1.0383004723610248e-151\n"
+        )
+        config, _ = build_simulation(parse_config_text(path.read_text()))
+        op = econamp.circuit.solve_operating_point(config)
+        # each pass evaluates at most a Newton candidate and a midpoint
+        assert len(calls) > 2 * 100 + 2
+        v_th, r_th = config.thevenin()
+        assert abs((v_th - op.v_be) / r_th - op.i_b) < 1e-12
+        # i_c = alpha_n*i_e underflows to 0.0, which the small-signal model refuses
+        code, out, err = run_cli(capsys, "simulate", str(path))
+        assert (code, out) == (4, "")
+        assert "i_c" in err
 
     def test_non_finite_value_is_domain_error(self, capsys, tmp_path):
         # used to run the solver into "bias solve did not converge"
