@@ -11,10 +11,10 @@ cutting the residual, otherwise the bracket is bisected. Plain Newton is
 not enough here; descending the exponential it gains only one thermal
 voltage per step.
 
-Each evaluation of the balance costs one guarded exp(v_be/Vt): the base
+Each evaluation of the balance costs one guarded expm1(v_be/Vt): the base
 current is computed inline with active_region_currents' arithmetic, and
-the same exponential gives the Newton slope. Only the returned point goes
-through the device model and its conservation checks.
+the same value plus one gives the Newton slope. Only the returned point
+goes through the device model and its conservation checks.
 """
 
 import math
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from .devices import (
     EXP_ARG_CAP,
     BjtParams,
-    _junction_exp,
+    _junction_arg,
     _thermal_voltage,
     active_region_currents,
     beta_from_alpha,
@@ -115,16 +115,16 @@ def solve_operating_point(config: AmplifierConfig) -> OperatingPoint:
     # One thermal voltage of margin keeps every evaluation below the cap.
     lo = 0.0
     hi = min(config.v_cc, vt * (EXP_ARG_CAP - 1.0))
-    e = _junction_exp(hi, vt, "v_be")
-    if (v_th - hi) / r_th - k_b * (i_es * (e - 1.0)) > 0.0:
+    e = math.expm1(_junction_arg(hi, vt, "v_be"))
+    if (v_th - hi) / r_th - k_b * (i_es * e) > 0.0:
         raise SolverError(
             f"no bias solution below the exponential overflow cap "
             f"(residual at v_be={hi:g} V is still positive)"
         )
 
     v = INITIAL_GUESS if lo < INITIAL_GUESS < hi else 0.5 * (lo + hi)
-    e = _junction_exp(v, vt, "v_be")
-    f = (v_th - v) / r_th - k_b * (i_es * (e - 1.0))
+    e = math.expm1(_junction_arg(v, vt, "v_be"))
+    f = (v_th - v) / r_th - k_b * (i_es * e)
     step = math.inf
     # Every pass after the first moves lo or hi to a float strictly inside the
     # bracket, so the residual test or the collapsed-bracket exit ends the loop.
@@ -136,11 +136,11 @@ def solve_operating_point(config: AmplifierConfig) -> OperatingPoint:
         else:
             hi = v
         # d(residual)/dv, strictly negative for any valid config
-        di_b = k_b * i_es * e / vt
+        di_b = k_b * i_es * (e + 1.0) / vt
         candidate = v - f / (-1.0 / r_th - di_b)
         if lo < candidate < hi:
-            e_candidate = _junction_exp(candidate, vt, "v_be")
-            f_candidate = (v_th - candidate) / r_th - k_b * (i_es * (e_candidate - 1.0))
+            e_candidate = math.expm1(_junction_arg(candidate, vt, "v_be"))
+            f_candidate = (v_th - candidate) / r_th - k_b * (i_es * e_candidate)
             if abs(f_candidate) <= 0.25 * abs(f):
                 step, v, f, e = candidate - v, candidate, f_candidate, e_candidate
                 continue
@@ -155,8 +155,8 @@ def solve_operating_point(config: AmplifierConfig) -> OperatingPoint:
             # No float lies inside the bracket, whose ends straddle the root:
             # the residual's rounding noise there exceeds RESIDUAL_TOL.
             return _operating_point(config, mid)
-        e = _junction_exp(mid, vt, "v_be")
-        step, v, f = mid - v, mid, (v_th - mid) / r_th - k_b * (i_es * (e - 1.0))
+        e = math.expm1(_junction_arg(mid, vt, "v_be"))
+        step, v, f = mid - v, mid, (v_th - mid) / r_th - k_b * (i_es * e)
 
 
 def _operating_point(config: AmplifierConfig, v_be: float) -> OperatingPoint:
@@ -181,12 +181,19 @@ def small_signal_params(device: BjtParams, op: OperatingPoint) -> SmallSignalPar
     The collector junction voltage is taken as v_cb = v_be - v_ce
     (negative when reverse biased); only the magnitude of the output
     conductance is reported.
+
+    i_c and slope_s below sys.float_info.min are refused, naming the inputs
+    i_es, alpha_n, temperature, before r_in is formed or any exponential.
     """
-    require_finite("i_c", (op.i_c,), "> 0")
     vt = _thermal_voltage(device.temperature)
     slope_s = op.i_c / vt
+    if not min(op.i_c, slope_s) >= sys.float_info.min:
+        raise ValueError(
+            f"i_es, alpha_n, temperature give i_c = {op.i_c} A, slope_s = {slope_s} S; "
+            f"both must be normal floats"
+        )
     r_in = beta_from_alpha(device.alpha_n) / slope_s
-    g_out = device.i_cs * _junction_exp(op.v_be - op.v_ce, vt, "v_cb") / vt
+    g_out = device.i_cs * math.exp(_junction_arg(op.v_be - op.v_ce, vt, "v_cb")) / vt
     return SmallSignalParams(r_in=r_in, g_out=g_out, slope_s=slope_s)
 
 

@@ -32,24 +32,6 @@ EXIT_PARSE = 3
 EXIT_DOMAIN = 4
 
 
-def _config_schema() -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """(config keys, required config keys): the fields of the three types a
-    config builds."""
-    from .amplifier import OperatingLimits
-    from .circuit import AmplifierConfig
-    from .devices import BjtParams
-
-    config_fields = [
-        f for cls in (AmplifierConfig, BjtParams, OperatingLimits) for f in fields(cls)
-        if f.name != "device"
-    ]
-    # i_cs has no dataclass default but defaults to i_es in a config
-    return (
-        tuple(f.name for f in config_fields),
-        tuple(f.name for f in config_fields if f.default is MISSING and f.name != "i_cs"),
-    )
-
-
 class InputFormatError(Exception):
     """Malformed config or CSV content (maps to exit code 3)."""
 
@@ -111,10 +93,23 @@ def _read_text(path: str) -> str:
 # ---------------------------------------------------------------------------
 # config file handling
 
-def parse_config_text(text: str, source: str = "<config>") -> dict:
-    """Parse `key = value` lines with # comments into a key->float dict."""
-    config_keys, required_keys = _config_schema()
-    values = {}
+def parse_config(text: str, source: str = "<config>") -> "tuple[AmplifierConfig, OperatingLimits]":
+    """The stage and its breakdown limits from `key = value` lines with # comments.
+
+    The keys are the fields of AmplifierConfig, BjtParams and OperatingLimits
+    but `device`. Those without a dataclass default are required, except i_cs,
+    which defaults to i_es. Each error is an InputFormatError naming `source`.
+    """
+    from .amplifier import OperatingLimits
+    from .circuit import AmplifierConfig
+    from .devices import BjtParams
+
+    config_fields = [
+        (cls, f) for cls in (AmplifierConfig, BjtParams, OperatingLimits) for f in fields(cls)
+        if f.name != "device"
+    ]
+    owner = {f.name: cls for cls, f in config_fields}
+    given = {cls: {} for cls, _ in config_fields}  # each type's keyword arguments
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -123,8 +118,9 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
             raise InputFormatError(f"{source}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, rhs = line.partition("=")
         key = key.strip()
-        if key not in config_keys:
+        if key not in owner:
             raise InputFormatError(f"{source}:{lineno}: unknown key {key!r}")
+        values = given[owner[key]]
         if key in values:
             raise InputFormatError(f"{source}:{lineno}: duplicate key {key!r}")
         try:
@@ -133,28 +129,15 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
             raise InputFormatError(
                 f"{source}:{lineno}: value for {key!r} is not a number: {rhs.strip()!r}"
             ) from None
-    missing = [k for k in required_keys if k not in values]
+    missing = [
+        f.name for cls, f in config_fields
+        if f.default is MISSING and f.name != "i_cs" and f.name not in given[cls]
+    ]
     if missing:
         raise InputFormatError(f"{source}: missing required keys: {', '.join(missing)}")
-    return values
-
-
-def _given(cls, values: dict) -> dict:
-    return {f.name: values[f.name] for f in fields(cls) if f.name in values}
-
-
-def build_simulation(values: dict) -> "tuple[AmplifierConfig, OperatingLimits]":
-    """Resolve parsed config values into typed objects.
-
-    Omitted keys take the dataclass defaults, except i_cs, which defaults to i_es.
-    """
-    from .amplifier import OperatingLimits
-    from .circuit import AmplifierConfig
-    from .devices import BjtParams
-
-    device = BjtParams(**_given(BjtParams, {"i_cs": values["i_es"], **values}))
-    config = AmplifierConfig(device=device, **_given(AmplifierConfig, values))
-    return config, OperatingLimits(**_given(OperatingLimits, values))
+    device = BjtParams(**{"i_cs": given[BjtParams]["i_es"], **given[BjtParams]})
+    config = AmplifierConfig(device=device, **given[AmplifierConfig])
+    return config, OperatingLimits(**given[OperatingLimits])
 
 
 # ---------------------------------------------------------------------------
@@ -164,8 +147,7 @@ def _cmd_simulate(args) -> int:
     from .amplifier import breakdown_check, stage_gain
     from .circuit import small_signal_params, solve_operating_point
 
-    values = parse_config_text(_read_text(args.config), source=args.config)
-    config, limits = build_simulation(values)
+    config, limits = parse_config(_read_text(args.config), source=args.config)
     op = solve_operating_point(config)
     ss = gains = None  # the small-signal model holds only in the active region
     if not op.saturated:
@@ -181,10 +163,11 @@ def _cmd_simulate(args) -> int:
         warnings.append(f"saturation: v_ce = {_fmt(op.v_ce)} V <= 0, device out of active region")
     if violations:
         warnings.append("breakdown: " + ", ".join(violations))
+    # the three types' fields but `device`: the config keys, in order
     resolved = {**vars(config), **vars(config.device), **vars(limits)}
     lines = [
         "config:",
-        *(f"{key} = {resolved[key]!r}" for key in _config_schema()[0]),
+        *(f"{key} = {value!r}" for key, value in resolved.items() if key != "device"),
         "",
         "operating point:", *table(op_rows, width=5), "",  # width as in the shipped format
         "small signal:", *table(ss_rows), "",
@@ -425,8 +408,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse uses exit code 2 for usage errors
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    except SystemExit as exc:  # argparse exits 0 after --help, 2 on a usage error
+        return exc.code
     try:
         return args.func(args)
     except InputFormatError as exc:

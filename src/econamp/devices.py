@@ -5,6 +5,7 @@ construction, so values can be shared freely between threads.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import require_finite
@@ -37,7 +38,7 @@ class BjtParams:
 
     alpha_n is the forward common-base current-transfer ratio (i_c/i_e),
     alpha_i the reverse one; alpha_i defaults to 0 (pure forward modeling),
-    temperature to 300 K.
+    temperature to 300 K and refused where thermal_voltage refuses it.
     """
 
     i_es: float
@@ -47,9 +48,8 @@ class BjtParams:
     temperature: float = DEFAULT_TEMPERATURE
 
     def __post_init__(self):
-        require_finite(
-            "i_es, i_cs, temperature", (self.i_es, self.i_cs, self.temperature), "> 0"
-        )
+        require_finite("i_es, i_cs", (self.i_es, self.i_cs), "> 0")
+        thermal_voltage(self.temperature)  # refuses a temperature it cannot use
         if not 0.0 < self.alpha_n < 1.0:
             raise ValueError(f"alpha_n must lie strictly in (0, 1), got {self.alpha_n}")
         if not 0.0 <= self.alpha_i < self.alpha_n:
@@ -83,8 +83,14 @@ class BjtCurrents:
 
 
 def thermal_voltage(temperature: float) -> float:
-    """kT/e in volts (~25.85 mV at 300 K)."""
+    """kT/e in volts (~25.85 mV at 300 K); the temperature must be finite,
+    > 0 and give a normal float k*T (temperature >= 1.611614435317884e-285 K)."""
     require_finite("temperature", (temperature,), "> 0")
+    if BOLTZMANN_K * temperature < sys.float_info.min:
+        raise ValueError(
+            f"temperature = {temperature} K gives k*T = {BOLTZMANN_K * temperature} J, "
+            f"not a normal float"
+        )
     return _thermal_voltage(temperature)
 
 
@@ -93,9 +99,10 @@ def _thermal_voltage(temperature: float) -> float:
     return BOLTZMANN_K * temperature / ELECTRON_CHARGE
 
 
-def _junction_exp(voltage: float, vt: float, name: str) -> float:
-    # exp(v/Vt), refusing a non-finite voltage and arguments past the overflow
-    # cap: the package's one guard, used by the device laws and the bias solver.
+def _junction_arg(voltage: float, vt: float, name: str) -> float:
+    # v/Vt, refusing a non-finite voltage and arguments past the overflow cap:
+    # the package's one guard, on every exponential. The device laws and the
+    # bias solver take expm1 of it, exact near 0 V where exp(x) - 1 cancels.
     arg = voltage / vt
     if not (arg <= EXP_ARG_CAP and voltage > -math.inf):  # NaN fails the first test
         require_finite(name, (voltage,))
@@ -103,7 +110,7 @@ def _junction_exp(voltage: float, vt: float, name: str) -> float:
             f"{name} = {voltage:g} V gives exp argument {arg:.1f} "
             f"above the overflow cap {EXP_ARG_CAP:g}"
         )
-    return math.exp(arg)
+    return arg
 
 
 def ebers_moll_currents(params: BjtParams, v_be: float, v_cb: float) -> BjtCurrents:
@@ -117,8 +124,8 @@ def ebers_moll_currents(params: BjtParams, v_be: float, v_cb: float) -> BjtCurre
     junction is reverse biased (the normal amplification regime).
     """
     vt = _thermal_voltage(params.temperature)
-    x_be = _junction_exp(v_be, vt, "v_be") - 1.0
-    x_cb = _junction_exp(v_cb, vt, "v_cb") - 1.0
+    x_be = math.expm1(_junction_arg(v_be, vt, "v_be"))
+    x_cb = math.expm1(_junction_arg(v_cb, vt, "v_cb"))
     i_e = params.i_es * x_be - params.alpha_i * params.i_cs * x_cb
     i_c = params.alpha_n * params.i_es * x_be - params.i_cs * x_cb
     return BjtCurrents(i_e=i_e, i_c=i_c, i_b=i_e - i_c)
@@ -135,7 +142,7 @@ def active_region_currents(params: BjtParams, v_be: float) -> BjtCurrents:
     i_b = (1 - alpha_n) * i_e
     """
     vt = _thermal_voltage(params.temperature)
-    i_e = params.i_es * (_junction_exp(v_be, vt, "v_be") - 1.0)
+    i_e = params.i_es * math.expm1(_junction_arg(v_be, vt, "v_be"))
     return BjtCurrents(
         i_e=i_e,
         i_c=params.alpha_n * i_e,

@@ -282,6 +282,15 @@ class TestSolveOperatingPoint:
         assert ulps_from(op.v_be, decimal_root(config)) <= 2.0
         assert op.v_be == pytest.approx(bisection_v_be(config), abs=1e-9)
 
+    def test_root_near_zero_volts_solves_to_float_resolution(self):
+        # The root sits at v_be = 3.1e-11 V, where exp(v/Vt) - 1 cancels: the
+        # base current carried a relative error of 1e-7 and v_be missed the
+        # root by 4.7e7 ulps, with a true residual of 1.2e-12 A.
+        device = BjtParams(i_es=1e7, i_cs=1e7, alpha_n=0.99)
+        config = AmplifierConfig(v_cc=12.0, r_b1=100e3, r_b2=20e3, r_l=1e3, device=device)
+        op = solve_operating_point(config)
+        assert ulps_from(op.v_be, decimal_root(config)) <= 2.0
+
     @pytest.mark.parametrize(
         "kwargs",
         [

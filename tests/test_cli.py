@@ -8,7 +8,7 @@ import pytest
 import econamp
 import econamp.circuit
 from econamp import cli
-from econamp.cli import build_simulation, main, parse_config_text, points_file_path
+from econamp.cli import main, parse_config, points_file_path
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "perfbench" / "golden"
 
@@ -49,6 +49,14 @@ def values_block(stdout):
         key, _, value = line.partition("=")
         out[key] = value
     return out
+
+
+def changed_config(changes):
+    """DERIVED_CONFIG_TEXT with the given keys set to new value text."""
+    lines = DERIVED_CONFIG_TEXT.split("\n")
+    for key, text in changes.items():
+        lines = [f"{key} = {text}" if line.startswith(f"{key} =") else line for line in lines]
+    return "\n".join(lines)
 
 
 @pytest.fixture
@@ -162,12 +170,7 @@ class TestSimulate:
         start = lines.index("config:") + 1
         end = lines.index("", start)
         echoed = "\n".join(lines[start:end])
-        config, limits = build_simulation(parse_config_text(echoed))
-        original_config, original_limits = build_simulation(
-            parse_config_text(DERIVED_CONFIG_TEXT)
-        )
-        assert config == original_config
-        assert limits == original_limits
+        assert parse_config(echoed) == parse_config(DERIVED_CONFIG_TEXT)
 
     def test_deterministic_output(self, capsys, config_file):
         _, first, _ = run_cli(capsys, "simulate", str(config_file))
@@ -182,12 +185,12 @@ class TestSimulate:
 
     def test_unknown_key_is_parse_error(self, capsys, tmp_path):
         path = tmp_path / "bad.cfg"
-        path.write_text(DERIVED_CONFIG_TEXT + "frobnicate = 3\n")
-        code, out, err = run_cli(capsys, "simulate", str(path))
-        assert code == 3
-        assert out == ""
-        assert "frobnicate" in err
-        assert ":9:" in err  # line-numbered diagnostic
+        # `device` is a field of AmplifierConfig but no config key
+        for key in ("frobnicate", "device"):
+            path.write_text(DERIVED_CONFIG_TEXT + f"{key} = 1\n")
+            code, out, err = run_cli(capsys, "simulate", str(path))
+            assert (code, out) == (3, "")
+            assert err == f"error: {path}:9: unknown key {key!r}\n"  # line-numbered diagnostic
 
     def test_bad_number_is_parse_error(self, capsys, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -245,19 +248,15 @@ class TestSimulate:
 
     def test_missing_required_keys_is_parse_error(self, capsys, tmp_path):
         path = tmp_path / "partial.cfg"
-        path.write_text("v_cc = 12\n")
-        code, _, err = run_cli(capsys, "simulate", str(path))
-        assert code == 3
-        assert err == f"error: {path}: missing required keys: r_b1, r_b2, r_l, i_es, alpha_n\n"
-
-    def test_config_schema_is_the_dataclass_fields(self):
-        assert cli._config_schema() == (
-            (
-                "v_cc", "r_b1", "r_b2", "r_l", "i_es", "i_cs", "alpha_n", "alpha_i",
-                "temperature", "i_c_max", "v_ce_max", "p_max",
-            ),
-            ("v_cc", "r_b1", "r_b2", "r_l", "i_es", "alpha_n"),
-        )
+        # the required keys in field order: those of AmplifierConfig, then BjtParams
+        for text, missing in [
+            ("v_cc = 12\n", "r_b1, r_b2, r_l, i_es, alpha_n"),
+            ("", "v_cc, r_b1, r_b2, r_l, i_es, alpha_n"),
+        ]:
+            path.write_text(text)
+            code, _, err = run_cli(capsys, "simulate", str(path))
+            assert code == 3
+            assert err == f"error: {path}: missing required keys: {missing}\n"
 
     # r_l = 20e3 used to exit 4 with "v_cb = 142.228 V gives exp argument 5501.6
     # above the overflow cap 200"; r_l = 1.7e3 printed g_out = 1.2693e+17 S and
@@ -335,10 +334,10 @@ class TestSimulate:
 
         def counted(*args):
             calls.append(args)
-            return junction_exp(*args)
+            return junction_arg(*args)
 
-        junction_exp = econamp.circuit._junction_exp
-        monkeypatch.setattr(econamp.circuit, "_junction_exp", counted)
+        junction_arg = econamp.circuit._junction_arg
+        monkeypatch.setattr(econamp.circuit, "_junction_arg", counted)
         path = tmp_path / "long.cfg"
         path.write_text(
             "v_cc = 9.890778908677686e-13\nr_b1 = 1388670.311318406\n"
@@ -346,7 +345,7 @@ class TestSimulate:
             "i_es = 1.8559055227146503e-223\ni_cs = 1.8559055227146503e-223\n"
             "alpha_n = 1.0383004723610248e-151\n"
         )
-        config, _ = build_simulation(parse_config_text(path.read_text()))
+        config, _ = parse_config(path.read_text())
         op = econamp.circuit.solve_operating_point(config)
         # each pass evaluates at most a Newton candidate and a midpoint
         assert len(calls) > 2 * 100 + 2
@@ -355,7 +354,54 @@ class TestSimulate:
         # i_c = alpha_n*i_e underflows to 0.0, which the small-signal model refuses
         code, out, err = run_cli(capsys, "simulate", str(path))
         assert (code, out) == (4, "")
-        assert "i_c" in err
+        assert err.startswith("error: i_es, alpha_n, temperature give i_c = 0.0 A")
+
+    # k*T below the smallest normal float: the first two used to escape main as
+    # a ZeroDivisionError traceback, the third exited 4 with "voltage_gain
+    # must be finite, got inf".
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"temperature": "1e-310"},
+            {"temperature": "5e-324"},
+            {"v_cc": "1e6", "temperature": "1e-300"},
+            {"temperature": "1.6116144353178838e-285"},
+        ],
+    )
+    def test_subnormal_k_t_is_domain_error(self, capsys, tmp_path, changes):
+        path = tmp_path / "cold.cfg"
+        path.write_text(changed_config(changes))
+        code, out, err = run_cli(capsys, "simulate", str(path))
+        assert (code, out) == (4, "")
+        assert err.startswith(f"error: temperature = {changes['temperature']} K gives k*T = ")
+
+    def test_lowest_temperature_solves(self, capsys, tmp_path):
+        path = tmp_path / "cold.cfg"
+        path.write_text(changed_config({"temperature": "1.611614435317884e-285"}))
+        code, _, err = run_cli(capsys, "simulate", str(path))
+        assert (code, err) == (0, "")
+
+    # i_c or slope_s = i_c/Vt below the smallest normal float: the first used
+    # to escape main as a ZeroDivisionError traceback at r_in = beta/slope_s,
+    # the second exited 4 with "i_c must be finite and > 0, got 0.0".
+    @pytest.mark.parametrize(
+        "changes, i_c, slope_s",
+        [
+            ({"alpha_n": "1e-305", "temperature": "1e7"}, "2.3e-322", "0.0"),
+            ({"alpha_n": "1e-310", "temperature": "1e5"}, "0.0", "0.0"),
+        ],
+    )
+    def test_subnormal_collector_current_is_domain_error(
+        self, capsys, tmp_path, changes, i_c, slope_s
+    ):
+        path = tmp_path / "faint.cfg"
+        path.write_text(changed_config(changes))
+        code, out, err = run_cli(capsys, "simulate", str(path))
+        assert (code, out) == (4, "")
+        assert err == (
+            f"error: i_es, alpha_n, temperature give i_c = {i_c} A, slope_s = {slope_s} S; "
+            "both must be normal floats\n"
+        )
 
     def test_non_finite_value_is_domain_error(self, capsys, tmp_path):
         # used to run the solver into "bias solve did not converge"
@@ -696,6 +742,93 @@ class TestCascade:
         assert code == 4
         assert out == ""
         assert stage in err
+
+
+# What argparse prints alike on Python 3.10 to 3.13, which a later parser must
+# keep: the usage lines, each subcommand's and argument's help line, and the
+# error line. The "options:" heading (3.10: "optional arguments:") and the
+# invalid-choice message are left out, since their text varies by version.
+USAGE = "usage: econamp [-h] {simulate,fit,analyze,cascade} ..."
+# each subcommand's usage line, its line in `econamp --help`, its argument lines
+SUBCOMMAND_HELP = {
+    "simulate": (
+        "usage: econamp simulate [-h] config",
+        "solve a CE amplifier stage from a config file",
+        ["config      key = value config file"],
+    ),
+    "fit": (
+        "usage: econamp fit [-h] --x X --y Y csv",
+        "least-squares line through two CSV columns",
+        [
+            "csv         CSV file with a header row",
+            "--x X       predictor column name",
+            "--y Y       response column name",
+        ],
+    ),
+    "analyze": (
+        "usage: econamp analyze [-h] csv",
+        "economic coefficient report for a period series",
+        ["csv         CSV with period,investments,expenses,incomes[,quantity_out]"],
+    ),
+    "cascade": (
+        "usage: econamp cascade [-h] gains [gains ...]",
+        "product of stage gains",
+        ["gains       stage gains"],
+    ),
+}
+
+
+@pytest.fixture
+def help_width(monkeypatch):
+    # argparse wraps help text to the terminal width, which it reads from COLUMNS
+    monkeypatch.setenv("COLUMNS", "80")
+
+
+def test_help_exits_zero(capsys, help_width):
+    code, out, err = run_cli(capsys, "--help")
+    assert (code, err) == (0, "")
+    lines = out.split("\n")
+    assert lines[0] == USAGE
+    for command, (_, summary, _) in SUBCOMMAND_HELP.items():
+        assert f"    {command:<20}{summary}" in lines
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMAND_HELP))
+def test_subcommand_help_exits_zero(capsys, help_width, command):
+    usage, _, argument_lines = SUBCOMMAND_HELP[command]
+    code, out, err = run_cli(capsys, command, "--help")
+    assert (code, err) == (0, "")
+    lines = out.split("\n")
+    assert lines[0] == usage
+    for line in argument_lines:
+        assert f"  {line}" in lines
+
+
+@pytest.mark.parametrize(
+    "argv, usage, error",
+    [
+        ([], USAGE, "econamp: error: the following arguments are required: command"),
+        (
+            ["fit", "x.csv"],
+            SUBCOMMAND_HELP["fit"][0],
+            "econamp fit: error: the following arguments are required: --x, --y",
+        ),
+        (
+            ["cascade"],
+            SUBCOMMAND_HELP["cascade"][0],
+            "econamp cascade: error: the following arguments are required: gains",
+        ),
+        (
+            ["cascade", "2", "abc"],
+            SUBCOMMAND_HELP["cascade"][0],
+            "econamp cascade: error: argument gains: invalid float value: 'abc'",
+        ),
+    ],
+)
+def test_usage_error_exits_two(capsys, help_width, argv, usage, error):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"{usage}\n{error}\n"
 
 
 def test_module_entry_point():

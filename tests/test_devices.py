@@ -17,6 +17,8 @@ from econamp.circuit import (
     solve_operating_point,
 )
 from econamp.devices import (
+    BOLTZMANN_K,
+    ELECTRON_CHARGE,
     BjtCurrents,
     BjtParams,
     MosParams,
@@ -58,6 +60,21 @@ class TestThermalVoltage:
     def test_nonpositive_temperature_rejected(self, bad):
         with pytest.raises(ValueError):
             thermal_voltage(bad)
+
+    # k*T below the smallest normal float: thermal_voltage(1e-300) returned
+    # 9.25e-305 V instead of 8.62e-305 V, and 5e-324 K gave Vt = 0.
+    @pytest.mark.parametrize("bad", [1.6116144353178838e-285, 1e-300, 1e-310, 5e-324])
+    def test_subnormal_k_t_rejected(self, bad):
+        message = rf"^temperature = {bad} K gives k\*T = .* J, not a normal float$"
+        with pytest.raises(ValueError, match=message):
+            thermal_voltage(bad)
+        with pytest.raises(ValueError, match=message):
+            BjtParams(i_es=1e-14, i_cs=1e-14, alpha_n=0.99, temperature=bad)
+
+    def test_lowest_accepted_temperature_keeps_its_bits(self):
+        lowest = 1.611614435317884e-285
+        assert thermal_voltage(lowest) == BOLTZMANN_K * lowest / ELECTRON_CHARGE
+        assert BjtParams(i_es=1e-14, i_cs=1e-14, alpha_n=0.99, temperature=lowest)
 
 
 class TestEbersMoll:
@@ -156,6 +173,12 @@ class TestExponentialGuard:
 
 
 class TestActiveRegion:
+    def test_small_bias_is_exact(self):
+        # exp(v/Vt) - 1 cancelled to a relative error of 6.7e-8 at 1 pV
+        x = 1e-12 / VT_300
+        out = active_region_currents(EXAMPLE_BJT, 1e-12)
+        assert out.i_e == pytest.approx(1e-14 * (x + x * x / 2), rel=1e-14, abs=0.0)
+
     def test_zero_bias(self):
         out = active_region_currents(EXAMPLE_BJT, 0.0)
         assert out.i_e == 0.0 and out.i_c == 0.0 and out.i_b == 0.0

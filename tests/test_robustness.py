@@ -8,12 +8,15 @@ or one of the derived figures README lists.
 
 Values are drawn far outside any sensible design, log-uniform over the
 whole float range with negatives and edge values mixed in, because that is
-where overflow, underflow and division by zero hide.
+where overflow, underflow and division by zero hide. The shipped demo
+config is also perturbed on a fixed grid: each key alone over the edge
+values, and each pair of keys over a few extremes.
 """
 
 import contextlib
 import functools
 import io
+import itertools
 import math
 import random
 import re
@@ -27,13 +30,20 @@ Q_ELECTRON = 1.602176634e-19
 RESIDUAL_TOL = 1e-12  # amperes, the acceptance gate's base-node tolerance
 
 SIMULATE_KEYS = ("v_cc", "r_b1", "r_b2", "r_l", "i_es", "alpha_n")
+CONFIG_KEYS = (
+    "v_cc", "r_b1", "r_b2", "r_l", "i_es", "i_cs", "alpha_n", "alpha_i", "temperature",
+    "i_c_max", "v_ce_max", "p_max",
+)
 EDGE_VALUES = ("0", "-0", "5e-324", "1e-310", "1.7e308", "nan", "inf", "1e400")
+# the demo grid: each key alone over ONE_KEY_VALUES, each pair over PAIR_VALUES
+ONE_KEY_VALUES = EDGE_VALUES + ("1e-300", "1e300", "1e6", "1e-30", "-1")
+PAIR_VALUES = ("5e-324", "1e-305", "1e-30", "1e7", "1e300", "nan")
 ECON_COLUMNS = ("period", "investments", "expenses", "incomes", "quantity_out")
 # The derived figures README lists as names an exit-4 message may carry.
 # v_th and r_th are named through v_cc, r_b1, r_b2, which are config keys.
 DERIVED_FIGURES = (
     # simulate
-    "v_be", "i_c", "v_ce", "r_in", "power_out", "currents",
+    "v_be", "v_ce", "r_in", "power_out", "currents",
     # fit, and the regression in analyze
     "n", "sum of x", "sum of y", "s_xx", "s_xy", "ss_tot", "slope beta", "a0", "beta",
     "r_squared",
@@ -81,13 +91,13 @@ def values_block(stdout):
 def base_node_failure(config, values):
     """Why a reported bias point is wrong, or None.
 
-    Recomputed from the config text alone: the base-node residual must be
+    Recomputed from the config values alone: the base-node residual must be
     under RESIDUAL_TOL or change sign across the floats next to v_be (the
     solver's resolution limit on a stiff divider), currents must be
     conserved and v_ce must be v_cc - i_c*r_l.
     """
     v_cc, r_b1, r_b2, r_l, i_es, alpha_n = (config[key] for key in SIMULATE_KEYS)
-    vt = K_BOLTZMANN * 300.0 / Q_ELECTRON
+    vt = K_BOLTZMANN * config.get("temperature", 300.0) / Q_ELECTRON
     v_th = v_cc * r_b2 / (r_b1 + r_b2)
     r_th = r_b1 * r_b2 / (r_b1 + r_b2)
 
@@ -117,23 +127,55 @@ def check(argv, names, failures):
     return code, out
 
 
-def test_simulate(tmp_path):
-    rng = random.Random(12345)
-    path = tmp_path / "stage.cfg"
-    config_keys = cli._config_schema()[0]
-    failures, codes = [], []
-    for _ in range(3000):
-        config = {key: wide_value(rng) for key in SIMULATE_KEYS}
+def check_simulate(path, configs):
+    """Failures of `simulate` over `configs` (dicts of key -> value text), and
+    whether any exited 0; an exit 0 must pass the base-node oracle."""
+    failures, solved = [], False
+    for config in configs:
         path.write_text("".join(f"{key} = {text}\n" for key, text in config.items()))
-        code, out = check(["simulate", str(path)], config_keys, failures)
-        codes.append(code)
+        code, out = check(["simulate", str(path)], CONFIG_KEYS, failures)
         if code == 0:
+            solved = True
             floats = {key: float(text) for key, text in config.items()}
             reason = base_node_failure(floats, values_block(out))
             if reason:
                 failures.append((config, reason))
+    return failures, solved
+
+
+def test_simulate(tmp_path):
+    rng = random.Random(12345)
+    configs = [{key: wide_value(rng) for key in SIMULATE_KEYS} for _ in range(3000)]
+    failures, solved = check_simulate(tmp_path / "stage.cfg", configs)
     assert failures == []
-    assert codes.count(0) >= 1  # the draw does reach the oracle
+    assert solved  # the draw does reach the oracle
+
+
+def demo_config(data_dir):
+    """The shipped demo config as key -> value text."""
+    text = (data_dir / "demo_amplifier.cfg").read_text()
+    lines = (line.split("#", 1)[0].strip() for line in text.split("\n"))
+    return dict((part.strip() for part in line.split("=")) for line in lines if line)
+
+
+def test_simulate_demo_one_key(tmp_path, data_dir):
+    demo = demo_config(data_dir)
+    configs = [{**demo, key: text} for key in CONFIG_KEYS for text in ONE_KEY_VALUES]
+    failures, solved = check_simulate(tmp_path / "stage.cfg", configs)
+    assert failures == []
+    assert solved
+
+
+def test_simulate_demo_key_pairs(tmp_path, data_dir):
+    demo = demo_config(data_dir)
+    configs = [
+        {**demo, first: a, second: b}
+        for first, second in itertools.combinations(CONFIG_KEYS, 2)
+        for a, b in itertools.product(PAIR_VALUES, repeat=2)
+    ]
+    failures, solved = check_simulate(tmp_path / "stage.cfg", configs)
+    assert failures == []
+    assert solved
 
 
 def random_csv(rng, columns, rows):
