@@ -17,8 +17,8 @@ __version__ = "0.1.0"
 # submodule -> the public names it defines
 _EXPORTS = {
     "amplifier": (
-        "OperatingLimits", "StageGain", "breakdown_check", "cascade_gain", "current_gain",
-        "output_power", "output_voltage", "stage_gain", "stage_voltage_gain",
+        "OperatingLimits", "StageGain", "breakdown_check", "current_gain", "output_power",
+        "output_voltage", "stage_gain", "stage_voltage_gain",
     ),
     "circuit": (
         "AmplifierConfig", "OperatingPoint", "SmallSignalParams", "small_signal_params",
@@ -30,8 +30,8 @@ _EXPORTS = {
     ),
     "econmap": (
         "CobbDouglasParams", "CoefficientReport", "EconSeries", "RegressionFit",
-        "analyze_series", "beta_bank", "beta_p_economic", "beta_v_economic", "cobb_douglas",
-        "domar_sigma", "fit_linear", "harrod_b", "keynes_multiplier",
+        "analyze_series", "beta_bank", "beta_p_economic", "beta_v_economic", "cascade_gain",
+        "cobb_douglas", "domar_sigma", "fit_linear", "harrod_b", "keynes_multiplier",
     ),
     "errors": ("SolverError",),
 }

@@ -1,9 +1,12 @@
-"""Stage gains, output power, cascade composition and operating-limit checks."""
+"""Stage gains, output power and operating-limit checks.
 
-import math
-from collections.abc import Sequence
+cascade_gain, the composition of stage gains, is defined in econmap and
+imported here, so that `cascade` loads neither this module nor dataclasses.
+"""
+
 from dataclasses import dataclass
 
+from .econmap import cascade_gain  # noqa: F401 (re-exported)
 from .errors import require_finite
 
 # circuit's OperatingPoint and SmallSignalParams are annotated by name only:
@@ -64,23 +67,6 @@ def stage_voltage_gain(ss: "SmallSignalParams", r_l: float) -> float:
     """
     require_finite("r_l", (r_l,), "> 0")
     return ss.slope_s * r_l
-
-
-def cascade_gain(stage_gains: Sequence[float]) -> float:
-    """Total gain of stages in cascade: the product of the stage gains.
-
-    A non-finite stage gain, or a product that overflows, raises ValueError
-    naming the (1-based) stage.
-    """
-    if not stage_gains:
-        raise ValueError("cascade needs at least one stage gain")
-    total = 1.0
-    for stage, gain in enumerate(stage_gains, start=1):
-        require_finite(f"stage {stage} gain", (gain,))
-        total *= gain
-        if not math.isfinite(total):
-            raise ValueError(f"cascade gain overflows at stage {stage}")
-    return total
 
 
 def stage_gain(op: "OperatingPoint", ss: "SmallSignalParams", r_l: float) -> StageGain:

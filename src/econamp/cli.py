@@ -16,14 +16,13 @@ import argparse
 import io
 import math
 import sys
-from dataclasses import MISSING, fields
 from itertools import repeat
 
-# Each subcommand imports the layers it uses, so that `cascade` loads no
-# circuit and `fit`/`analyze` no amplifier. econmap stays a module import:
-# its functions are looked up as attributes of this module, where a tracer
-# can wrap them.
-from .econmap import CoefficientReport, EconSeries, analyze_series, fit_linear
+# Each subcommand imports the layers it uses, so that `fit`, `analyze` and
+# `cascade` load no circuit, no amplifier and no dataclasses. econmap stays
+# a module import: its functions are looked up as attributes of this module,
+# where a tracer can wrap them.
+from .econmap import CoefficientReport, EconSeries, analyze_series, cascade_gain, fit_linear
 from .errors import SolverError
 
 EXIT_OK = 0
@@ -100,6 +99,8 @@ def parse_config(text: str, source: str = "<config>") -> "tuple[AmplifierConfig,
     but `device`. Those without a dataclass default are required, except i_cs,
     which defaults to i_es. Each error is an InputFormatError naming `source`.
     """
+    from dataclasses import MISSING, fields
+
     from .amplifier import OperatingLimits
     from .circuit import AmplifierConfig
     from .devices import BjtParams
@@ -367,8 +368,6 @@ def _cmd_analyze(args) -> int:
 # cascade
 
 def _cmd_cascade(args) -> int:
-    from .amplifier import cascade_gain
-
     print(repr(cascade_gain(args.gains)))
     return EXIT_OK
 

@@ -831,6 +831,12 @@ def test_usage_error_exits_two(capsys, help_width, argv, usage, error):
     assert err == f"{usage}\n{error}\n"
 
 
+def test_cascade_gain_is_one_function_under_every_name():
+    from econamp import amplifier, econmap
+
+    assert amplifier.cascade_gain is econmap.cascade_gain is econamp.cascade_gain
+
+
 def test_module_entry_point():
     # the child imports the same econamp as this test, installed or not
     package_root = str(Path(econamp.__file__).resolve().parent.parent)
@@ -865,7 +871,7 @@ LOADED_ECONAMP_MODULES = {
     "simulate": CLI_MODULES | {"econamp.amplifier", "econamp.circuit", "econamp.devices"},
     "fit": CLI_MODULES,
     "analyze": CLI_MODULES,
-    "cascade": CLI_MODULES | {"econamp.amplifier"},
+    "cascade": CLI_MODULES,
 }
 
 
@@ -888,8 +894,13 @@ def test_each_subcommand_loads_only_the_modules_it_uses(tmp_path, data_dir, comm
     assert {m for m in loaded if m.partition(".")[0] == "econamp"} == LOADED_ECONAMP_MODULES[command]
     if command is None:
         assert proc.stdout == b""
-        assert "dataclasses" not in loaded
     else:
         assert proc.stdout == (GOLDEN_DIR / f"{command}.out").read_bytes()
+    # econmap's value types are plain records; simulate reads its config into
+    # the circuit, device and amplifier dataclasses, and dataclasses imports inspect
+    if command == "simulate":
+        assert {"dataclasses", "inspect"} <= loaded
+    else:
+        assert not {"dataclasses", "inspect"} & loaded
     if command in (None, "simulate", "cascade"):  # csv is loaded by the CSV readers only
         assert "csv" not in loaded

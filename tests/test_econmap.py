@@ -6,15 +6,20 @@ references compute keynes_m and r_squared from their definitions in exact
 rational arithmetic (fractions.Fraction) on the same float inputs.
 """
 
+import copy
+import inspect
 import math
+import pickle
 import random
 import time
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 from econamp.econmap import (
     CobbDouglasParams,
+    CoefficientReport,
     EconSeries,
     RegressionFit,
     analyze_series,
@@ -478,3 +483,78 @@ class TestSeries:
         assert other.fit.beta == pytest.approx(base.fit.beta, rel=1e-12)
         assert other.fit.r_squared == pytest.approx(base.fit.r_squared, rel=1e-12)
         assert other.fit.a0 == pytest.approx(base.fit.a0 * c, rel=1e-9)
+
+
+# The value types behave as frozen dataclasses do: (type, field names,
+# positional arguments, the same with one field changed, the expected repr).
+FIT = RegressionFit(1.0, 2.0, 0.9, 5)
+RECORDS = [
+    (RegressionFit, ("a0", "beta", "r_squared", "n"), (1.0, 2.0, 0.9, 5), (1.0, 2.0, 0.9, 6),
+     "RegressionFit(a0=1.0, beta=2.0, r_squared=0.9, n=5)"),
+    (CobbDouglasParams, ("g", "lam", "mu"), (1.0, 0.7, 0.3), (1.0, 0.7, 0.25),
+     "CobbDouglasParams(g=1.0, lam=0.7, mu=0.3)"),
+    (CoefficientReport,
+     ("beta_v", "harrod_b", "domar_sigma", "mean_beta", "beta_p", "keynes_m", "fit"),
+     (2.0, 0.5, 2.0, 2.0, 0.1, 3.0, FIT), (2.0, 0.5, 2.0, 2.0, 0.1, 3.0, None),
+     "CoefficientReport(beta_v=2.0, harrod_b=0.5, domar_sigma=2.0, mean_beta=2.0, "
+     "beta_p=0.1, keynes_m=3.0, fit=RegressionFit(a0=1.0, beta=2.0, r_squared=0.9, n=5))"),
+    (EconSeries, ("labels", "investments", "expenses", "incomes", "quantity_out"),
+     (("1990", "1991"), (1.0, 2.0), (0.5, 0.5), (3.0, 4.0), (None, 7.0)),
+     (("1990", "1991"), (1.0, 2.0), (0.5, 0.5), (3.0, 4.0), (None, 8.0)),
+     "EconSeries(labels=('1990', '1991'), investments=(1.0, 2.0), expenses=(0.5, 0.5), "
+     "incomes=(3.0, 4.0), quantity_out=(None, 7.0))"),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, names, args, changed, text", RECORDS, ids=[cls.__name__ for cls, *_ in RECORDS]
+)
+class TestRecords:
+    def test_repr(self, cls, names, args, changed, text):
+        assert repr(cls(*args)) == text
+
+    def test_positional_and_keyword_construction(self, cls, names, args, changed, text):
+        assert list(inspect.signature(cls).parameters) == list(names)
+        built = cls(**dict(zip(names, args)))
+        assert built == cls(*args)
+        assert tuple(getattr(built, name) for name in names) == args
+
+    def test_equality_is_over_the_fields_of_one_class(self, cls, names, args, changed, text):
+        record = cls(*args)
+        assert record == cls(*args) and not record != cls(*args)
+        assert record != cls(*changed) and not record == cls(*changed)
+
+        class Subclass(cls):
+            __slots__ = ()
+
+        for other in (args, SimpleNamespace(**dict(zip(names, args))), Subclass(*args)):
+            assert record != other and not record == other
+            assert other != record and not other == record
+
+    def test_hash_is_over_the_fields(self, cls, names, args, changed, text):
+        assert hash(cls(*args)) == hash(cls(*args)) == hash(args)
+        assert len({cls(*args), cls(*args), cls(*changed)}) == 2
+
+    def test_fields_cannot_be_assigned_or_deleted(self, cls, names, args, changed, text):
+        record = cls(*args)
+        for name in (*names, "extra"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, 1.0)
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+        assert repr(record) == text
+
+    def test_copy_and_pickle_give_an_equal_record(self, cls, names, args, changed, text):
+        record = cls(*args)
+        for twin in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+            assert type(twin) is cls and twin == record
+
+
+def test_coefficient_report_optional_fields_default_to_none():
+    report = CoefficientReport(2.0, 0.5, 2.0, 2.0)
+    assert (report.beta_p, report.keynes_m, report.fit) == (None, None, None)
+    assert report == CoefficientReport(2.0, 0.5, 2.0, 2.0, None, None, None)
+    assert repr(report) == (
+        "CoefficientReport(beta_v=2.0, harrod_b=0.5, domar_sigma=2.0, mean_beta=2.0, "
+        "beta_p=None, keynes_m=None, fit=None)"
+    )
