@@ -12,7 +12,6 @@ Exit codes: 0 success, 2 usage (bad invocation, unreadable file),
 3 parse (malformed or undecodable config or CSV), 4 solver or domain error.
 """
 
-import argparse
 import io
 import math
 import sys
@@ -144,11 +143,11 @@ def parse_config(text: str, source: str = "<config>") -> "tuple[AmplifierConfig,
 # ---------------------------------------------------------------------------
 # simulate
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(path: str) -> int:
     from .amplifier import breakdown_check, stage_gain
     from .circuit import small_signal_params, solve_operating_point
 
-    config, limits = parse_config(_read_text(args.config), source=args.config)
+    config, limits = parse_config(_read_text(path), source=path)
     op = solve_operating_point(config)
     ss = gains = None  # the small-signal model holds only in the active region
     if not op.saturated:
@@ -319,17 +318,17 @@ def _fit_rows(fit) -> list:
     return _rows(fit, a0="", beta="", r_squared="", n="")
 
 
-def _cmd_fit(args) -> int:
-    xs, ys = read_xy_columns(args.csv, args.x, args.y)
+def _cmd_fit(path: str, x_column: str, y_column: str) -> int:
+    xs, ys = read_xy_columns(path, x_column, y_column)
     fit = fit_linear(xs, ys)
-    out_path = points_file_path(args.csv)
+    out_path = points_file_path(path)
     a0, beta = fit.a0, fit.beta
     points = "".join([f"{x!r},{y!r},{a0 + beta * x!r}\n" for x, y in zip(xs, ys)])
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
         fh.write("x,y_observed,y_fitted\n" + points)
     rows = _fit_rows(fit)
     lines = [
-        f"fit: {args.y} = a0 + beta * {args.x}",
+        f"fit: {y_column} = a0 + beta * {x_column}",
         *table(rows[-1:] + rows[:-1]),
         f"  points file: {out_path}",
         "",
@@ -357,8 +356,8 @@ def render_coefficients(report: CoefficientReport, n_periods: int) -> str:
     return "\n".join(lines)
 
 
-def _cmd_analyze(args) -> int:
-    series = read_econ_series(args.csv)
+def _cmd_analyze(path: str) -> int:
+    series = read_econ_series(path)
     report = analyze_series(series)
     print(render_coefficients(report, len(series)))
     return EXIT_OK
@@ -367,50 +366,138 @@ def _cmd_analyze(args) -> int:
 # ---------------------------------------------------------------------------
 # cascade
 
-def _cmd_cascade(args) -> int:
-    print(repr(cascade_gain(args.gains)))
+def _cmd_cascade(gains: list) -> int:
+    print(repr(cascade_gain(gains)))
     return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # entry point
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="econamp",
-        description="Amplifier-stage simulation and economic gain analysis.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# The command line reads as argparse (Python 3.11) read it from a parser
+# with these subcommands, and the help screens and usage errors are its text
+# at 80 columns, at any terminal width. Unlike argparse, a token float()
+# reads (-1e3, -inf) is never an option, and neither is an abbreviation of
+# --help (--he) or -h with something attached (-hx, -h=1).
 
-    p = sub.add_parser("simulate", help="solve a CE amplifier stage from a config file")
-    p.add_argument("config", help="key = value config file")
-    p.set_defaults(func=_cmd_simulate)
+PROG = "econamp"
+# subcommand: handler, usage tail, summary, (argument, help) lines, and the
+# type of the positional argument, which comes first. It takes one token or,
+# where the usage tail repeats it, each token of its first run. Each
+# "--name VALUE" line is a required option that takes one value.
+COMMANDS = {
+    "simulate": (_cmd_simulate, "config", "solve a CE amplifier stage from a config file",
+                 [("config", "key = value config file")], str),
+    "fit": (_cmd_fit, "--x X --y Y csv", "least-squares line through two CSV columns",
+            [("csv", "CSV file with a header row"), ("--x X", "predictor column name"),
+             ("--y Y", "response column name")], str),
+    "analyze": (_cmd_analyze, "csv", "economic coefficient report for a period series",
+                [("csv", "CSV with period,investments,expenses,incomes[,quantity_out]")], str),
+    "cascade": (_cmd_cascade, "gains [gains ...]", "product of stage gains",
+                [("gains", "stage gains")], float),
+}
 
-    p = sub.add_parser("fit", help="least-squares line through two CSV columns")
-    p.add_argument("csv", help="CSV file with a header row")
-    p.add_argument("--x", required=True, help="predictor column name")
-    p.add_argument("--y", required=True, help="response column name")
-    p.set_defaults(func=_cmd_fit)
 
-    p = sub.add_parser("analyze", help="economic coefficient report for a period series")
-    p.add_argument("csv", help="CSV with period,investments,expenses,incomes[,quantity_out]")
-    p.set_defaults(func=_cmd_analyze)
+def _help(usage: str, lines, description=()) -> int:
+    """Prints argparse's help screen; `lines` lists the positional arguments first."""
+    n = sum(name[0] != "-" for name, _ in lines)
+    pairs = [*lines[:n], ("-h, --help", "show this help message and exit"), *lines[n:]]
+    width = min(22, 2 + max(len(name) for name, _ in pairs))  # the help column, as argparse
+    rows = [f"  {name:<{width}}{text}" for name, text in pairs]
+    print(usage, "", *description, "positional arguments:", *rows[:n], "", "options:", *rows[n:],
+          sep="\n")
+    return EXIT_OK
 
-    p = sub.add_parser("cascade", help="product of stage gains")
-    p.add_argument("gains", nargs="+", type=float, help="stage gains")
-    p.set_defaults(func=_cmd_cascade)
 
-    return parser
+def _fail(usage: str, prog: str, message: str) -> int:
+    print(f"{usage}\n{prog}: error: {message}", file=sys.stderr)
+    return EXIT_USAGE
+
+
+def _is_option(token: str, options) -> bool:
+    if token in ("-h", "--help") or token.partition("=")[0] in options:
+        return True
+    if token[:1] != "-" or token in ("-", "--") or " " in token:
+        return False
+    try:
+        float(token)
+    except ValueError:
+        return True
+    return False
+
+
+def _parse(argv: list):
+    """(handler, its arguments) from the command line, or the exit code once
+    a help screen or a usage error is printed."""
+    choices = "{" + ",".join(COMMANDS) + "}"
+    usage = f"usage: {PROG} [-h] {choices} ..."
+    for index, command in enumerate(argv):
+        if command in ("-h", "--help"):
+            summaries = [("  " + name, spec[2]) for name, spec in COMMANDS.items()]
+            return _help(usage, [(choices, ""), *summaries],
+                         ["Amplifier-stage simulation and economic gain analysis.", ""])
+        if not _is_option(command, ()) and argv[index:] != ["--"]:
+            break
+    else:
+        return _fail(usage, PROG, "the following arguments are required: command")
+    if command not in COMMANDS:
+        return _fail(usage, PROG, f"argument command: invalid choice: {command!r} "
+                     f"(choose from {', '.join(map(repr, COMMANDS))})")
+    handler, tail, _, lines, convert = COMMANDS[command]
+    prog, many = f"{PROG} {command}", tail.endswith(" ...]")
+    command_usage = f"usage: {prog} [-h] {tail}"
+    names = [line.split()[0] for line, _ in lines]  # "csv", "--x", "--y"
+    positional, *options = names
+    extras = argv[:index]  # unknown options and left-over arguments
+    given, closed = {}, False  # closed: the positional argument takes no more tokens
+    ended = took = False  # ended: "--" was read; took: the last token went to the positional
+    tokens = iter(argv[index + 1:])
+    for token in tokens:
+        follows, took = took, False
+        if token == "--" and not ended:
+            ended = True  # every later token is an argument
+            if closed and not follows:  # as in argparse, one the positional cannot take
+                extras.append(token)
+        elif ended or not _is_option(token, options):
+            if closed:
+                extras.append(token)
+                continue
+            try:
+                value = convert(token)
+            except ValueError:
+                return _fail(command_usage, prog, f"argument {positional}: invalid "
+                             f"{convert.__name__} value: {token!r}")
+            given[positional] = [*given.get(positional, ()), value] if many else value
+            closed, took = not many, True
+        elif token in ("-h", "--help"):
+            return _help(command_usage, lines)
+        else:
+            closed = positional in given  # an option ends the positional's run of tokens
+            name, equals, value = token.partition("=")
+            if name not in options:
+                extras.append(token)
+                continue
+            if not equals:
+                value = next(tokens, "--")  # the end of the line is no value either
+                if value == "--" or _is_option(value, options):
+                    return _fail(command_usage, prog, f"argument {name}: expected one argument")
+            given[name] = value
+    missing = [name for name in names if name not in given]
+    if missing:
+        return _fail(command_usage, prog,
+                     f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        return _fail(usage, PROG, f"unrecognized arguments: {' '.join(extras)}")
+    return handler, [given[name] for name in names]
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parsed = _parse(sys.argv[1:] if argv is None else argv)
+    if isinstance(parsed, int):
+        return parsed
+    handler, arguments = parsed
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse exits 0 after --help, 2 on a usage error
-        return exc.code
-    try:
-        return args.func(args)
+        return handler(*arguments)
     except InputFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -1,4 +1,6 @@
 import os
+import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +11,7 @@ import econamp
 import econamp.circuit
 from econamp import cli
 from econamp.cli import main, parse_config, points_file_path
+from econamp.errors import SolverError
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "perfbench" / "golden"
 
@@ -734,7 +737,16 @@ class TestCascade:
         assert code == 2
 
     @pytest.mark.parametrize(
-        "gains,stage", [(["nan", "2"], "stage 1"), (["1e200", "1e200"], "stage 2")]
+        "gains,expected",
+        [(["2", "-1e3"], "-2000.0"), (["-1.5E+2"], "-150.0"), (["-.5e1", "2"], "-10.0")],
+    )
+    def test_negative_gain_in_exponent_form(self, capsys, gains, expected):
+        # argparse read -1e3 as an unknown option: "unrecognized arguments: -1e3", exit 2
+        assert run_cli(capsys, "cascade", *gains) == (0, expected + "\n", "")
+
+    @pytest.mark.parametrize(
+        "gains,stage",
+        [(["nan", "2"], "stage 1"), (["1e200", "1e200"], "stage 2"), (["-inf"], "stage 1")],
     )
     def test_non_finite_gain_is_domain_error(self, capsys, gains, stage):
         # `cascade nan 2` used to print nan and exit 0
@@ -744,64 +756,79 @@ class TestCascade:
         assert stage in err
 
 
-# What argparse prints alike on Python 3.10 to 3.13, which a later parser must
-# keep: the usage lines, each subcommand's and argument's help line, and the
-# error line. The "options:" heading (3.10: "optional arguments:") and the
-# invalid-choice message are left out, since their text varies by version.
+# The help screens and usage lines, byte for byte: argparse's text at
+# COLUMNS=80 on Python 3.11, which the CLI prints at any terminal width.
 USAGE = "usage: econamp [-h] {simulate,fit,analyze,cascade} ..."
-# each subcommand's usage line, its line in `econamp --help`, its argument lines
-SUBCOMMAND_HELP = {
-    "simulate": (
-        "usage: econamp simulate [-h] config",
-        "solve a CE amplifier stage from a config file",
-        ["config      key = value config file"],
-    ),
-    "fit": (
-        "usage: econamp fit [-h] --x X --y Y csv",
-        "least-squares line through two CSV columns",
-        [
-            "csv         CSV file with a header row",
-            "--x X       predictor column name",
-            "--y Y       response column name",
-        ],
-    ),
-    "analyze": (
-        "usage: econamp analyze [-h] csv",
-        "economic coefficient report for a period series",
-        ["csv         CSV with period,investments,expenses,incomes[,quantity_out]"],
-    ),
-    "cascade": (
-        "usage: econamp cascade [-h] gains [gains ...]",
-        "product of stage gains",
-        ["gains       stage gains"],
-    ),
+HELP_SCREENS = {
+    None: f"""\
+{USAGE}
+
+Amplifier-stage simulation and economic gain analysis.
+
+positional arguments:
+  {{simulate,fit,analyze,cascade}}
+    simulate            solve a CE amplifier stage from a config file
+    fit                 least-squares line through two CSV columns
+    analyze             economic coefficient report for a period series
+    cascade             product of stage gains
+
+options:
+  -h, --help            show this help message and exit
+""",
+    "simulate": """\
+usage: econamp simulate [-h] config
+
+positional arguments:
+  config      key = value config file
+
+options:
+  -h, --help  show this help message and exit
+""",
+    "fit": """\
+usage: econamp fit [-h] --x X --y Y csv
+
+positional arguments:
+  csv         CSV file with a header row
+
+options:
+  -h, --help  show this help message and exit
+  --x X       predictor column name
+  --y Y       response column name
+""",
+    "analyze": """\
+usage: econamp analyze [-h] csv
+
+positional arguments:
+  csv         CSV with period,investments,expenses,incomes[,quantity_out]
+
+options:
+  -h, --help  show this help message and exit
+""",
+    "cascade": """\
+usage: econamp cascade [-h] gains [gains ...]
+
+positional arguments:
+  gains       stage gains
+
+options:
+  -h, --help  show this help message and exit
+""",
+}
+SUBCOMMAND_USAGE = {
+    command: screen.partition("\n")[0] for command, screen in HELP_SCREENS.items() if command
 }
 
 
-@pytest.fixture
-def help_width(monkeypatch):
-    # argparse wraps help text to the terminal width, which it reads from COLUMNS
-    monkeypatch.setenv("COLUMNS", "80")
+def test_help_exits_zero(capsys, monkeypatch):
+    for columns, flag in (("40", "-h"), ("80", "--help"), ("200", "--help")):
+        monkeypatch.setenv("COLUMNS", columns)
+        assert run_cli(capsys, flag) == (0, HELP_SCREENS[None], "")
 
 
-def test_help_exits_zero(capsys, help_width):
-    code, out, err = run_cli(capsys, "--help")
-    assert (code, err) == (0, "")
-    lines = out.split("\n")
-    assert lines[0] == USAGE
-    for command, (_, summary, _) in SUBCOMMAND_HELP.items():
-        assert f"    {command:<20}{summary}" in lines
-
-
-@pytest.mark.parametrize("command", sorted(SUBCOMMAND_HELP))
-def test_subcommand_help_exits_zero(capsys, help_width, command):
-    usage, _, argument_lines = SUBCOMMAND_HELP[command]
-    code, out, err = run_cli(capsys, command, "--help")
-    assert (code, err) == (0, "")
-    lines = out.split("\n")
-    assert lines[0] == usage
-    for line in argument_lines:
-        assert f"  {line}" in lines
+@pytest.mark.parametrize("command", sorted(SUBCOMMAND_USAGE))
+def test_subcommand_help_exits_zero(capsys, command):
+    for argv in ([command, "--help"], [command, "-h"], ["--x", command, "2", "--z", "-h"]):
+        assert run_cli(capsys, *argv) == (0, HELP_SCREENS[command], "")
 
 
 @pytest.mark.parametrize(
@@ -810,25 +837,171 @@ def test_subcommand_help_exits_zero(capsys, help_width, command):
         ([], USAGE, "econamp: error: the following arguments are required: command"),
         (
             ["fit", "x.csv"],
-            SUBCOMMAND_HELP["fit"][0],
+            SUBCOMMAND_USAGE["fit"],
             "econamp fit: error: the following arguments are required: --x, --y",
         ),
         (
             ["cascade"],
-            SUBCOMMAND_HELP["cascade"][0],
+            SUBCOMMAND_USAGE["cascade"],
             "econamp cascade: error: the following arguments are required: gains",
         ),
         (
             ["cascade", "2", "abc"],
-            SUBCOMMAND_HELP["cascade"][0],
+            SUBCOMMAND_USAGE["cascade"],
             "econamp cascade: error: argument gains: invalid float value: 'abc'",
+        ),
+        (
+            ["bogus", "fit"],
+            USAGE,
+            "econamp: error: argument command: invalid choice: 'bogus' "
+            "(choose from 'simulate', 'fit', 'analyze', 'cascade')",
+        ),
+        (
+            ["fit", "x.csv", "--y=b", "--x"],
+            SUBCOMMAND_USAGE["fit"],
+            "econamp fit: error: argument --x: expected one argument",
+        ),
+        (
+            ["--z", "cascade", "2", "--x", "3"],
+            USAGE,
+            "econamp: error: unrecognized arguments: --z --x 3",
+        ),
+        # "--" ends the options; a "--" or a token after it that no argument takes is left over
+        (["--"], USAGE, "econamp: error: the following arguments are required: command"),
+        (
+            ["--", "fit"],
+            USAGE,
+            "econamp: error: argument command: invalid choice: '--' "
+            "(choose from 'simulate', 'fit', 'analyze', 'cascade')",
+        ),
+        (["simulate", "a", "--", "b"], USAGE, "econamp: error: unrecognized arguments: b"),
+        (["simulate", "a", "--", "--"], USAGE, "econamp: error: unrecognized arguments: --"),
+        (["simulate", "a", "b", "--"], USAGE, "econamp: error: unrecognized arguments: b --"),
+        (["simulate", "--z", "a", "--"], USAGE, "econamp: error: unrecognized arguments: --z"),
+        (
+            ["fit", "a", "--x", "b", "--y", "c", "--"],
+            USAGE,
+            "econamp: error: unrecognized arguments: --",
+        ),
+        (
+            ["fit", "--x", "--", "a"],
+            SUBCOMMAND_USAGE["fit"],
+            "econamp fit: error: argument --x: expected one argument",
+        ),
+        (
+            ["fit", "a", "--", "--x", "b", "--y", "c"],
+            SUBCOMMAND_USAGE["fit"],
+            "econamp fit: error: the following arguments are required: --x, --y",
+        ),
+        (
+            ["cascade", "--", "2", "--", "3"],
+            SUBCOMMAND_USAGE["cascade"],
+            "econamp cascade: error: argument gains: invalid float value: '--'",
+        ),
+        (
+            ["cascade", "--", "-h"],
+            SUBCOMMAND_USAGE["cascade"],
+            "econamp cascade: error: argument gains: invalid float value: '-h'",
         ),
     ],
 )
-def test_usage_error_exits_two(capsys, help_width, argv, usage, error):
+def test_usage_error_exits_two(capsys, argv, usage, error):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert err == f"{usage}\n{error}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["cascade", "2", "--", "3"], "6.0"),
+        (["cascade", "--", "-1"], "-1.0"),
+        (["cascade", "2", "--"], "2.0"),
+    ],
+)
+def test_double_dash_ends_the_options(capsys, argv, expected):
+    assert run_cli(capsys, *argv) == (0, expected + "\n", "")
+
+
+@pytest.mark.parametrize("argv", [["simulate", "config"], ["fit", "csv", "--x", "a", "--y=b"]])
+def test_placeholder_name_is_an_argument(capsys, monkeypatch, tmp_path, argv):
+    # a token spelled as a help-screen placeholder is a file name like any other
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: [Errno 2] No such file or directory: {argv[1]!r}\n"
+
+
+def reference_parser():
+    """The argparse parser the CLI was built on: the reference its parse is held to."""
+    import argparse
+
+    parser = argparse.ArgumentParser(
+        prog="econamp",
+        description="Amplifier-stage simulation and economic gain analysis.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("simulate", help="solve a CE amplifier stage from a config file")
+    p.add_argument("config", help="key = value config file")
+    p.set_defaults(func=lambda args: cli._cmd_simulate(args.config))
+
+    p = sub.add_parser("fit", help="least-squares line through two CSV columns")
+    p.add_argument("csv", help="CSV file with a header row")
+    p.add_argument("--x", required=True, help="predictor column name")
+    p.add_argument("--y", required=True, help="response column name")
+    p.set_defaults(func=lambda args: cli._cmd_fit(args.csv, args.x, args.y))
+
+    p = sub.add_parser("analyze", help="economic coefficient report for a period series")
+    p.add_argument("csv", help="CSV with period,investments,expenses,incomes[,quantity_out]")
+    p.set_defaults(func=lambda args: cli._cmd_analyze(args.csv))
+
+    p = sub.add_parser("cascade", help="product of stage gains")
+    p.add_argument("gains", nargs="+", type=float, help="stage gains")
+    p.set_defaults(func=lambda args: cli._cmd_cascade(args.gains))
+
+    return parser
+
+
+def reference_main(argv):
+    """main's exit code with the command line read by reference_parser."""
+    try:
+        args = reference_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 0 after --help, 2 on a usage error
+        return exc.code
+    try:
+        return args.func(args)
+    except (cli.InputFormatError, OSError, ValueError, OverflowError, SolverError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, cli.InputFormatError):
+            return cli.EXIT_PARSE
+        return cli.EXIT_USAGE if isinstance(exc, OSError) else cli.EXIT_DOMAIN
+
+
+ARGV_ALPHABET = (
+    "simulate", "fit", "analyze", "cascade", "bogus", "-h", "--help", "--x", "--y", "--x=i",
+    "--y=j", "--z", "2", "-2", "abc", "inf", "missing.csv",
+)
+# the invalid-choice wording varies with the Python version; the token it names does not
+INVALID_CHOICE = re.compile(r"argument command: invalid choice: (\S+) \(choose from .*\)")
+
+
+def test_command_line_reads_as_argparse_read_it(capsys, monkeypatch, tmp_path):
+    # argparse wraps help text to the terminal width, which it reads from COLUMNS
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.chdir(tmp_path)  # no token names a file that exists
+    rng = random.Random(14)
+    for _ in range(2000):
+        argv = rng.choices(ARGV_ALPHABET, k=rng.randrange(6))
+        if argv and rng.random() < 0.5:  # most draws would not reach a subcommand's parse
+            argv[0] = rng.choice(ARGV_ALPHABET[:4])
+        want = reference_main(argv), *capsys.readouterr()
+        got = main(argv), *capsys.readouterr()
+        # the allowed differences: an older options heading, the invalid-choice wording
+        want = (want[0], want[1].replace("optional arguments:", "options:"), want[2])
+        want, got = ((code, out, INVALID_CHOICE.sub(r"invalid choice: \1", err))
+                     for code, out, err in (want, got))
+        assert got == want, argv
 
 
 def test_cascade_gain_is_one_function_under_every_name():
@@ -904,3 +1077,5 @@ def test_each_subcommand_loads_only_the_modules_it_uses(tmp_path, data_dir, comm
         assert not {"dataclasses", "inspect"} & loaded
     if command in (None, "simulate", "cascade"):  # csv is loaded by the CSV readers only
         assert "csv" not in loaded
+    # the command line is read without argparse, and so without gettext and locale
+    assert not {"argparse", "gettext", "locale"} & loaded

@@ -14,7 +14,6 @@ values, and each pair of keys over a few extremes.
 """
 
 import contextlib
-import functools
 import io
 import itertools
 import math
@@ -53,13 +52,6 @@ DERIVED_FIGURES = (
     "beta_v", "harrod_b", "domar_sigma", "mean_beta", "beta_p", "keynes_m",
 )
 EXIT_CODES = (0, 2, 3, 4)
-
-
-@pytest.fixture(autouse=True)
-def one_parser(monkeypatch):
-    # Building the argparse parser is most of an in-process call, and
-    # parse_args keeps no state between calls: one parser serves a whole draw.
-    monkeypatch.setattr(cli, "build_parser", functools.cache(cli.build_parser))
 
 
 def run(argv):
