@@ -34,6 +34,13 @@ class InputFormatError(Exception):
     """Malformed config or CSV content (maps to exit code 3)."""
 
 
+class UsageError(Exception):
+    """A refused command line (maps to exit code 2): argparse's usage and error lines."""
+
+    def __init__(self, usage: str, prog: str, message: str):
+        super().__init__(f"{usage}\n{prog}: error: {message}")
+
+
 # ---------------------------------------------------------------------------
 # report rendering: every report is rows of (key, value, unit)
 
@@ -143,7 +150,7 @@ def parse_config(text: str, source: str = "<config>") -> "tuple[AmplifierConfig,
 # ---------------------------------------------------------------------------
 # simulate
 
-def _cmd_simulate(path: str) -> int:
+def _cmd_simulate(path: str) -> str:
     from .amplifier import breakdown_check, stage_gain
     from .circuit import small_signal_params, solve_operating_point
 
@@ -177,8 +184,7 @@ def _cmd_simulate(path: str) -> int:
             figures + [("saturated", op.saturated, ""), ("healthy", not violations, "")]
         ),
     ]
-    print("\n".join(lines))
-    return EXIT_OK
+    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -310,18 +316,14 @@ def read_econ_series(path: str) -> EconSeries:
 # ---------------------------------------------------------------------------
 # fit
 
-def points_file_path(csv_path: str) -> str:
-    return csv_path + ".points.csv"
-
-
 def _fit_rows(fit) -> list:
     return _rows(fit, a0="", beta="", r_squared="", n="")
 
 
-def _cmd_fit(path: str, x_column: str, y_column: str) -> int:
+def _cmd_fit(path: str, x_column: str, y_column: str) -> str:
     xs, ys = read_xy_columns(path, x_column, y_column)
     fit = fit_linear(xs, ys)
-    out_path = points_file_path(path)
+    out_path = path + ".points.csv"
     a0, beta = fit.a0, fit.beta
     points = "".join([f"{x!r},{y!r},{a0 + beta * x!r}\n" for x, y in zip(xs, ys)])
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
@@ -334,8 +336,7 @@ def _cmd_fit(path: str, x_column: str, y_column: str) -> int:
         "",
         *values_block(rows),
     ]
-    print("\n".join(lines))
-    return EXIT_OK
+    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -356,19 +357,17 @@ def render_coefficients(report: CoefficientReport, n_periods: int) -> str:
     return "\n".join(lines)
 
 
-def _cmd_analyze(path: str) -> int:
+def _cmd_analyze(path: str) -> str:
     series = read_econ_series(path)
     report = analyze_series(series)
-    print(render_coefficients(report, len(series)))
-    return EXIT_OK
+    return render_coefficients(report, len(series))
 
 
 # ---------------------------------------------------------------------------
 # cascade
 
-def _cmd_cascade(gains: list) -> int:
-    print(repr(cascade_gain(gains)))
-    return EXIT_OK
+def _cmd_cascade(gains: list) -> str:
+    return repr(cascade_gain(gains))
 
 
 # ---------------------------------------------------------------------------
@@ -398,20 +397,15 @@ COMMANDS = {
 }
 
 
-def _help(usage: str, lines, description=()) -> int:
-    """Prints argparse's help screen; `lines` lists the positional arguments first."""
+def _help(usage: str, lines, description=()) -> str:
+    """argparse's help screen; `lines` lists the positional arguments first."""
     n = sum(name[0] != "-" for name, _ in lines)
     pairs = [*lines[:n], ("-h, --help", "show this help message and exit"), *lines[n:]]
     width = min(22, 2 + max(len(name) for name, _ in pairs))  # the help column, as argparse
     rows = [f"  {name:<{width}}{text}" for name, text in pairs]
-    print(usage, "", *description, "positional arguments:", *rows[:n], "", "options:", *rows[n:],
-          sep="\n")
-    return EXIT_OK
-
-
-def _fail(usage: str, prog: str, message: str) -> int:
-    print(f"{usage}\n{prog}: error: {message}", file=sys.stderr)
-    return EXIT_USAGE
+    return "\n".join(
+        [usage, "", *description, "positional arguments:", *rows[:n], "", "options:", *rows[n:]]
+    )
 
 
 def _is_option(token: str, options) -> bool:
@@ -427,22 +421,22 @@ def _is_option(token: str, options) -> bool:
 
 
 def _parse(argv: list):
-    """(handler, its arguments) from the command line, or the exit code once
-    a help screen or a usage error is printed."""
+    """(handler, its arguments) from the command line; a help request gives
+    _help and its screen's parts. A refused command line raises UsageError."""
     choices = "{" + ",".join(COMMANDS) + "}"
     usage = f"usage: {PROG} [-h] {choices} ..."
     for index, command in enumerate(argv):
         if command in ("-h", "--help"):
             summaries = [("  " + name, spec[2]) for name, spec in COMMANDS.items()]
-            return _help(usage, [(choices, ""), *summaries],
-                         ["Amplifier-stage simulation and economic gain analysis.", ""])
+            return _help, [usage, [(choices, ""), *summaries],
+                           ["Amplifier-stage simulation and economic gain analysis.", ""]]
         if not _is_option(command, ()) and argv[index:] != ["--"]:
             break
     else:
-        return _fail(usage, PROG, "the following arguments are required: command")
+        raise UsageError(usage, PROG, "the following arguments are required: command")
     if command not in COMMANDS:
-        return _fail(usage, PROG, f"argument command: invalid choice: {command!r} "
-                     f"(choose from {', '.join(map(repr, COMMANDS))})")
+        raise UsageError(usage, PROG, f"argument command: invalid choice: {command!r} "
+                         f"(choose from {', '.join(map(repr, COMMANDS))})")
     handler, tail, _, lines, convert = COMMANDS[command]
     prog, many = f"{PROG} {command}", tail.endswith(" ...]")
     command_usage = f"usage: {prog} [-h] {tail}"
@@ -465,12 +459,12 @@ def _parse(argv: list):
             try:
                 value = convert(token)
             except ValueError:
-                return _fail(command_usage, prog, f"argument {positional}: invalid "
-                             f"{convert.__name__} value: {token!r}")
+                raise UsageError(command_usage, prog, f"argument {positional}: invalid "
+                                 f"{convert.__name__} value: {token!r}") from None
             given[positional] = [*given.get(positional, ()), value] if many else value
             closed, took = not many, True
         elif token in ("-h", "--help"):
-            return _help(command_usage, lines)
+            return _help, [command_usage, lines]
         else:
             closed = positional in given  # an option ends the positional's run of tokens
             name, equals, value = token.partition("=")
@@ -480,24 +474,25 @@ def _parse(argv: list):
             if not equals:
                 value = next(tokens, "--")  # the end of the line is no value either
                 if value == "--" or _is_option(value, options):
-                    return _fail(command_usage, prog, f"argument {name}: expected one argument")
+                    raise UsageError(command_usage, prog,
+                                     f"argument {name}: expected one argument")
             given[name] = value
     missing = [name for name in names if name not in given]
     if missing:
-        return _fail(command_usage, prog,
-                     f"the following arguments are required: {', '.join(missing)}")
+        raise UsageError(command_usage, prog,
+                         f"the following arguments are required: {', '.join(missing)}")
     if extras:
-        return _fail(usage, PROG, f"unrecognized arguments: {' '.join(extras)}")
+        raise UsageError(usage, PROG, f"unrecognized arguments: {' '.join(extras)}")
     return handler, [given[name] for name in names]
 
 
 def main(argv=None) -> int:
-    parsed = _parse(sys.argv[1:] if argv is None else argv)
-    if isinstance(parsed, int):
-        return parsed
-    handler, arguments = parsed
     try:
-        return handler(*arguments)
+        handler, arguments = _parse(sys.argv[1:] if argv is None else argv)
+        print(handler(*arguments))
+    except UsageError as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_USAGE
     except InputFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -507,6 +502,7 @@ def main(argv=None) -> int:
     except (ValueError, OverflowError, SolverError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -10,7 +10,7 @@ import pytest
 import econamp
 import econamp.circuit
 from econamp import cli
-from econamp.cli import main, parse_config, points_file_path
+from econamp.cli import main, parse_config
 from econamp.errors import SolverError
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "perfbench" / "golden"
@@ -453,7 +453,7 @@ class TestFit:
 
     def test_points_file(self, capsys, ols_csv):
         run_cli(capsys, "fit", str(ols_csv), "--x", "x", "--y", "y")
-        points = Path(points_file_path(str(ols_csv))).read_text()
+        points = Path(f"{ols_csv}.points.csv").read_text()
         lines = points.splitlines()
         assert lines[0] == "x,y_observed,y_fitted"
         assert len(lines) == 5
@@ -463,9 +463,9 @@ class TestFit:
 
     def test_deterministic_output_and_points(self, capsys, ols_csv):
         _, first, _ = run_cli(capsys, "fit", str(ols_csv), "--x", "x", "--y", "y")
-        first_points = Path(points_file_path(str(ols_csv))).read_bytes()
+        first_points = Path(f"{ols_csv}.points.csv").read_bytes()
         _, second, _ = run_cli(capsys, "fit", str(ols_csv), "--x", "x", "--y", "y")
-        second_points = Path(points_file_path(str(ols_csv))).read_bytes()
+        second_points = Path(f"{ols_csv}.points.csv").read_bytes()
         assert first == second
         assert first_points == second_points
 
@@ -923,6 +923,52 @@ def test_double_dash_ends_the_options(capsys, argv, expected):
     assert run_cli(capsys, *argv) == (0, expected + "\n", "")
 
 
+# main is the CLI's one writer: it prints what the parse and the handler give it
+@pytest.mark.parametrize("command", sorted(GOLDEN_COMMANDS))
+def test_handler_returns_its_report(capsys, monkeypatch, tmp_path, data_dir, command):
+    for name in ("demo_amplifier.cfg", "synthetic_series.csv"):
+        (tmp_path / name).write_bytes((data_dir / name).read_bytes())
+    monkeypatch.chdir(tmp_path)  # fit writes its points file beside its input
+    handler, arguments = cli._parse(list(GOLDEN_COMMANDS[command]))
+    report = handler(*arguments)
+    assert capsys.readouterr() == ("", "")
+    assert (report + "\n").encode() == (GOLDEN_DIR / f"{command}.out").read_bytes()
+
+
+def test_parse_returns_the_handler_and_its_arguments(capsys):
+    assert cli._parse(["cascade", "2"]) == (cli._cmd_cascade, [[2.0]])
+    for command, screen in HELP_SCREENS.items():  # a help request parses to its screen
+        handler, arguments = cli._parse([command, "-h"] if command else ["--help"])
+        assert handler is cli._help
+        assert handler(*arguments) + "\n" == screen
+    assert capsys.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize(
+    "argv, usage, error",
+    [
+        ([], USAGE, "econamp: error: the following arguments are required: command"),
+        (
+            ["bogus"],
+            USAGE,
+            "econamp: error: argument command: invalid choice: 'bogus' "
+            "(choose from 'simulate', 'fit', 'analyze', 'cascade')",
+        ),
+        (
+            ["cascade", "abc"],
+            SUBCOMMAND_USAGE["cascade"],
+            "econamp cascade: error: argument gains: invalid float value: 'abc'",
+        ),
+    ],
+    ids=["no_command", "bogus", "cascade_abc"],
+)
+def test_refused_command_line_raises_usage_error(capsys, argv, usage, error):
+    with pytest.raises(cli.UsageError) as caught:
+        cli._parse(argv)
+    assert str(caught.value) == f"{usage}\n{error}"
+    assert capsys.readouterr() == ("", "")
+
+
 @pytest.mark.parametrize("argv", [["simulate", "config"], ["fit", "csv", "--x", "a", "--y=b"]])
 def test_placeholder_name_is_an_argument(capsys, monkeypatch, tmp_path, argv):
     # a token spelled as a help-screen placeholder is a file name like any other
@@ -970,12 +1016,13 @@ def reference_main(argv):
     except SystemExit as exc:  # argparse exits 0 after --help, 2 on a usage error
         return exc.code
     try:
-        return args.func(args)
+        print(args.func(args))
     except (cli.InputFormatError, OSError, ValueError, OverflowError, SolverError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, cli.InputFormatError):
             return cli.EXIT_PARSE
         return cli.EXIT_USAGE if isinstance(exc, OSError) else cli.EXIT_DOMAIN
+    return cli.EXIT_OK
 
 
 ARGV_ALPHABET = (
