@@ -10,7 +10,7 @@ from .econmap import cascade_gain  # noqa: F401 (re-exported)
 from .errors import require_finite
 
 # circuit's OperatingPoint and SmallSignalParams are annotated by name only:
-# importing circuit here would load it, and devices, for every cascade call.
+# the gains read only their fields, so importing this module loads no circuit.
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,8 @@ Subcommands:
   cascade G1 [G2 ...]           product of stage gains
 
 Exit codes: 0 success, 2 usage (bad invocation, unreadable file),
-3 parse (malformed or undecodable config or CSV), 4 solver or domain error.
+3 parse (malformed or undecodable config or CSV), 4 domain: a ValueError
+naming what it refuses, SolverError too. Other exceptions are bugs.
 """
 
 import io
@@ -22,7 +23,6 @@ from itertools import repeat
 # a module import: its functions are looked up as attributes of this module,
 # where a tracer can wrap them.
 from .econmap import CoefficientReport, EconSeries, analyze_series, cascade_gain, fit_linear
-from .errors import SolverError
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -499,7 +499,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, OverflowError, SolverError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     return EXIT_OK

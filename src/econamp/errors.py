@@ -1,13 +1,13 @@
 """The package's one value check and its solver error.
 
-Every layer and the CLI share these two, so they live apart from the
-layers: importing one layer, or the CLI, does not import another for them.
+A domain verdict is a ValueError naming what it refuses, SolverError too, and
+any other exception is a bug. Both live apart, so no layer imports another for them.
 """
 
 import math
 
 
-class SolverError(RuntimeError):
+class SolverError(ValueError):
     """No bias solution below the exponential overflow cap."""
 
 

@@ -12,6 +12,8 @@ import sys
 import pytest
 
 import econamp.circuit
+import econamp.devices
+from econamp.amplifier import stage_gain
 from econamp.circuit import (
     INITIAL_GUESS,
     RESIDUAL_TOL,
@@ -158,6 +160,90 @@ def random_config(rng):
     )
 
 
+def wide_configs():
+    """The 1,000 designs of the seed-606 draw.
+
+    Ranges far wider than random_config's: the harder the solve, the more
+    iterates a drift in the arithmetic can show up in.
+    """
+    rng = random.Random(606)
+    for _ in range(1000):
+        yield AmplifierConfig(
+            v_cc=10 ** rng.uniform(-3.0, 4.0),
+            r_b1=10 ** rng.uniform(0.0, 9.0),
+            r_b2=10 ** rng.uniform(0.0, 9.0),
+            r_l=10 ** rng.uniform(0.0, 6.0),
+            device=BjtParams(
+                i_es=10 ** rng.uniform(-30, -3),
+                i_cs=1e-14,
+                alpha_n=rng.uniform(0.01, 0.999999),
+                temperature=rng.uniform(1.0, 1000.0),
+            ),
+        )
+
+
+def decimal_stage(config, v_be):
+    """Every `simulate` figure after the root, in 80-digit decimal at `v_be`.
+
+    The model evaluated from the config's float values, with Vt = k*T/q
+    exact: the values the package's float arithmetic approximates.
+    """
+    dev = config.device
+    d = decimal.Decimal
+    with decimal.localcontext() as ctx:
+        ctx.prec = 80
+        # a saturated point's collector exponential lies past the default range
+        ctx.Emax, ctx.Emin = decimal.MAX_EMAX, decimal.MIN_EMIN
+        # the CODATA values exactly, as their shortest reprs spell them
+        vt = d(repr(K_BOLTZMANN)) * d(dev.temperature) / d(repr(Q_ELECTRON))
+        alpha, r_l = d(dev.alpha_n), d(config.r_l)
+        i_e = d(dev.i_es) * ((d(v_be) / vt).exp() - 1)
+        i_c = alpha * i_e
+        v_ce = d(config.v_cc) - i_c * r_l
+        slope_s = i_c / vt
+        beta = alpha / (1 - alpha)
+        return {
+            "i_b": (1 - alpha) * i_e, "i_c": i_c, "i_e": i_e, "v_ce": v_ce,
+            "r_in": beta / slope_s,
+            "g_out": d(dev.i_cs) * ((d(v_be) - v_ce) / vt).exp() / vt,
+            "slope_s": slope_s, "beta_current": beta, "voltage_gain": slope_s * r_l,
+            "power_out": r_l * i_c * i_c,
+        }
+
+
+def stage_conditions(config, v_be, exact):
+    """The condition number of each decimal_stage figure: how far its formula
+    amplifies a relative error of one ulp in its inputs."""
+    vt = K_BOLTZMANN * config.device.temperature / Q_ELECTRON
+    x = abs(v_be) / vt  # exp(v_be/Vt) passes an error in Vt on, times x
+    i_c, v_ce = float(exact["i_c"]), float(exact["v_ce"])
+    cond_v_ce = x * (abs(config.v_cc) + abs(i_c * config.r_l)) / abs(v_ce)
+    conditions = dict.fromkeys(exact, x)
+    conditions.update(
+        v_ce=cond_v_ce,
+        # exp(v_cb/Vt), v_cb = v_be - v_ce: an absolute error in v_cb, over Vt
+        g_out=(abs(v_be) + abs(v_ce) * (1 + cond_v_ce)) / vt,
+        beta_current=0.0,  # alpha_n/(1 - alpha_n): the exponential cancels
+    )
+    return conditions
+
+
+# k of each figure's bound, k*(1 + cond) ulp from decimal_stage; after each,
+# the worst ratio measured on the wide draw and the demo config
+STAGE_ULP_K = {
+    "i_b": 4.5,           # 3.64
+    "i_c": 4.0,           # 3.24
+    "i_e": 4.0,           # 3.17
+    "v_ce": 4.0,          # 3.20
+    "r_in": 7.5,          # 6.27
+    "g_out": 3.0,         # 2.41
+    "slope_s": 6.5,       # 5.36
+    "beta_current": 2.5,  # 2.03
+    "voltage_gain": 6.5,  # 5.19
+    "power_out": 8.0,     # 6.86
+}
+
+
 class TestSolveOperatingPoint:
     def test_derived_config_against_bisection(self):
         op = solve_operating_point(DERIVED_CONFIG)
@@ -228,23 +314,8 @@ class TestSolveOperatingPoint:
         )
 
     def test_iterates_match_reference_iteration(self):
-        # Ranges far wider than random_config's: the harder the solve, the
-        # more iterates a drift in the arithmetic can show up in.
-        rng = random.Random(606)
         stalled = 0
-        for _ in range(1000):
-            config = AmplifierConfig(
-                v_cc=10 ** rng.uniform(-3.0, 4.0),
-                r_b1=10 ** rng.uniform(0.0, 9.0),
-                r_b2=10 ** rng.uniform(0.0, 9.0),
-                r_l=10 ** rng.uniform(0.0, 6.0),
-                device=BjtParams(
-                    i_es=10 ** rng.uniform(-30, -3),
-                    i_cs=1e-14,
-                    alpha_n=rng.uniform(0.01, 0.999999),
-                    temperature=rng.uniform(1.0, 1000.0),
-                ),
-            )
+        for config in wide_configs():
             expected = reference_v_be(config)
             if expected == "did not converge":
                 # A stiff divider whose residual noise exceeds RESIDUAL_TOL
@@ -259,6 +330,43 @@ class TestSolveOperatingPoint:
             else:
                 assert solve_operating_point(config).v_be == expected
         assert stalled >= 1
+
+    def test_solver_error_is_a_value_error(self):
+        # the CLI exits 4 on a ValueError and on nothing else
+        assert issubclass(SolverError, ValueError)
+
+    def test_no_exponential_argument_reaches_the_cap(self, monkeypatch):
+        # Why no CLI input raises the cap's OverflowError: the solve evaluates
+        # below the cap, the returned point reuses its v_be, and for an active
+        # point, the only one simulate passes on, v_cb = v_be - v_ce < v_be.
+        args = []
+
+        def recorded(voltage, vt, name):
+            arg = junction_arg(voltage, vt, name)
+            args.append((name, arg))
+            return arg
+
+        junction_arg = econamp.devices._junction_arg
+        monkeypatch.setattr(econamp.circuit, "_junction_arg", recorded)
+        monkeypatch.setattr(econamp.devices, "_junction_arg", recorded)
+        active = 0
+        for config in wide_configs():
+            args.clear()
+            try:
+                op = solve_operating_point(config)
+            except SolverError:
+                op = None
+            assert args and max(arg for _, arg in args) < EXP_ARG_CAP
+            if op is None or op.saturated:
+                continue
+            name, v_be_arg = args[-1]  # the returned point, through the device model
+            assert name == "v_be"
+            args.clear()
+            small_signal_params(config.device, op)
+            [(name, v_cb_arg)] = args
+            assert name == "v_cb" and v_cb_arg < v_be_arg
+            active += 1
+        assert active > 800  # 818 of the draw
 
     def test_device_model_builds_only_the_returned_point(self, monkeypatch):
         calls = []
@@ -411,6 +519,36 @@ class TestSmallSignal:
         op = OperatingPoint(v_be=0.0, i_b=0.0, i_c=0.0, i_e=0.0, v_ce=12.0)
         with pytest.raises(ValueError):
             small_signal_params(DERIVED_CONFIG.device, op)
+
+
+class TestStageAgainstDecimal:
+    """The arithmetic after the root, apart from the root's own error: every
+    figure `simulate` prints, against decimal_stage at the solver's v_be."""
+
+    def test_figures_after_the_root_match_decimal_stage(self):
+        worst = dict.fromkeys(STAGE_ULP_K, 0.0)
+        active = 0
+        for config in [*wide_configs(), DERIVED_CONFIG]:
+            try:
+                op = solve_operating_point(config)
+            except SolverError:
+                continue
+            figures = [(op, ("i_b", "i_c", "i_e", "v_ce"))]
+            if not op.saturated:  # simulate's small-signal and gain figures
+                ss = small_signal_params(config.device, op)
+                figures += [
+                    (ss, ("r_in", "g_out", "slope_s")),
+                    (stage_gain(op, ss, config.r_l), ("beta_current", "voltage_gain", "power_out")),
+                ]
+                active += 1
+            exact = decimal_stage(config, op.v_be)
+            conditions = stage_conditions(config, op.v_be, exact)
+            for values, names in figures:
+                for name in names:
+                    ratio = ulps_from(getattr(values, name), exact[name]) / (1 + conditions[name])
+                    worst[name] = max(worst[name], ratio)
+        assert active > 800  # 818 of the draw, and the demo
+        assert {name: ratio for name, ratio in worst.items() if ratio > STAGE_ULP_K[name]} == {}
 
 
 class TestStaticFiniteParams:

@@ -11,7 +11,6 @@ import econamp
 import econamp.circuit
 from econamp import cli
 from econamp.cli import main, parse_config
-from econamp.errors import SolverError
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "perfbench" / "golden"
 
@@ -755,6 +754,16 @@ class TestCascade:
         assert out == ""
         assert stage in err
 
+    def test_internal_overflow_escapes_main(self, monkeypatch):
+        # exit 4 is a ValueError's, a named verdict; any other exception is a
+        # bug and shows as a traceback, OverflowError included
+        def overflowing(gains):
+            raise OverflowError("math range error")
+
+        monkeypatch.setattr(cli, "cascade_gain", overflowing)
+        with pytest.raises(OverflowError, match="math range error"):
+            main(["cascade", "2"])
+
 
 # The help screens and usage lines, byte for byte: argparse's text at
 # COLUMNS=80 on Python 3.11, which the CLI prints at any terminal width.
@@ -1017,7 +1026,7 @@ def reference_main(argv):
         return exc.code
     try:
         print(args.func(args))
-    except (cli.InputFormatError, OSError, ValueError, OverflowError, SolverError) as exc:
+    except (cli.InputFormatError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, cli.InputFormatError):
             return cli.EXIT_PARSE
