@@ -74,7 +74,8 @@ def stage_gain(op: "OperatingPoint", ss: "SmallSignalParams", r_l: float) -> Sta
     return StageGain(
         beta_current=current_gain(op.i_c, op.i_b),
         voltage_gain=stage_voltage_gain(ss, r_l),
-        power_out=output_power(op.i_c, r_l),
+        # output_power's expression; the two calls above have checked i_c and r_l
+        power_out=r_l * op.i_c * op.i_c,
     )
 
 

@@ -11,10 +11,12 @@ cutting the residual, otherwise the bracket is bisected. Plain Newton is
 not enough here; descending the exponential it gains only one thermal
 voltage per step.
 
-Each evaluation of the balance costs one guarded expm1(v_be/Vt): the base
-current is computed inline with active_region_currents' arithmetic, and
-the same value plus one gives the Newton slope. Only the returned point
-goes through the device model and its conservation checks.
+Each evaluation of the balance costs one expm1(v_be/Vt): the base current
+is computed inline with active_region_currents' arithmetic, and the same
+value plus one gives the Newton slope. Two exponentials are guarded: the
+cap check at the top of the bracket, which bounds every point inside it,
+and the returned point, whose currents are formed once and checked once,
+by OperatingPoint.
 """
 
 import math
@@ -112,7 +114,8 @@ def solve_operating_point(config: AmplifierConfig) -> OperatingPoint:
     k_b = 1.0 - dev.alpha_n
     i_es = dev.i_es
 
-    # One thermal voltage of margin keeps every evaluation below the cap.
+    # One thermal voltage of margin keeps every evaluation below the cap: each
+    # later point lies strictly inside (0, hi), so its v/Vt needs no guard.
     lo = 0.0
     hi = min(config.v_cc, vt * (EXP_ARG_CAP - 1.0))
     e = math.expm1(_junction_arg(hi, vt, "v_be"))
@@ -123,14 +126,14 @@ def solve_operating_point(config: AmplifierConfig) -> OperatingPoint:
         )
 
     v = INITIAL_GUESS if lo < INITIAL_GUESS < hi else 0.5 * (lo + hi)
-    e = math.expm1(_junction_arg(v, vt, "v_be"))
+    e = math.expm1(v / vt)
     f = (v_th - v) / r_th - k_b * (i_es * e)
     step = math.inf
     # Every pass after the first moves lo or hi to a float strictly inside the
     # bracket, so the residual test or the collapsed-bracket exit ends the loop.
     while True:
         if abs(f) < RESIDUAL_TOL and (f == 0.0 or abs(step) < STEP_TOL):
-            return _operating_point(config, v)
+            return _operating_point(config, v, vt)
         if f > 0.0:
             lo = v
         else:
@@ -139,7 +142,7 @@ def solve_operating_point(config: AmplifierConfig) -> OperatingPoint:
         di_b = k_b * i_es * (e + 1.0) / vt
         candidate = v - f / (-1.0 / r_th - di_b)
         if lo < candidate < hi:
-            e_candidate = math.expm1(_junction_arg(candidate, vt, "v_be"))
+            e_candidate = math.expm1(candidate / vt)
             f_candidate = (v_th - candidate) / r_th - k_b * (i_es * e_candidate)
             if abs(f_candidate) <= 0.25 * abs(f):
                 step, v, f, e = candidate - v, candidate, f_candidate, e_candidate
@@ -154,19 +157,22 @@ def solve_operating_point(config: AmplifierConfig) -> OperatingPoint:
         if not lo < mid < hi:
             # No float lies inside the bracket, whose ends straddle the root:
             # the residual's rounding noise there exceeds RESIDUAL_TOL.
-            return _operating_point(config, mid)
-        e = math.expm1(_junction_arg(mid, vt, "v_be"))
+            return _operating_point(config, mid, vt)
+        e = math.expm1(mid / vt)
         step, v, f = mid - v, mid, (v_th - mid) / r_th - k_b * (i_es * e)
 
 
-def _operating_point(config: AmplifierConfig, v_be: float) -> OperatingPoint:
-    currents = active_region_currents(config.device, v_be)
-    v_ce = config.v_cc - currents.i_c * config.r_l
+def _operating_point(config: AmplifierConfig, v_be: float, vt: float) -> OperatingPoint:
+    # active_region_currents' arithmetic; OperatingPoint checks the result
+    dev = config.device
+    i_e = dev.i_es * math.expm1(_junction_arg(v_be, vt, "v_be"))
+    i_c = dev.alpha_n * i_e
+    v_ce = config.v_cc - i_c * config.r_l
     return OperatingPoint(
         v_be=v_be,
-        i_b=currents.i_b,
-        i_c=currents.i_c,
-        i_e=currents.i_e,
+        i_b=(1.0 - dev.alpha_n) * i_e,
+        i_c=i_c,
+        i_e=i_e,
         v_ce=v_ce,
         saturated=v_ce <= 0.0,
     )
@@ -204,7 +210,8 @@ def static_finite_params(
 
     Central differences of the active-region currents over [v_be - delta,
     v_be + delta]; second-order accurate in delta. g_out is 0 because the
-    active-region law carries no collector-voltage dependence.
+    active-region law carries no collector-voltage dependence. A delta too
+    small for the currents at its two ends to differ is refused.
     """
     require_finite("v_be", (v_be,))
     require_finite("delta", (delta,), "> 0")
@@ -215,6 +222,11 @@ def static_finite_params(
         )
     above = active_region_currents(device, v_be + delta)
     below = active_region_currents(device, v_be - delta)
+    if above.i_b == below.i_b or above.i_c == below.i_c:
+        raise ValueError(
+            f"delta {delta:g} is below the float resolution of the currents at "
+            f"v_be = {v_be:g} V"
+        )
     slope_s = (above.i_c - below.i_c) / (2.0 * delta)
     r_in = (2.0 * delta) / (above.i_b - below.i_b)
     return SmallSignalParams(r_in=r_in, g_out=0.0, slope_s=slope_s)

@@ -201,17 +201,33 @@ class CobbDouglasParams(_Record):
 
 
 def cobb_douglas(params: CobbDouglasParams, labour_l: float, capital_k: float) -> float:
-    """Production Q = g * L^lambda * K^mu."""
+    """Production Q = g * L^lambda * K^mu.
+
+    A power or a product that is not finite is refused with a ValueError
+    naming it, as is float pow's OverflowError or ZeroDivisionError.
+    """
     require_finite("labour_l, capital_k", (labour_l, capital_k))
-    for base, exponent, name in (
-        (labour_l, params.lam, "labour_l"),
-        (capital_k, params.mu, "capital_k"),
-    ):
+    factors = (
+        (labour_l, params.lam, "labour_l", "lam"),
+        (capital_k, params.mu, "capital_k", "mu"),
+    )
+    for base, exponent, name, _ in factors:
         if base <= 0 and exponent != int(exponent):
             raise ValueError(
                 f"{name} must be > 0 for fractional exponent {exponent}, got {base}"
             )
-    return params.g * labour_l**params.lam * capital_k**params.mu
+    q = params.g
+    for base, exponent, name, exponent_name in factors:
+        try:
+            q *= base**exponent
+        except (OverflowError, ZeroDivisionError):
+            raise ValueError(
+                f"{name}**{exponent_name} must be finite, got {name} = {base!r}, "
+                f"{exponent_name} = {exponent!r}"
+            ) from None
+    if not -math.inf < q < math.inf:  # also rejects NaN, from inf * 0.0
+        raise ValueError(f"Q = g * labour_l**lam * capital_k**mu must be finite, got {q}")
+    return q
 
 
 def keynes_multiplier(delta_v: float, delta_i: float) -> float:

@@ -1,4 +1,6 @@
+import math
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -193,3 +195,38 @@ class TestStageGainBundle:
         assert bundle.beta_current == pytest.approx(100.0)
         assert bundle.voltage_gain == pytest.approx(77.4)
         assert bundle.power_out == pytest.approx(4e-3)
+
+    def test_power_out_is_output_power(self):
+        rng = random.Random(17)
+        ss = SmallSignalParams(r_in=500.0, g_out=0.0, slope_s=0.0774)
+        for _ in range(1000):
+            i_c, r_l = 10 ** rng.uniform(-12, 0), 10 ** rng.uniform(0, 7)
+            op = make_op(i_c=i_c, i_b=i_c / 100.0)
+            assert stage_gain(op, ss, r_l).power_out == output_power(i_c, r_l)
+
+    # The exact text and order of each refusal: every input is checked once,
+    # i_c and i_b by current_gain, then r_l by stage_voltage_gain. The point
+    # is a plain namespace, since OperatingPoint refuses these values itself.
+    @pytest.mark.parametrize(
+        "i_c, i_b, r_l, message",
+        [
+            (1e-3, 1e-5, math.nan, "r_l must be finite and > 0, got nan"),
+            (1e-3, 1e-5, math.inf, "r_l must be finite and > 0, got inf"),
+            (1e-3, 1e-5, 0.0, "r_l must be finite and > 0, got 0.0"),
+            (1e-3, 1e-5, -1.0, "r_l must be finite and > 0, got -1.0"),
+            (math.nan, 1e-5, 1e3, "i_out must be finite, got nan"),
+            (math.inf, 1e-5, 1e3, "i_out must be finite, got inf"),
+            (-math.inf, 1e-5, 1e3, "i_out must be finite, got -inf"),
+            (1e-3, math.nan, 1e3, "i_in must be finite, got nan"),
+            (1e-3, math.inf, 1e3, "i_in must be finite, got inf"),
+            (1e-3, 0.0, 1e3, "input current must be non-zero"),
+            (1e-3, 0.0, math.nan, "input current must be non-zero"),
+            (math.nan, 1e-5, math.nan, "i_out must be finite, got nan"),
+        ],
+    )
+    def test_refusals_are_pinned(self, i_c, i_b, r_l, message):
+        op = SimpleNamespace(i_c=i_c, i_b=i_b)
+        ss = SmallSignalParams(r_in=500.0, g_out=0.0, slope_s=0.0774)
+        with pytest.raises(ValueError) as info:
+            stage_gain(op, ss, r_l)
+        assert str(info.value) == message

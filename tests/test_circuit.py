@@ -12,7 +12,6 @@ import sys
 import pytest
 
 import econamp.circuit
-import econamp.devices
 from econamp.amplifier import stage_gain
 from econamp.circuit import (
     INITIAL_GUESS,
@@ -339,16 +338,17 @@ class TestSolveOperatingPoint:
         # Why no CLI input raises the cap's OverflowError: the solve evaluates
         # below the cap, the returned point reuses its v_be, and for an active
         # point, the only one simulate passes on, v_cb = v_be - v_ce < v_be.
+        # Every exponential the package evaluates is recorded, guarded or not.
         args = []
 
-        def recorded(voltage, vt, name):
-            arg = junction_arg(voltage, vt, name)
-            args.append((name, arg))
-            return arg
+        def recorded(function):
+            def call(arg):
+                args.append((function.__name__, arg))
+                return function(arg)
+            return call
 
-        junction_arg = econamp.devices._junction_arg
-        monkeypatch.setattr(econamp.circuit, "_junction_arg", recorded)
-        monkeypatch.setattr(econamp.devices, "_junction_arg", recorded)
+        monkeypatch.setattr(math, "expm1", recorded(math.expm1))
+        monkeypatch.setattr(math, "exp", recorded(math.exp))
         active = 0
         for config in wide_configs():
             args.clear()
@@ -359,25 +359,51 @@ class TestSolveOperatingPoint:
             assert args and max(arg for _, arg in args) < EXP_ARG_CAP
             if op is None or op.saturated:
                 continue
-            name, v_be_arg = args[-1]  # the returned point, through the device model
-            assert name == "v_be"
+            vt = thermal_voltage(config.device.temperature)
+            assert args[-1] == ("expm1", op.v_be / vt)  # the returned point
             args.clear()
             small_signal_params(config.device, op)
-            [(name, v_cb_arg)] = args
-            assert name == "v_cb" and v_cb_arg < v_be_arg
+            assert args == [("exp", (op.v_be - op.v_ce) / vt)]
+            assert args[0][1] < op.v_be / vt
             active += 1
         assert active > 800  # 818 of the draw
 
-    def test_device_model_builds_only_the_returned_point(self, monkeypatch):
+    def test_a_returning_solve_guards_two_exponentials(self, monkeypatch):
+        # The cap check at the top of the bracket and the returned point; the
+        # bracket bounds every exponential in between.
         calls = []
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return active_region_currents(*args, **kwargs)
+        def counted(voltage, vt, name):
+            calls.append(voltage)
+            return junction_arg(voltage, vt, name)
 
-        monkeypatch.setattr(econamp.circuit, "active_region_currents", counted)
-        op = solve_operating_point(DERIVED_CONFIG)
-        assert [args[1] for args in calls] == [op.v_be]
+        junction_arg = econamp.circuit._junction_arg
+        monkeypatch.setattr(econamp.circuit, "_junction_arg", counted)
+        returned = 0
+        for config in [DERIVED_CONFIG, *wide_configs()]:
+            calls.clear()
+            try:
+                op = solve_operating_point(config)
+            except SolverError:
+                assert len(calls) == 1
+                continue
+            hi = min(config.v_cc, thermal_voltage(config.device.temperature) * 199.0)
+            assert calls == [hi, op.v_be]
+            returned += 1
+        assert returned > 900
+
+    def test_returned_currents_match_the_device_model(self):
+        # The returned point forms its currents inline, with the arithmetic
+        # of active_region_currents: the same floats, bit for bit.
+        for config in [DERIVED_CONFIG, *wide_configs()]:
+            try:
+                op = solve_operating_point(config)
+            except SolverError:
+                continue
+            model = active_region_currents(config.device, op.v_be)
+            assert [x.hex() for x in (op.i_e, op.i_c, op.i_b)] == [
+                x.hex() for x in (model.i_e, model.i_c, model.i_b)
+            ]
 
     def test_stiff_divider_solves_to_float_resolution(self):
         # v_th/r_th is 2.4e3 A here, so the residual's rounding noise exceeds
@@ -577,3 +603,13 @@ class TestStaticFiniteParams:
             static_finite_params(DERIVED_CONFIG.device, 0.6, 0.0)
         with pytest.raises(ValueError, match="flips"):
             static_finite_params(DERIVED_CONFIG.device, 0.1, 0.2)
+
+    @pytest.mark.parametrize("delta", [1e-17, 1e-20, 1e-300])
+    def test_delta_below_float_resolution_is_refused(self, delta):
+        # v_be +- delta both round to 0.6: the currents were equal and r_in's
+        # division raised ZeroDivisionError
+        with pytest.raises(ValueError) as info:
+            static_finite_params(DERIVED_CONFIG.device, 0.6, delta)
+        assert str(info.value) == (
+            f"delta {delta:g} is below the float resolution of the currents at v_be = 0.6 V"
+        )

@@ -183,6 +183,52 @@ class TestCobbDouglas:
         with pytest.raises(ValueError):
             CobbDouglasParams(g=0.0, lam=1.0, mu=1.0)
 
+    # Each used to escape as float pow's error or as inf: an OverflowError
+    # "(34, 'Numerical result out of range')", a ZeroDivisionError, and inf.
+    @pytest.mark.parametrize(
+        "params, labour_l, capital_k, message",
+        [
+            ((1.0, 2.0, 1.0), 1e200, 1.0,
+             "labour_l**lam must be finite, got labour_l = 1e+200, lam = 2.0"),
+            ((1.0, 2.0, 1.0), -1e200, 1.0,
+             "labour_l**lam must be finite, got labour_l = -1e+200, lam = 2.0"),
+            ((1.0, -1.0, 1.0), 0.0, 1.0,
+             "labour_l**lam must be finite, got labour_l = 0.0, lam = -1.0"),
+            ((1.0, 1.0, -400.0), 2.0, 0.1,
+             "capital_k**mu must be finite, got capital_k = 0.1, mu = -400.0"),
+            ((1.0, 1.0, -1.0), 2.0, 0.0,
+             "capital_k**mu must be finite, got capital_k = 0.0, mu = -1.0"),
+            ((1e300, 1.0, 1.0), 1e10, 1e10,
+             "Q = g * labour_l**lam * capital_k**mu must be finite, got inf"),
+            ((1e300, 1.0, 1.0), -1e10, 1e10,
+             "Q = g * labour_l**lam * capital_k**mu must be finite, got -inf"),
+            # g*L overflows to inf, and inf times the underflowed K**mu is NaN
+            ((1e300, 1.0, 2.0), 1e10, 1e-200,
+             "Q = g * labour_l**lam * capital_k**mu must be finite, got nan"),
+        ],
+    )
+    def test_non_finite_power_or_product_is_refused(self, params, labour_l, capital_k, message):
+        with pytest.raises(ValueError) as info:
+            cobb_douglas(CobbDouglasParams(*params), labour_l, capital_k)
+        assert str(info.value) == message
+
+    def test_fractional_check_comes_before_any_power(self):
+        # labour_l**lam would overflow; the bad capital_k is still named first
+        params = CobbDouglasParams(g=1.0, lam=2.0, mu=0.5)
+        with pytest.raises(ValueError, match="capital_k must be > 0 for fractional"):
+            cobb_douglas(params, 1e200, -1.0)
+
+    def test_product_order_is_unchanged(self):
+        rng = random.Random(17)
+        for _ in range(1000):
+            params = CobbDouglasParams(
+                10 ** rng.uniform(-3, 3), rng.uniform(-3, 3), rng.uniform(-3, 3)
+            )
+            labour_l, capital_k = 10 ** rng.uniform(-5, 5), 10 ** rng.uniform(-5, 5)
+            assert cobb_douglas(params, labour_l, capital_k) == (
+                params.g * labour_l**params.lam * capital_k**params.mu
+            )
+
 
 class TestFitLinear:
     def test_exact_line(self):
