@@ -13,18 +13,21 @@ from .errors import require_finite
 # the gains read only their fields, so importing this module loads no circuit.
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class StageGain:
     beta_current: float
     voltage_gain: float
     power_out: float
 
-    def __post_init__(self):
-        require_finite("beta_current, voltage_gain", (self.beta_current, self.voltage_gain))
-        require_finite("power_out", (self.power_out,), ">= 0")
+    def __init__(self, beta_current: float, voltage_gain: float, power_out: float):
+        require_finite("beta_current, voltage_gain", (beta_current, voltage_gain))
+        require_finite("power_out", (power_out,), ">= 0")
+        self.__dict__.update(
+            beta_current=beta_current, voltage_gain=voltage_gain, power_out=power_out
+        )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class OperatingLimits:
     """Device ratings; defaults are representative small-signal ratings."""
 
@@ -32,10 +35,9 @@ class OperatingLimits:
     v_ce_max: float = 40.0
     p_max: float = 0.5
 
-    def __post_init__(self):
-        require_finite(
-            "i_c_max, v_ce_max, p_max", (self.i_c_max, self.v_ce_max, self.p_max), "> 0"
-        )
+    def __init__(self, i_c_max: float = 0.1, v_ce_max: float = 40.0, p_max: float = 0.5):
+        require_finite("i_c_max, v_ce_max, p_max", (i_c_max, v_ce_max, p_max), "> 0")
+        self.__dict__.update(i_c_max=i_c_max, v_ce_max=v_ce_max, p_max=p_max)
 
 
 def current_gain(i_out: float, i_in: float) -> float:
@@ -72,10 +74,10 @@ def stage_voltage_gain(ss: "SmallSignalParams", r_l: float) -> float:
 def stage_gain(op: "OperatingPoint", ss: "SmallSignalParams", r_l: float) -> StageGain:
     """Bundle the three gain figures of one solved stage."""
     return StageGain(
-        beta_current=current_gain(op.i_c, op.i_b),
-        voltage_gain=stage_voltage_gain(ss, r_l),
+        current_gain(op.i_c, op.i_b),
+        stage_voltage_gain(ss, r_l),
         # output_power's expression; the two calls above have checked i_c and r_l
-        power_out=r_l * op.i_c * op.i_c,
+        r_l * op.i_c * op.i_c,
     )
 
 

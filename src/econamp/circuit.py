@@ -39,7 +39,7 @@ STEP_TOL = 1e-12       # volts; polishes v_be past the residual window
 INITIAL_GUESS = 0.6    # volts, generic forward junction drop
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class AmplifierConfig:
     """Supply, bias divider, load and the device of one CE stage.
 
@@ -52,10 +52,10 @@ class AmplifierConfig:
     r_l: float
     device: BjtParams
 
-    def __post_init__(self):
-        require_finite(
-            "v_cc, r_b1, r_b2, r_l", (self.v_cc, self.r_b1, self.r_b2, self.r_l), "> 0"
-        )
+    def __init__(self, v_cc: float, r_b1: float, r_b2: float, r_l: float, device: BjtParams):
+        require_finite("v_cc, r_b1, r_b2, r_l", (v_cc, r_b1, r_b2, r_l), "> 0")
+        # stored before the divider check, which thevenin() forms from the fields
+        self.__dict__.update(v_cc=v_cc, r_b1=r_b1, r_b2=r_b2, r_l=r_l, device=device)
         v_th, r_th = self.thevenin()
         low = sys.float_info.min
         # the chained comparisons also reject NaN
@@ -71,7 +71,7 @@ class AmplifierConfig:
         return self.v_cc * self.r_b2 / total, self.r_b1 * self.r_b2 / total
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class OperatingPoint:
     """Solved DC state; `saturated` flags v_ce <= 0 (device out of the active region)."""
 
@@ -82,12 +82,16 @@ class OperatingPoint:
     v_ce: float
     saturated: bool = False
 
-    def __post_init__(self):
-        require_conserved(self.i_e, self.i_b, self.i_c)
-        require_finite("v_be, v_ce", (self.v_be, self.v_ce))
+    def __init__(
+        self, v_be: float, i_b: float, i_c: float, i_e: float, v_ce: float,
+        saturated: bool = False,
+    ):
+        require_conserved(i_e, i_b, i_c)
+        require_finite("v_be, v_ce", (v_be, v_ce))
+        self.__dict__.update(v_be=v_be, i_b=i_b, i_c=i_c, i_e=i_e, v_ce=v_ce, saturated=saturated)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SmallSignalParams:
     """Input resistance, output conductance and slope at an operating point."""
 
@@ -95,9 +99,10 @@ class SmallSignalParams:
     g_out: float
     slope_s: float
 
-    def __post_init__(self):
-        require_finite("r_in, slope_s", (self.r_in, self.slope_s), "> 0")
-        require_finite("g_out", (self.g_out,), ">= 0")
+    def __init__(self, r_in: float, g_out: float, slope_s: float):
+        require_finite("r_in, slope_s", (r_in, slope_s), "> 0")
+        require_finite("g_out", (g_out,), ">= 0")
+        self.__dict__.update(r_in=r_in, g_out=g_out, slope_s=slope_s)
 
 
 def solve_operating_point(config: AmplifierConfig) -> OperatingPoint:
@@ -108,17 +113,23 @@ def solve_operating_point(config: AmplifierConfig) -> OperatingPoint:
     Raises SolverError when the solution would sit past the device's
     exponential overflow cap.
     """
+    expm1 = math.expm1  # looked up per call, so a patched math.expm1 is seen
+    residual_tol, step_tol = RESIDUAL_TOL, STEP_TOL
     dev = config.device
     vt = _thermal_voltage(dev.temperature)
     v_th, r_th = config.thevenin()
     k_b = 1.0 - dev.alpha_n
     i_es = dev.i_es
+    # the loop's invariants: k_b * i_es * (e + 1.0) groups from the left, so
+    # k_i * (e + 1.0) is the same product, and g_th is -1/r_th
+    k_i = k_b * i_es
+    g_th = -1.0 / r_th
 
     # One thermal voltage of margin keeps every evaluation below the cap: each
     # later point lies strictly inside (0, hi), so its v/Vt needs no guard.
     lo = 0.0
     hi = min(config.v_cc, vt * (EXP_ARG_CAP - 1.0))
-    e = math.expm1(_junction_arg(hi, vt, "v_be"))
+    e = expm1(_junction_arg(hi, vt, "v_be"))
     if (v_th - hi) / r_th - k_b * (i_es * e) > 0.0:
         raise SolverError(
             f"no bias solution below the exponential overflow cap "
@@ -126,25 +137,26 @@ def solve_operating_point(config: AmplifierConfig) -> OperatingPoint:
         )
 
     v = INITIAL_GUESS if lo < INITIAL_GUESS < hi else 0.5 * (lo + hi)
-    e = math.expm1(v / vt)
+    e = expm1(v / vt)
     f = (v_th - v) / r_th - k_b * (i_es * e)
     step = math.inf
     # Every pass after the first moves lo or hi to a float strictly inside the
     # bracket, so the residual test or the collapsed-bracket exit ends the loop.
     while True:
-        if abs(f) < RESIDUAL_TOL and (f == 0.0 or abs(step) < STEP_TOL):
+        abs_f = abs(f)
+        if abs_f < residual_tol and (f == 0.0 or abs(step) < step_tol):
             return _operating_point(config, v, vt)
         if f > 0.0:
             lo = v
         else:
             hi = v
         # d(residual)/dv, strictly negative for any valid config
-        di_b = k_b * i_es * (e + 1.0) / vt
-        candidate = v - f / (-1.0 / r_th - di_b)
+        di_b = k_i * (e + 1.0) / vt
+        candidate = v - f / (g_th - di_b)
         if lo < candidate < hi:
-            e_candidate = math.expm1(candidate / vt)
+            e_candidate = expm1(candidate / vt)
             f_candidate = (v_th - candidate) / r_th - k_b * (i_es * e_candidate)
-            if abs(f_candidate) <= 0.25 * abs(f):
+            if abs(f_candidate) <= 0.25 * abs_f:
                 step, v, f, e = candidate - v, candidate, f_candidate, e_candidate
                 continue
             # Newton is crawling along the exponential; keep the bracket
@@ -158,7 +170,7 @@ def solve_operating_point(config: AmplifierConfig) -> OperatingPoint:
             # No float lies inside the bracket, whose ends straddle the root:
             # the residual's rounding noise there exceeds RESIDUAL_TOL.
             return _operating_point(config, mid, vt)
-        e = math.expm1(mid / vt)
+        e = expm1(mid / vt)
         step, v, f = mid - v, mid, (v_th - mid) / r_th - k_b * (i_es * e)
 
 
@@ -168,14 +180,7 @@ def _operating_point(config: AmplifierConfig, v_be: float, vt: float) -> Operati
     i_e = dev.i_es * math.expm1(_junction_arg(v_be, vt, "v_be"))
     i_c = dev.alpha_n * i_e
     v_ce = config.v_cc - i_c * config.r_l
-    return OperatingPoint(
-        v_be=v_be,
-        i_b=(1.0 - dev.alpha_n) * i_e,
-        i_c=i_c,
-        i_e=i_e,
-        v_ce=v_ce,
-        saturated=v_ce <= 0.0,
-    )
+    return OperatingPoint(v_be, (1.0 - dev.alpha_n) * i_e, i_c, i_e, v_ce, v_ce <= 0.0)
 
 
 def small_signal_params(device: BjtParams, op: OperatingPoint) -> SmallSignalParams:
@@ -200,7 +205,7 @@ def small_signal_params(device: BjtParams, op: OperatingPoint) -> SmallSignalPar
         )
     r_in = beta_from_alpha(device.alpha_n) / slope_s
     g_out = device.i_cs * math.exp(_junction_arg(op.v_be - op.v_ce, vt, "v_cb")) / vt
-    return SmallSignalParams(r_in=r_in, g_out=g_out, slope_s=slope_s)
+    return SmallSignalParams(r_in, g_out, slope_s)
 
 
 def static_finite_params(

@@ -2,6 +2,11 @@
 
 All functions are pure; parameter objects are frozen and validated on
 construction, so values can be shared freely between threads.
+
+The stage's value types here, in circuit and in amplifier are frozen
+dataclasses with written-out __init__s: each runs its checks, then stores
+every field in one step, where the generated frozen __init__ calls
+object.__setattr__ once per field.
 """
 
 import math
@@ -32,7 +37,7 @@ def require_conserved(i_e: float, i_b: float, i_c: float) -> None:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class BjtParams:
     """Static bipolar transistor parameters (n-p-n convention).
 
@@ -47,30 +52,39 @@ class BjtParams:
     alpha_i: float = 0.0
     temperature: float = DEFAULT_TEMPERATURE
 
-    def __post_init__(self):
-        require_finite("i_es, i_cs", (self.i_es, self.i_cs), "> 0")
-        thermal_voltage(self.temperature)  # refuses a temperature it cannot use
-        if not 0.0 < self.alpha_n < 1.0:
-            raise ValueError(f"alpha_n must lie strictly in (0, 1), got {self.alpha_n}")
-        if not 0.0 <= self.alpha_i < self.alpha_n:
-            raise ValueError(
-                f"alpha_i must satisfy 0 <= alpha_i < alpha_n, got {self.alpha_i}"
-            )
+    def __init__(
+        self,
+        i_es: float,
+        i_cs: float,
+        alpha_n: float,
+        alpha_i: float = 0.0,
+        temperature: float = DEFAULT_TEMPERATURE,
+    ):
+        require_finite("i_es, i_cs", (i_es, i_cs), "> 0")
+        thermal_voltage(temperature)  # refuses a temperature it cannot use
+        if not 0.0 < alpha_n < 1.0:
+            raise ValueError(f"alpha_n must lie strictly in (0, 1), got {alpha_n}")
+        if not 0.0 <= alpha_i < alpha_n:
+            raise ValueError(f"alpha_i must satisfy 0 <= alpha_i < alpha_n, got {alpha_i}")
+        self.__dict__.update(
+            i_es=i_es, i_cs=i_cs, alpha_n=alpha_n, alpha_i=alpha_i, temperature=temperature
+        )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class MosParams:
     """Square-law MOS parameters: k_prime in A/V^2, threshold in volts."""
 
     k_prime: float
     v_threshold: float
 
-    def __post_init__(self):
-        require_finite("k_prime", (self.k_prime,), "> 0")
-        require_finite("v_threshold", (self.v_threshold,))
+    def __init__(self, k_prime: float, v_threshold: float):
+        require_finite("k_prime", (k_prime,), "> 0")
+        require_finite("v_threshold", (v_threshold,))
+        self.__dict__.update(k_prime=k_prime, v_threshold=v_threshold)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class BjtCurrents:
     """Terminal currents of a bipolar device; i_e = i_b + i_c by charge conservation."""
 
@@ -78,8 +92,9 @@ class BjtCurrents:
     i_c: float
     i_b: float
 
-    def __post_init__(self):
-        require_conserved(self.i_e, self.i_b, self.i_c)
+    def __init__(self, i_e: float, i_c: float, i_b: float):
+        require_conserved(i_e, i_b, i_c)
+        self.__dict__.update(i_e=i_e, i_c=i_c, i_b=i_b)
 
 
 def thermal_voltage(temperature: float) -> float:

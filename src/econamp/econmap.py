@@ -17,6 +17,7 @@ import math
 import sys
 from collections import Counter
 from collections.abc import Sequence
+from operator import mul
 
 from .errors import require_finite
 
@@ -203,8 +204,11 @@ class CobbDouglasParams(_Record):
 def cobb_douglas(params: CobbDouglasParams, labour_l: float, capital_k: float) -> float:
     """Production Q = g * L^lambda * K^mu.
 
-    A power or a product that is not finite is refused with a ValueError
-    naming it, as is float pow's OverflowError or ZeroDivisionError.
+    A power that is not finite is refused with a ValueError naming it, as is
+    float pow's OverflowError or ZeroDivisionError. When the left-to-right
+    product overflows although both powers are finite, Q is formed from the
+    factors' frexp mantissas and summed exponents. So only a Q outside the
+    float range is refused, or one left unknown by a power that underflowed.
     """
     require_finite("labour_l, capital_k", (labour_l, capital_k))
     factors = (
@@ -216,15 +220,25 @@ def cobb_douglas(params: CobbDouglasParams, labour_l: float, capital_k: float) -
             raise ValueError(
                 f"{name} must be > 0 for fractional exponent {exponent}, got {base}"
             )
-    q = params.g
+    powers = []
     for base, exponent, name, exponent_name in factors:
         try:
-            q *= base**exponent
+            powers.append(base**exponent)
         except (OverflowError, ZeroDivisionError):
             raise ValueError(
                 f"{name}**{exponent_name} must be finite, got {name} = {base!r}, "
                 f"{exponent_name} = {exponent!r}"
             ) from None
+    q = params.g * powers[0] * powers[1]
+    underflowed = any(power == 0.0 != base for power, (base, *_) in zip(powers, factors))
+    if not -math.inf < q < math.inf and not underflowed:
+        # A partial product overflowed. The mantissas' product lies in [1/8, 1),
+        # or is 0 for a zero base.
+        (m_g, e_g), (m_l, e_l), (m_k, e_k) = map(math.frexp, (params.g, *powers))
+        try:
+            q = math.ldexp(m_g * m_l * m_k, e_g + e_l + e_k)
+        except OverflowError:
+            pass  # Q itself is past the float range; q keeps its signed inf
     if not -math.inf < q < math.inf:  # also rejects NaN, from inf * 0.0
         raise ValueError(f"Q = g * labour_l**lam * capital_k**mu must be finite, got {q}")
     return q
@@ -288,16 +302,17 @@ def fit_linear(xs: Sequence[float], ys: Sequence[float]) -> RegressionFit:
         raise ValueError(f"need at least 2 points, got n = {n}")
     x_bar = _fsum("sum of x", xs) / n
     y_bar = _fsum("sum of y", ys) / n
-    s_xx = _require_normal("s_xx", _fsum("s_xx", ((x - x_bar) ** 2 for x in xs)))
+    dx = [x - x_bar for x in xs]
+    dy = [y - y_bar for y in ys]
+    # products, not ** 2: libm's pow does not round every square correctly
+    s_xx = _require_normal("s_xx", _fsum("s_xx", map(mul, dx, dx)))
     if s_xx == 0:
         raise ValueError("s_xx = 0: the x values are identical or their spread underflows")
-    s_xy = _require_normal(
-        "s_xy", _fsum("s_xy", ((x - x_bar) * (y - y_bar) for x, y in zip(xs, ys)))
-    )
+    s_xy = _require_normal("s_xy", _fsum("s_xy", map(mul, dx, dy)))
     # s_xy/ss_tot below is r_squared/beta: it can overflow only for a subnormal beta
     beta = _require_normal("slope beta", s_xy / s_xx)
     a0 = y_bar - beta * x_bar
-    ss_tot = _require_normal("ss_tot", _fsum("ss_tot", ((y - y_bar) ** 2 for y in ys)))
+    ss_tot = _require_normal("ss_tot", _fsum("ss_tot", map(mul, dy, dy)))
     r_squared = 1.0 if ss_tot == 0.0 else beta * (s_xy / ss_tot)
     return RegressionFit(a0=a0, beta=beta, r_squared=r_squared, n=n)
 

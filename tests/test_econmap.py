@@ -11,6 +11,7 @@ import inspect
 import math
 import pickle
 import random
+import sys
 import time
 from fractions import Fraction
 from types import SimpleNamespace
@@ -212,6 +213,41 @@ class TestCobbDouglas:
             cobb_douglas(CobbDouglasParams(*params), labour_l, capital_k)
         assert str(info.value) == message
 
+    def test_a_partial_product_past_the_float_range_is_not_refused(self):
+        # g * labour_l overflows to inf, although Q itself is about 1e-10
+        q = cobb_douglas(CobbDouglasParams(1e300, 1.0, 1.0), 1e10, 1e-320)
+        exact = Fraction(1e300) * Fraction(1e10) * Fraction(1e-320)
+        assert q == pytest.approx(1e-10, rel=1e-3) and q == float(exact)
+        assert cobb_douglas(CobbDouglasParams(1e300, 1.0, 1.0), -1e10, 1e-300) == (
+            pytest.approx(-1e10, rel=1e-12)
+        )
+        # a zero base gives Q = 0 exactly; only an underflowed power refuses
+        assert cobb_douglas(CobbDouglasParams(1e300, 1.0, 1.0), 1e10, 0.0) == 0.0
+
+    def test_overflowing_partial_products_round_to_the_exact_q(self):
+        # Q = g * L**lam * K**mu from the float powers, within two ulp of the
+        # exact product: the mantissas' product rounds twice, as the product
+        # of three floats does when nothing overflows
+        rng = random.Random(41)
+        checked = 0
+        for _ in range(2000):
+            params = CobbDouglasParams(10 ** rng.uniform(200, 300), 1.0, rng.choice((1.0, 2.0)))
+            labour_l = rng.choice((1.0, -1.0)) * 10 ** rng.uniform(10, 300)
+            capital_k = 10 ** rng.uniform(-150, -100)  # K**mu stays a normal float
+            exact = (
+                Fraction(params.g) * Fraction(labour_l) * Fraction(capital_k**params.mu)
+            )
+            if params.g * labour_l < math.inf and params.g * labour_l > -math.inf:
+                continue
+            if abs(exact) >= Fraction(sys.float_info.max):
+                with pytest.raises(ValueError, match="must be finite, got -?inf$"):
+                    cobb_douglas(params, labour_l, capital_k)
+                continue
+            q = cobb_douglas(params, labour_l, capital_k)
+            assert abs(Fraction(q) - exact) <= 2 * Fraction(math.ulp(q)), (params, labour_l)
+            checked += 1
+        assert checked > 500
+
     def test_fractional_check_comes_before_any_power(self):
         # labour_l**lam would overflow; the bad capital_k is still named first
         params = CobbDouglasParams(g=1.0, lam=2.0, mu=0.5)
@@ -305,6 +341,19 @@ class TestFitLinear:
             # 8 ulp while S_xy is well-conditioned; beyond, its centered terms
             # lose accuracy in proportion to the condition number
             assert ulps(fit_linear(xs, ys).r_squared, exact) <= 8 * max(1.0, kappa / 2)
+
+    def test_the_identity_line_fits_exactly(self):
+        # libm's pow gave d**2 != d*d for this d, so beta and r_squared were
+        # 0.9999999999999999 and 0.9999999999999998 from squares taken with **
+        d = 923.2681140745275
+        fit = fit_linear([-d, d], [-d, d])
+        assert (fit.a0, fit.beta, fit.r_squared) == (0.0, 1.0, 1.0)
+        rng = random.Random(31)
+        for _ in range(200):
+            xs = [rng.uniform(-1e3, 1e3) for _ in range(rng.randint(2, 20))]
+            if max(xs) > min(xs):
+                fit = fit_linear(xs, xs)
+                assert (fit.beta, fit.r_squared) == (1.0, 1.0)
 
     def test_constant_y_is_a_perfect_horizontal_fit(self):
         fit = fit_linear([1.0, 2.0, 3.0], [4.5, 4.5, 4.5])
