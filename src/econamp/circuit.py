@@ -108,8 +108,12 @@ class SmallSignalParams:
 def solve_operating_point(config: AmplifierConfig) -> OperatingPoint:
     """Solve the base-node balance and return the full DC state.
 
-    Stops once the residual is under RESIDUAL_TOL, or once the bracket has
-    collapsed to adjacent floats, the resolution limit of a stiff divider.
+    Stops at a point whose residual is under RESIDUAL_TOL, when that residual
+    is exactly zero or the step that reached the point was under STEP_TOL;
+    or once the bracket has collapsed to adjacent floats, the resolution
+    limit of a stiff divider. On the demo stage Newton reaches 8.1e-20 A at
+    v_be = 0.70773955894305696 by a 4.5e-12 V step, its next step rounds to
+    zero, and three bisections lead to the returned 0.7077395589436246.
     Raises SolverError when the solution would sit past the device's
     exponential overflow cap.
     """

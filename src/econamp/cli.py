@@ -16,13 +16,13 @@ naming what it refuses, SolverError too. Other exceptions are bugs.
 import io
 import math
 import sys
-from itertools import repeat
 
 # Each subcommand imports the layers it uses, so that `fit`, `analyze` and
 # `cascade` load no circuit, no amplifier and no dataclasses. econmap stays
 # a module import: its functions are looked up as attributes of this module,
 # where a tracer can wrap them.
 from .econmap import CoefficientReport, EconSeries, analyze_series, cascade_gain, fit_linear
+from .errors import all_finite
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -198,6 +198,7 @@ def _cmd_simulate(path: str) -> str:
 # plain file column by column and defers to the scan on anything else.
 
 FLOAT, LABEL, COUNT = "float", "label", "count"
+NOT_COMMA_OR_NEWLINE = bytes(b for b in range(256) if b not in b",\n")
 ECON_CELLS = (
     ("quantity_out", COUNT), ("period", LABEL),
     ("investments", FLOAT), ("expenses", FLOAT), ("incomes", FLOAT),
@@ -271,11 +272,18 @@ def _bulk_columns(text: str, columns) -> list[list] | None:
         return None
     header = [cell.strip() for cell in lines[0].split(",")]
     width = len(header)
-    if not any(header) or set(map(str.count, lines, repeat(","))) != {width - 1}:
+    # Every line's commas and terminator, in one pass: no UTF-8 sequence of
+    # a character other than "," and "\n" holds byte 0x2c or 0x0a.
+    shape = text.encode("utf-8", "surrogatepass").translate(None, NOT_COMMA_OR_NEWLINE)
+    if not text.endswith("\n"):
+        shape += b"\n"
+    if not any(header) or shape != (b"," * (width - 1) + b"\n") * len(lines):
         return None
     if any(kind != COUNT and column not in header for column, kind in columns):
         return None
-    cells = ",".join(lines[1:]).split(",") if len(lines) > 1 else []
+    # the data lines' cells, each line's terminator read as a comma
+    rest = text[len(lines[0]) + 1:].removesuffix("\n")
+    cells = rest.replace("\n", ",").split(",") if len(lines) > 1 else []
     out = []
     for column, kind in columns:
         if column not in header:  # a COUNT column the file does not have
@@ -289,7 +297,7 @@ def _bulk_columns(text: str, columns) -> list[list] | None:
             values = list(map(float, raw))
         except ValueError:
             return None
-        if not all(map(math.isfinite, values)):
+        if not all_finite(values):
             return None
         out.append(values)
     return out

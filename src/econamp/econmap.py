@@ -17,9 +17,9 @@ import math
 import sys
 from collections import Counter
 from collections.abc import Sequence
-from operator import mul
+from operator import add, mul, truediv
 
-from .errors import require_finite
+from .errors import all_finite, require_finite
 
 
 class _Record:
@@ -87,7 +87,7 @@ class EconSeries(_Record):
             raise ValueError(f"column lengths differ: {[len(column) for column in columns]}")
         counts = [qty for qty in self.quantity_out if qty is not None]
         if not all(
-            all(map(math.isfinite, column)) and min(column, default=0.0) >= 0
+            all_finite(column) and min(column, default=0.0) >= 0
             for column in (self.investments, self.expenses, self.incomes, counts)
         ):  # a value fails: name the first period that holds one
             names = "investments, expenses, incomes, quantity_out"  # None passes as 0
@@ -336,12 +336,12 @@ def analyze_series(series: EconSeries) -> CoefficientReport:
     total_inputs = total_inv + total_exp
     require_finite("total inputs, total incomes", (total_inputs, total_inc), "> 0")
 
-    inputs = [i + e for i, e in zip(investments, expenses)]
-    if min(inputs) <= 0:  # every entry is >= 0, so the first zero names the period
+    inputs = list(map(add, investments, expenses))
+    low, high = min(inputs), max(inputs)
+    if low <= 0:  # every entry is >= 0, so the first zero names the period
         label = series.labels[inputs.index(0.0)]
         raise ValueError(f"period {label!r}: zero inputs, ratio undefined")
-    ratios = [y / x for x, y in zip(inputs, incomes)]
-    mean_beta = _fsum("sum of period gains", ratios) / len(ratios)
+    mean_beta = _fsum("sum of period gains", map(truediv, incomes, inputs)) / len(inputs)
 
     beta_p = None
     if None not in series.quantity_out:
@@ -351,8 +351,7 @@ def analyze_series(series: EconSeries) -> CoefficientReport:
     if investments[-1] != investments[0]:
         keynes_m = keynes_multiplier(incomes[-1] - incomes[0], investments[-1] - investments[0])
 
-    varied = len(inputs) >= 2 and max(inputs) > min(inputs)
-    fit = fit_linear(inputs, incomes) if varied else None
+    fit = fit_linear(inputs, incomes) if high > low else None  # varied: two periods at least
 
     return CoefficientReport(
         beta_v=beta_v_economic(total_inc, total_inputs),

@@ -1,7 +1,7 @@
-"""The package's one value check and its solver error.
+"""The package's one value check, its column test and its solver error.
 
 A domain verdict is a ValueError naming what it refuses, SolverError too, and
-any other exception is a bug. Both live apart, so no layer imports another for them.
+any other exception is a bug. They live apart, so no layer imports another for them.
 """
 
 import math
@@ -25,3 +25,19 @@ def require_finite(names: str, values: tuple, bound: str = "") -> None:
             raise ValueError(
                 f"{name} must be finite{' and ' + bound if bound else ''}, got {value}"
             )
+
+
+def all_finite(values) -> bool:
+    """Whether every value is finite, as all(map(math.isfinite, values)) tells.
+
+    A float sum with an inf or NaN term is not finite, with or without the
+    compensation of Python 3.12's sum, so a finite sum answers in one pass.
+    Only a column whose sum is not finite, or cannot be formed, is checked
+    value by value, which also raises whatever that check raises.
+    """
+    try:
+        if math.isfinite(sum(values)):
+            return True
+    except (TypeError, OverflowError):  # not numbers, or an int sum past the float range
+        pass
+    return all(map(math.isfinite, values))

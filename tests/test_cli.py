@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import random
@@ -77,6 +78,19 @@ def test_stdout_matches_golden(capsys, monkeypatch, tmp_path, data_dir, command)
     code, out, err = run_cli(capsys, *GOLDEN_COMMANDS[command])
     assert (code, err) == (0, "")
     assert out.encode() == (GOLDEN_DIR / f"{command}.out").read_bytes()
+
+
+# The points file the golden `fit` writes beside the shipped series, byte for
+# byte; CI's installed-package check compares it with the same hash.
+SHIPPED_POINTS_SHA256 = "debf67fef5193525d79f61ab0c633a0f415302660a227be2ba980a6626d090e6"
+
+
+def test_shipped_points_file_is_pinned(capsys, monkeypatch, tmp_path, data_dir):
+    (tmp_path / "synthetic_series.csv").write_bytes((data_dir / "synthetic_series.csv").read_bytes())
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(capsys, *GOLDEN_COMMANDS["fit"])[0] == 0
+    points = (tmp_path / "synthetic_series.csv.points.csv").read_bytes()
+    assert hashlib.sha256(points).hexdigest() == SHIPPED_POINTS_SHA256
 
 
 # A BOM or \r\n or \r line endings, as editors on Windows may save a file,

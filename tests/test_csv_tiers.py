@@ -163,6 +163,48 @@ def test_each_plain_condition_keeps_a_file_from_the_bulk_tier(
     assert outcome(cli._read_columns, str(path), spec) == scan_outcome(path, spec)
 
 
+TWICE_X = (("x", FLOAT), ("x", FLOAT))
+
+
+# The shape check compares every line's commas and terminator at once, on
+# the text's UTF-8 bytes, and a column whose float sum is not finite is
+# checked value by value. Each file gives the bulk tier's answer, and the
+# two-tier reader gives the scan's columns or error text.
+@pytest.mark.parametrize(
+    "text, spec, bulk",
+    [
+        ("x,y\n1,2,3\n4\n", XY, None),  # the commas add up to the header's count
+        ("x,y,z\n1,2,a\n3,4,b", XY, [[1.0, 3.0], [2.0, 4.0]]),
+        ("x,y,z\n1,2,a\n3,4", XY, None),
+        ("x,y,z\n1,2,a\n3,4,b\n\n", XY, None),
+        ("x\n1\n\n2\n", TWICE_X, None),
+        ("x\n1\n2", TWICE_X, [[1.0, 2.0], [1.0, 2.0]]),
+        # U+012C, U+2C2C and U+0A0A: code points, not UTF-8 bytes, hold 0x2c and 0x0a
+        ("period,investments,expenses,incomes\nĬ,1,2,3\nⰬਊ,2,3,4\n", ECON_CELLS,
+         [[None, None], ["Ĭ", "Ⱜਊ"], [1.0, 2.0], [2.0, 3.0], [3.0, 4.0]]),
+        ("x,y\n1e308,1\n1e308,2\n", XY, [[1e308, 1e308], [1.0, 2.0]]),
+        ("x,y\n1e308,1\n1e308,2\nnan,3\n", XY, None),
+    ],
+    ids=["offset_ragged", "no_terminator", "ragged_no_terminator", "trailing_blank",
+         "one_column_blank", "one_column", "multibyte_label", "sum_overflows",
+         "nan_after_overflow"],
+)
+def test_whole_text_and_whole_column_checks(tmp_path, text, spec, bulk):
+    assert cli._bulk_columns(text, spec) == bulk
+    path = tmp_path / "shape.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    assert outcome(cli._read_columns, str(path), spec) == scan_outcome(path, spec)
+    if bulk is not None:
+        assert repr(bulk) == scan_outcome(path, spec)
+
+
+def test_lone_surrogate_counts_as_one_character():
+    # no file decodes to one, but a caller's text may hold it
+    text = "x,y,z\n1,2,\ud800\n3,4,b\n"
+    assert cli._bulk_columns(text, XY) == [[1.0, 3.0], [2.0, 4.0]]
+    assert cli._bulk_columns(text.replace("\n3", ",\n3"), XY) is None
+
+
 # Every file reads \r\n and a lone \r as \n, so a file of any line ending
 # takes the bulk tier and gives the columns of its \n copy.
 @pytest.mark.parametrize(

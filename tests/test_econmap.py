@@ -455,6 +455,19 @@ class TestSeries:
         with pytest.raises(ValueError, match=rf"^period '1991': {column} must be finite"):
             series(("1990", *cells.values()), bad_row)
 
+    # A column whose float sum overflows is checked value by value: it passes
+    # when every value is finite, and a later NaN is still named by period.
+    def test_column_whose_sum_overflows(self):
+        rows = [("a", 1e308, 1e308, 1.0, 1e308), ("b", 1e308, 1e308, 2.0, 1e308)]
+        assert series(*rows).investments == (1e308, 1e308)
+        with pytest.raises(ValueError, match=r"^period 'c': investments must be finite and >= 0, "
+                                             r"got nan$"):
+            series(*rows, ("c", math.nan, 1.0, 3.0))
+
+    def test_int_columns_whose_sum_passes_the_float_range(self):
+        big = int(1e308)  # each converts to a float; their sum does not
+        assert series(("a", big, big, 1), ("b", big, big, 2)).expenses == (big, big)
+
     def test_single_period_report(self):
         report = analyze_series(series(("p1", 200.0, 0.0, 1000.0)))
         assert report.beta_v == pytest.approx(5.0)
