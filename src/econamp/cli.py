@@ -195,10 +195,11 @@ def _cmd_simulate(path: str) -> str:
 # text, and a COUNT column may be missing from the header and reads a blank
 # or missing cell as None. The per-cell scan checks the cells row by row in
 # that order and is the one source of CSV errors; the bulk tier converts a
-# plain file column by column and defers to the scan on anything else.
+# plain file a run of lines at a time and defers to the scan on anything else.
 
 FLOAT, LABEL, COUNT = "float", "label", "count"
 NOT_COMMA_OR_NEWLINE = bytes(b for b in range(256) if b not in b",\n")
+RUN_CHARS = 1 << 16  # the bulk tier reads about 64 KiB of text at a time
 ECON_CELLS = (
     ("quantity_out", COUNT), ("period", LABEL),
     ("investments", FLOAT), ("expenses", FLOAT), ("incomes", FLOAT),
@@ -251,55 +252,66 @@ def _scan_columns(path: str, text: str, columns) -> list[list]:
 
 
 def _bulk_columns(text: str, columns) -> list[list] | None:
-    """The columns of a plain file, converted a column at a time, or None.
+    """The columns of a plain file, converted a run of lines at a time, or None.
 
     A file is plain when it holds no quote or NUL, its header line is not
     blank, every line has the header's comma count and no line is longer
     than the csv field size limit. The excel dialect then splits each line
-    exactly at its commas, so a column is one stride of the flat cell list.
-    A blank data line breaks the comma count or fails a FLOAT conversion, as
-    does every other cell the scan would reject; any of these gives None,
-    and so does a blank COUNT cell, which the scan reads as a missing count.
+    exactly at its commas, so a column is one stride of a run's cells. A run
+    is the shortest stretch of whole data lines that holds RUN_CHARS
+    characters or ends the text, so beside the columns only one run's text
+    and cells are held at a time. A blank data line breaks the comma count
+    or fails a FLOAT conversion, as does every other cell the scan would
+    reject; any of these gives None, and so does a blank COUNT cell, which
+    the scan reads as a missing count.
     """
     import csv
 
     if '"' in text or "\0" in text:
         return None
-    lines = text.split("\n")
-    if lines[-1] == "":  # the last line's terminator
-        lines.pop()
-    if not lines or max(map(len, lines)) > csv.field_size_limit():
-        return None
-    header = [cell.strip() for cell in lines[0].split(",")]
+    limit = csv.field_size_limit()
+    end = text.find("\n")
+    if end < 0:
+        end = len(text)
+    header = [cell.strip() for cell in text[:end].split(",")]
     width = len(header)
-    # Every line's commas and terminator, in one pass: no UTF-8 sequence of
-    # a character other than "," and "\n" holds byte 0x2c or 0x0a.
-    shape = text.encode("utf-8", "surrogatepass").translate(None, NOT_COMMA_OR_NEWLINE)
-    if not text.endswith("\n"):
-        shape += b"\n"
-    if not any(header) or shape != (b"," * (width - 1) + b"\n") * len(lines):
+    if not any(header) or end > limit:
         return None
     if any(kind != COUNT and column not in header for column, kind in columns):
         return None
-    # the data lines' cells, each line's terminator read as a comma
-    rest = text[len(lines[0]) + 1:].removesuffix("\n")
-    cells = rest.replace("\n", ",").split(",") if len(lines) > 1 else []
-    out = []
-    for column, kind in columns:
-        if column not in header:  # a COUNT column the file does not have
-            out.append([None] * (len(lines) - 1))
-            continue
-        raw = cells[header.index(column)::width]
-        if kind == LABEL:
-            out.append(list(map(str.strip, raw)))
-            continue
-        try:
-            values = list(map(float, raw))
-        except ValueError:
+    indices = [header.index(column) if column in header else None for column, _ in columns]
+    out = [[] for _ in columns]
+    line_shape = b"," * (width - 1) + b"\n"
+    start = end + 1
+    while start < len(text):
+        stop = text.find("\n", start + RUN_CHARS - 1) + 1 or len(text)
+        run = text[start:stop]
+        start = stop
+        # Every line's commas and terminator, in one pass over the run: no UTF-8
+        # sequence of a character other than "," and "\n" holds byte 0x2c or 0x0a.
+        shape = run.encode("utf-8", "surrogatepass").translate(None, NOT_COMMA_OR_NEWLINE)
+        if not run.endswith("\n"):
+            shape += b"\n"
+        count = len(shape) // len(line_shape)
+        if shape != line_shape * count:
             return None
-        if not all_finite(values):
+        if len(run) > limit and max(map(len, run.split("\n"))) > limit:
             return None
-        out.append(values)
+        # the run's cells, each line's terminator read as a comma
+        cells = run.removesuffix("\n").replace("\n", ",").split(",")
+        for (_, kind), index, values in zip(columns, indices, out):
+            if index is None:  # a COUNT column the file does not have
+                values += [None] * count
+            elif kind == LABEL:
+                values += map(str.strip, cells[index::width])
+            else:
+                try:
+                    converted = list(map(float, cells[index::width]))
+                except ValueError:
+                    return None
+                if not all_finite(converted):
+                    return None
+                values += converted
     return out
 
 
@@ -324,6 +336,9 @@ def read_econ_series(path: str) -> EconSeries:
 # ---------------------------------------------------------------------------
 # fit
 
+POINTS_ROWS = 4096  # the points file is written this many rows at a time
+
+
 def _fit_rows(fit) -> list:
     return _rows(fit, a0="", beta="", r_squared="", n="")
 
@@ -333,9 +348,11 @@ def _cmd_fit(path: str, x_column: str, y_column: str) -> str:
     fit = fit_linear(xs, ys)
     out_path = path + ".points.csv"
     a0, beta = fit.a0, fit.beta
-    points = "".join([f"{x!r},{y!r},{a0 + beta * x!r}\n" for x, y in zip(xs, ys)])
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("x,y_observed,y_fitted\n" + points)
+        fh.write("x,y_observed,y_fitted\n")
+        for start in range(0, len(xs), POINTS_ROWS):
+            block = zip(xs[start:start + POINTS_ROWS], ys[start:start + POINTS_ROWS])
+            fh.write("".join([f"{x!r},{y!r},{a0 + beta * x!r}\n" for x, y in block]))
     rows = _fit_rows(fit)
     lines = [
         f"fit: {y_column} = a0 + beta * {x_column}",

@@ -1,15 +1,16 @@
 """The bulk CSV tier against the per-cell scan.
 
-`cli._read_columns` converts a plain file a column at a time and sends any
-other file to `cli._scan_columns`, the row-major scan that gives every CSV
-error. On seeded generated files, most of them plain but for one or two
-defects, the two-tier reader must give the same columns, or the same error
-text, as the scan run alone, and every file left clean must take the bulk
-tier.
+`cli._read_columns` converts a plain file a run of lines at a time and
+sends any other file to `cli._scan_columns`, the row-major scan that gives
+every CSV error. On seeded generated files, most of them plain but for one
+or two defects, the two-tier reader must give the same columns, or the same
+error text, as the scan run alone, and every file left clean must take the
+bulk tier.
 """
 
 import csv
 import random
+import tracemalloc
 
 import pytest
 
@@ -30,7 +31,7 @@ def number(rng) -> str:
     )
 
 
-def generate(rng):
+def generate(rng, most_rows=5):
     """(header, rows, spec) of a clean file: every needed cell converts."""
     if rng.random() < 0.5:
         header = ["period", "investments", "expenses", "incomes"]
@@ -48,7 +49,7 @@ def generate(rng):
     rows = [
         [number(rng) if name in numeric or rng.random() < 0.3 else rng.choice(TEXTS)
          for name in header]
-        for _ in range(rng.randint(0, 5))
+        for _ in range(rng.randint(0, most_rows))
     ]
     return header, rows, spec
 
@@ -228,3 +229,94 @@ def test_line_break_in_a_quoted_cell_reads_as_newline(tmp_path):
     path = tmp_path / "quoted.csv"
     path.write_bytes(b'period,investments,expenses,incomes\r\n"a\r\nb",1,2,3\r\n"c\rd",2,3,4\r\n')
     assert cli._read_columns(str(path), ECON_CELLS)[1] == ["a\nb", "c\nd"]
+
+
+# Runs of a few characters put run boundaries at every line of a generated
+# file, so each cell, defect and line ending falls in some run's first, last
+# and only line. Each generated econ header, of 35 characters or more, is
+# longer than the runs of 1, 3 and 8 characters.
+@pytest.mark.parametrize("run_chars", [1, 3, 8, 40])
+def test_runs_of_lines_match_the_scan(tmp_path, small_field_limit, monkeypatch, run_chars):
+    monkeypatch.setattr(cli, "RUN_CHARS", run_chars)
+    rng = random.Random(run_chars)
+    path = tmp_path / "series.csv"
+    bulk = 0
+    for _ in range(FILES // 4):
+        header, rows, spec = generate(rng, most_rows=40)
+        defects = rng.choice((0, 0, 1, 1, 2))
+        for _ in range(defects):
+            if rng.random() < 0.6:
+                defect_in_cells(rng, header, rows)
+        lines = [",".join(cells) for cells in [header, *rows]]
+        for _ in range(defects):
+            if rng.random() < 0.4:
+                defect_in_lines(rng, lines)
+        text = "\n".join(lines) + rng.choice(("\n", "\n", ""))
+        path.write_text(text, encoding="utf-8", newline="")
+        assert outcome(cli._read_columns, str(path), spec) == scan_outcome(path, spec), (text, spec)
+        clean = not defects and all(name in header for name, kind in spec if kind != cli.COUNT)
+        if clean and max(map(len, lines)) <= FIELD_LIMIT:
+            assert cli._bulk_columns(text, spec) is not None, (text, spec)
+            bulk += 1
+    assert bulk >= FILES // 20
+
+
+def last_run_text(case: str, rows: int = 30) -> str:
+    """A plain econ file whose last line holds the case's defect; its
+    header, of 48 characters, is longer than each run the tests set."""
+    lines = ["period,investments,expenses,incomes,quantity_out"]
+    lines += [f"P{k},{k}.5,{k + 1},{2 * k + 3},{k % 7}" for k in range(rows)]
+    period, investments, expenses, incomes, quantity = lines[-1].split(",")
+    if case == "long_line":
+        period = period.ljust(FIELD_LIMIT + 1, "z")
+    elif case == "bad_cell":
+        incomes = "1e999"
+    elif case == "blank_quantity":
+        quantity = " "
+    lines[-1] = ",".join((period, investments, expenses, incomes, quantity))
+    return "\n".join(lines) + ("" if case == "no_terminator" else "\n")
+
+
+@pytest.mark.parametrize("run_chars", [1, 3, 8, 40])
+@pytest.mark.parametrize(
+    "case, bulk",
+    [("clean", True), ("no_terminator", True), ("long_line", False), ("bad_cell", False),
+     ("blank_quantity", False)],
+)
+def test_last_run_decides_the_tier(tmp_path, small_field_limit, monkeypatch, run_chars, case,
+                                   bulk):
+    text = last_run_text(case)
+    whole = cli._bulk_columns(text, ECON_CELLS)
+    monkeypatch.setattr(cli, "RUN_CHARS", run_chars)
+    assert cli._bulk_columns(text, ECON_CELLS) == whole
+    assert (whole is not None) == bulk
+    path = tmp_path / "last.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    assert outcome(cli._read_columns, str(path), ECON_CELLS) == scan_outcome(path, ECON_CELLS)
+
+
+def plain_series(rows: int) -> str:
+    lines = ["period,investments,expenses,incomes,quantity_out"]
+    lines += [f"P{k:06d},{50 + k * 0.01!r},{k % 397 + 0.25},{k * 0.37!r},{k % 1000}"
+              for k in range(rows)]
+    return "\n".join(lines) + "\n"
+
+
+def transient_memory(text: str) -> int:
+    """The bulk tier's traced peak less the memory its columns still hold."""
+    tracemalloc.start()
+    try:
+        columns = cli._bulk_columns(text, ECON_CELLS)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert columns is not None
+    return peak - held
+
+
+# Beside the columns it returns, the bulk tier holds one run's text, bytes
+# and cells, whatever the file's length (about 0.7 MiB here, at either size).
+def test_bulk_tier_memory_is_one_run_beside_the_columns():
+    small, large = (transient_memory(plain_series(rows)) for rows in (20_000, 80_000))
+    assert small < 4 * 2**20 and large < 4 * 2**20
+    assert large < small + 2**20
