@@ -11,12 +11,12 @@ cutting the residual, otherwise the bracket is bisected. Plain Newton is
 not enough here; descending the exponential it gains only one thermal
 voltage per step.
 
-Each evaluation of the balance costs one expm1(v_be/Vt): the base current
-is computed inline with active_region_currents' arithmetic, and the same
-value plus one gives the Newton slope. Two exponentials are guarded: the
-cap check at the top of the bracket, which bounds every point inside it,
-and the returned point, whose currents are formed once and checked once,
-by OperatingPoint.
+Each point costs one expm1(v_be/Vt): the base current is computed inline
+with active_region_currents' arithmetic, the same value plus one gives the
+Newton slope, and the returned point's currents come from the last one,
+formed once and checked once, by OperatingPoint. No exponential is guarded:
+the bracket's top, min(v_cc, Vt*199), holds every argument within an ulp of
+199, under the device's overflow cap.
 """
 
 import math
@@ -113,9 +113,9 @@ def solve_operating_point(config: AmplifierConfig) -> OperatingPoint:
     or once the bracket has collapsed to adjacent floats, the resolution
     limit of a stiff divider. On the demo stage Newton reaches 8.1e-20 A at
     v_be = 0.70773955894305696 by a 4.5e-12 V step, its next step rounds to
-    zero, and three bisections lead to the returned 0.7077395589436246.
-    Raises SolverError when the solution would sit past the device's
-    exponential overflow cap.
+    zero, and three bisections lead to the returned 0.7077395589436246,
+    whose currents reuse its expm1. Raises SolverError when the solution
+    would sit past the device's exponential overflow cap.
     """
     expm1 = math.expm1  # looked up per call, so a patched math.expm1 is seen
     residual_tol, step_tol = RESIDUAL_TOL, STEP_TOL
@@ -129,18 +129,18 @@ def solve_operating_point(config: AmplifierConfig) -> OperatingPoint:
     k_i = k_b * i_es
     g_th = -1.0 / r_th
 
-    # One thermal voltage of margin keeps every evaluation below the cap: each
-    # later point lies strictly inside (0, hi), so its v/Vt needs no guard.
+    # One thermal voltage of margin keeps hi/Vt within an ulp of 199, under the
+    # cap, and every later point lies strictly inside (0, hi): none needs a guard.
     lo = 0.0
     hi = min(config.v_cc, vt * (EXP_ARG_CAP - 1.0))
-    e = expm1(_junction_arg(hi, vt, "v_be"))
+    e = expm1(hi / vt)
     if (v_th - hi) / r_th - k_b * (i_es * e) > 0.0:
         raise SolverError(
             f"no bias solution below the exponential overflow cap "
             f"(residual at v_be={hi:g} V is still positive)"
         )
 
-    v = INITIAL_GUESS if lo < INITIAL_GUESS < hi else 0.5 * (lo + hi)
+    v = INITIAL_GUESS if INITIAL_GUESS < hi else 0.5 * (lo + hi)
     e = expm1(v / vt)
     f = (v_th - v) / r_th - k_b * (i_es * e)
     step = math.inf
@@ -149,7 +149,7 @@ def solve_operating_point(config: AmplifierConfig) -> OperatingPoint:
     while True:
         abs_f = abs(f)
         if abs_f < residual_tol and (f == 0.0 or abs(step) < step_tol):
-            return _operating_point(config, v, vt)
+            break
         if f > 0.0:
             lo = v
         else:
@@ -170,21 +170,18 @@ def solve_operating_point(config: AmplifierConfig) -> OperatingPoint:
             else:
                 hi = candidate
         mid = 0.5 * (lo + hi)
+        step, v, e = mid - v, mid, expm1(mid / vt)
         if not lo < mid < hi:
             # No float lies inside the bracket, whose ends straddle the root:
             # the residual's rounding noise there exceeds RESIDUAL_TOL.
-            return _operating_point(config, mid, vt)
-        e = expm1(mid / vt)
-        step, v, f = mid - v, mid, (v_th - mid) / r_th - k_b * (i_es * e)
+            break
+        f = (v_th - mid) / r_th - k_b * (i_es * e)
 
-
-def _operating_point(config: AmplifierConfig, v_be: float, vt: float) -> OperatingPoint:
-    # active_region_currents' arithmetic; OperatingPoint checks the result
-    dev = config.device
-    i_e = dev.i_es * math.expm1(_junction_arg(v_be, vt, "v_be"))
+    # active_region_currents' arithmetic on the last point's exponential
+    i_e = i_es * e
     i_c = dev.alpha_n * i_e
     v_ce = config.v_cc - i_c * config.r_l
-    return OperatingPoint(v_be, (1.0 - dev.alpha_n) * i_e, i_c, i_e, v_ce, v_ce <= 0.0)
+    return OperatingPoint(v, k_b * i_e, i_c, i_e, v_ce, v_ce <= 0.0)
 
 
 def small_signal_params(device: BjtParams, op: OperatingPoint) -> SmallSignalParams:

@@ -116,10 +116,10 @@ def _thermal_voltage(temperature: float) -> float:
 
 def _junction_arg(voltage: float, vt: float, name: str) -> float:
     # v/Vt, refusing a non-finite voltage and arguments past the overflow cap:
-    # the package's one guard, on every exponential whose argument is not
-    # already bounded (the bias solve's bracket bounds its loop's). The device
-    # laws and the bias solver take expm1 of it, exact near 0 V where
-    # exp(x) - 1 cancels.
+    # the package's one guard, on the exponentials whose argument is unbounded,
+    # the device laws' and small_signal_params' v_cb (the bias solve's bracket
+    # bounds all of its own). The device laws take expm1 of it, exact near 0 V
+    # where exp(x) - 1 cancels.
     arg = voltage / vt
     if not (arg <= EXP_ARG_CAP and voltage > -math.inf):  # NaN fails the first test
         require_finite(name, (voltage,))

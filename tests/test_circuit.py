@@ -5,6 +5,7 @@ its own implementation: plain interval halving of the base-node balance.
 """
 
 import decimal
+import itertools
 import math
 import random
 import sys
@@ -179,6 +180,28 @@ def wide_configs():
                 temperature=rng.uniform(1.0, 1000.0),
             ),
         )
+
+
+def extreme_configs():
+    """Designs at the ends of the float range that the constructors accept.
+
+    Temperatures from the lowest thermal_voltage takes to 1.7e308 K, 505.18 K
+    among them, whose Vt*199/Vt rounds one ulp above 199; supplies, dividers
+    and i_es from subnormal to near the float maximum.
+    """
+    temperatures = (1.611614435317884e-285, 1e-100, 1.0, 505.18216896157287, 1e100, 1.7e308)
+    supplies = (5e-324, 1e-300, 12.0, 1e300, 1.7e308)
+    dividers = ((1e-300, 1e-300), (1e5, 2e4), (5e-3, 1e-3), (1e300, 1e-300), (1.0, 1e308),
+                (1e308, 1e308))
+    for temperature, v_cc, (r_b1, r_b2), i_es, alpha_n in itertools.product(
+        temperatures, supplies, dividers, (5e-324, 1e-14, 1e100, 1.7e308),
+        (1e-300, 0.99, 1.0 - 2.0 ** -52),
+    ):
+        try:
+            device = BjtParams(i_es=i_es, i_cs=i_es, alpha_n=alpha_n, temperature=temperature)
+            yield AmplifierConfig(v_cc=v_cc, r_b1=r_b1, r_b2=r_b2, r_l=1e3, device=device)
+        except ValueError:
+            continue  # a design the constructors refuse never reaches the solve
 
 
 def decimal_stage(config, v_be):
@@ -368,29 +391,44 @@ class TestSolveOperatingPoint:
             active += 1
         assert active > 800  # 818 of the draw
 
-    def test_a_returning_solve_guards_two_exponentials(self, monkeypatch):
-        # The cap check at the top of the bracket and the returned point; the
-        # bracket bounds every exponential in between.
-        calls = []
-
-        def counted(voltage, vt, name):
-            calls.append(voltage)
-            return junction_arg(voltage, vt, name)
-
-        junction_arg = econamp.circuit._junction_arg
-        monkeypatch.setattr(econamp.circuit, "_junction_arg", counted)
-        returned = 0
-        for config in [DERIVED_CONFIG, *wide_configs()]:
-            calls.clear()
+    def test_the_solve_guards_no_exponential(self, monkeypatch):
+        # The bracket's top, min(v_cc, Vt*199), holds every argument within an
+        # ulp of 199, under the cap: no guard could fire, so none is called.
+        calls, args = [], []
+        monkeypatch.setattr(econamp.circuit, "_junction_arg", lambda *a: calls.append(a))
+        expm1 = math.expm1
+        monkeypatch.setattr(math, "expm1", lambda arg: args.append(arg) or expm1(arg))
+        top = math.nextafter(199.0, math.inf)
+        outcomes = {"point": 0, "no bias solution": 0, "currents": 0, "v_ce": 0}
+        for config in [DERIVED_CONFIG, *extreme_configs()]:
+            args.clear()
+            vt = thermal_voltage(config.device.temperature)
+            assert min(config.v_cc, vt * 199.0) / vt <= top < EXP_ARG_CAP
             try:
-                op = solve_operating_point(config)
-            except SolverError:
-                assert len(calls) == 1
-                continue
-            hi = min(config.v_cc, thermal_voltage(config.device.temperature) * 199.0)
-            assert calls == [hi, op.v_be]
-            returned += 1
-        assert returned > 900
+                solve_operating_point(config)
+                outcomes["point"] += 1
+            except SolverError as error:
+                assert str(error).startswith("no bias solution below the exponential overflow cap")
+                outcomes["no bias solution"] += 1
+            except ValueError as error:  # an OverflowError is not one, and fails the test
+                kind = str(error).split(" must be finite")[0]
+                assert kind in ("currents", "v_ce"), error
+                outcomes[kind] += 1
+            assert calls == [] and max(args) <= top
+        assert min(outcomes.values()) >= 1, outcomes
+
+    def test_each_point_is_evaluated_once(self, monkeypatch):
+        # The demo solve stops by the residual test; its returned point reuses
+        # the exponential the loop computed there. (A solve that stops at a
+        # collapsed bracket may evaluate an end of it twice, since its midpoint
+        # rounds to one of the ends.)
+        args = []
+        expm1 = math.expm1
+        monkeypatch.setattr(math, "expm1", lambda arg: args.append(arg) or expm1(arg))
+        op = solve_operating_point(DERIVED_CONFIG)
+        vt = thermal_voltage(DERIVED_CONFIG.device.temperature)
+        assert len(args) == len(set(args)) == 17
+        assert args.count(op.v_be / vt) == 1
 
     def test_returned_currents_match_the_device_model(self):
         # The returned point forms its currents inline, with the arithmetic

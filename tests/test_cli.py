@@ -1051,7 +1051,7 @@ def reference_main(argv):
 
 ARGV_ALPHABET = (
     "simulate", "fit", "analyze", "cascade", "bogus", "-h", "--help", "--x", "--y", "--x=i",
-    "--y=j", "--z", "2", "-2", "abc", "inf", "missing.csv",
+    "--y=j", "--z", "2", "-2", "abc", "inf", "missing.csv", "--", "-", "--x=",
 )
 # the invalid-choice wording varies with the Python version; the token it names does not
 INVALID_CHOICE = re.compile(r"argument command: invalid choice: (\S+) \(choose from .*\)")
