@@ -81,7 +81,8 @@ def test_stdout_matches_golden(capsys, monkeypatch, tmp_path, data_dir, command)
 
 
 # The points file the golden `fit` writes beside the shipped series, byte for
-# byte; CI's installed-package check compares it with the same hash.
+# byte; CI's installed-package check compares its points file with the one
+# the checkout writes.
 SHIPPED_POINTS_SHA256 = "debf67fef5193525d79f61ab0c633a0f415302660a227be2ba980a6626d090e6"
 
 
