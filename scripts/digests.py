@@ -19,7 +19,10 @@ A series draw writes each series `inputs.make_series(seed, i, rows)` as the
 CSV the series_analysis workload reads, and runs `econamp.cli.main` on it in
 process as each command of COMMANDS. Each command gives one record: its
 command line, its exit code, its stdout and stderr, and the bytes of the
-points file a `fit` writes.
+points file a `fit` writes. A padded draw writes the same series, but every
+7th row's numbers get one trailing zero (59.71 as 59.710), a form `repr`
+never prints, so `fit` takes `repr` of those columns' values for the points
+file.
 
 A draw's digest is the SHA-256 of all its records, so equal digests mean that
 every figure, refusal, message and points file is bit-identical. The figures
@@ -65,6 +68,11 @@ PINS = {
     ("series", 2, 2, 70_001): "2c5ce62377f6f75a39728b7457f2a839477be407f164e9d457f6c718d572885a",
     # tier-1's small series draw
     ("series", 1, 3, 2_000): "0e67592ef539abd5a60da1e778027e6b88c76c895e2318e87e80dd39d0d2da3c",
+    # pinned while fit still took repr of every x and y cell; no record holds
+    # an input cell, so a padded draw gives the digest of its plain draw
+    ("padded", 3, 2, 100_000): "c17b770840d8818f62732dfe594a7a5fc17d6a40768fb9f4e31bf390e304fa71",
+    # tier-1's small padded draw
+    ("padded", 1, 3, 2_000): "0e67592ef539abd5a60da1e778027e6b88c76c895e2318e87e80dd39d0d2da3c",
 }
 
 LIMITS = OperatingLimits()
@@ -98,6 +106,16 @@ def series_stream(seed: int, count: int, rows: int) -> list:
     return [make_series(seed, index, rows) for index in range(count)]
 
 
+def write_padded(path, columns) -> None:
+    """perfbench's series CSV, with one trailing zero on every 7th row's numbers."""
+    lines = [perfbench_inputs().SERIES_HEADER]
+    for index, (label, *numbers) in enumerate(zip(*columns)):
+        pad = "0" if index % 7 == 6 else ""
+        lines.append(",".join([label, *(f"{number!r}{pad}" for number in numbers)]))
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
 def record(design: tuple) -> str:
     """One design's figures up to the step that raised, then that step's error."""
     v_cc, r_b1, r_b2, r_l, i_es, i_cs, alpha_n, temperature = design
@@ -117,9 +135,9 @@ def record(design: tuple) -> str:
     return " ".join(fields)
 
 
-def records(name: str, columns) -> bytes:
+def records(name: str, columns, padded: bool = False) -> bytes:
     """Every command's record for one series, written as `name` in the working directory."""
-    perfbench_inputs().write_series(name, columns)
+    (write_padded if padded else perfbench_inputs().write_series)(name, columns)
     out = []
     for command, *options in COMMANDS:
         argv = [command, name, *options]
@@ -143,7 +161,7 @@ def stage_digest(designs) -> str:
     return sha.hexdigest()
 
 
-def series_digest(series) -> str:
+def series_digest(series, padded: bool = False) -> str:
     """Hex SHA-256 of the records of each series, run in a temporary directory."""
     sha = hashlib.sha256()
     cwd = os.getcwd()
@@ -151,7 +169,7 @@ def series_digest(series) -> str:
         os.chdir(workdir)  # so the stdout's points-file path is the same in every run
         try:
             for index, columns in enumerate(series):
-                sha.update(records(f"series{index}.csv", columns))
+                sha.update(records(f"series{index}.csv", columns, padded))
         finally:
             os.chdir(cwd)
     return sha.hexdigest()
@@ -161,7 +179,7 @@ def digest(kind: str, seed: int, count: int, rows) -> str:
     """The digest of one draw of PINS."""
     if kind == "stage":
         return stage_digest(design_stream(seed).take(count))
-    return series_digest(series_stream(seed, count, rows))
+    return series_digest(series_stream(seed, count, rows), padded=kind == "padded")
 
 
 def main() -> int:

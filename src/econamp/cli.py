@@ -192,12 +192,14 @@ def _cmd_simulate(path: str) -> str:
 #
 # A reader names the columns it needs in cell order, as (column, kind) pairs:
 # a FLOAT cell must hold a finite number, a LABEL cell is kept as stripped
-# text, and a COUNT column may be missing from the header and reads a blank
-# or missing cell as None. The per-cell scan checks the cells row by row in
-# that order and is the one source of CSV errors; the bulk tier converts a
-# plain file a run of lines at a time and defers to the scan on anything else.
+# text, a COUNT column may be missing from the header and reads a blank or
+# missing cell as None, and a TEXT cell is kept as the text the tier split,
+# unstripped, of a column that a FLOAT or LABEL pair before it names. The
+# per-cell scan checks the cells row by row in that order and is the one
+# source of CSV errors; the bulk tier converts a plain file a run of lines at
+# a time and defers to the scan on anything else.
 
-FLOAT, LABEL, COUNT = "float", "label", "count"
+FLOAT, LABEL, COUNT, TEXT = "float", "label", "count", "text"
 NOT_COMMA_OR_NEWLINE = bytes(b for b in range(256) if b not in b",\n")
 RUN_CHARS = 1 << 16  # the bulk tier reads about 64 KiB of text at a time
 ECON_CELLS = (
@@ -220,7 +222,7 @@ def _scan_columns(path: str, text: str, columns) -> list[list]:
     if not rows:
         raise InputFormatError(f"{path}: empty CSV")
     header = [cell.strip() for cell in rows[0][1]]
-    missing = [name for name, kind in columns if kind != COUNT and name not in header]
+    missing = [name for name, kind in columns if kind in (FLOAT, LABEL) and name not in header]
     if missing:
         raise InputFormatError(
             f"{path}: missing column(s) {', '.join(repr(c) for c in missing)}; "
@@ -235,6 +237,9 @@ def _scan_columns(path: str, text: str, columns) -> list[list]:
                 continue
             if index >= len(row):
                 raise InputFormatError(f"{path}:{rowno}: row has no {column!r} cell")
+            if kind == TEXT:
+                values.append(row[index])
+                continue
             cell = row[index].strip()
             if kind == LABEL:
                 values.append(cell)
@@ -302,6 +307,8 @@ def _bulk_columns(text: str, columns) -> list[list] | None:
         for (_, kind), index, values in zip(columns, indices, out):
             if index is None:  # a COUNT column the file does not have
                 values += [None] * count
+            elif kind == TEXT:
+                values += cells[index::width]
             elif kind == LABEL:
                 values += map(str.strip, cells[index::width])
             else:
@@ -323,8 +330,10 @@ def _read_columns(path: str, columns) -> list[list]:
 
 
 def read_xy_columns(path: str, x_column: str, y_column: str):
-    xs, ys = _read_columns(path, ((x_column, FLOAT), (y_column, FLOAT)))
-    return xs, ys
+    """The x and y values, then the x and y cells' text."""
+    return _read_columns(
+        path, ((x_column, FLOAT), (y_column, FLOAT), (x_column, TEXT), (y_column, TEXT))
+    )
 
 
 def read_econ_series(path: str) -> EconSeries:
@@ -337,22 +346,43 @@ def read_econ_series(path: str) -> EconSeries:
 # fit
 
 POINTS_ROWS = 4096  # the points file is written this many rows at a time
+# A cell in fixed notation in [1, 1e7), of at most 15 significant digits and
+# with no trailing fraction zero but a lone ".0", is repr of its value: two
+# decimals of 15 digits or fewer never read as one double (DBL_DIG), so no
+# shorter string reads back as it. This finds the newline before a cell that
+# is not one; the look-behind refuses a last fraction digit 0 after a digit.
+# A search keeps no regex state per cell, as a match of repeated cells does
+# (about 250 bytes each).
+NOT_OWN_REPR = rb"\n(?!-?[1-9][0-9]{0,6}\.[0-9]{1,8}(?<![^.]0)(?:\n|\Z))"
 
 
 def _fit_rows(fit) -> list:
     return _rows(fit, a0="", beta="", r_squared="", n="")
 
 
+def _point_texts(cells, values) -> list:
+    """The cells if each is repr of its value, else repr of each value."""
+    import re
+
+    # float() reads the digits of other scripts too, but no byte of their
+    # UTF-8 is in the pattern
+    data = ("\n" + "\n".join(cells)).encode()
+    return list(map(repr, values)) if re.search(NOT_OWN_REPR, data) else cells
+
+
 def _cmd_fit(path: str, x_column: str, y_column: str) -> str:
-    xs, ys = read_xy_columns(path, x_column, y_column)
+    xs, ys, x_cells, y_cells = read_xy_columns(path, x_column, y_column)
     fit = fit_linear(xs, ys)
     out_path = path + ".points.csv"
     a0, beta = fit.a0, fit.beta
+    x_texts, y_texts = _point_texts(x_cells, xs), _point_texts(y_cells, ys)
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
         fh.write("x,y_observed,y_fitted\n")
         for start in range(0, len(xs), POINTS_ROWS):
-            block = zip(xs[start:start + POINTS_ROWS], ys[start:start + POINTS_ROWS])
-            fh.write("".join([f"{x!r},{y!r},{a0 + beta * x!r}\n" for x, y in block]))
+            stop = start + POINTS_ROWS
+            block = zip(x_texts[start:stop], y_texts[start:stop], xs[start:stop])
+            fh.write("".join([f"{x_text},{y_text},{a0 + beta * x!r}\n"
+                              for x_text, y_text, x in block]))
     rows = _fit_rows(fit)
     lines = [
         f"fit: {y_column} = a0 + beta * {x_column}",

@@ -94,6 +94,66 @@ def test_shipped_points_file_is_pinned(capsys, monkeypatch, tmp_path, data_dir):
     assert hashlib.sha256(points).hexdigest() == SHIPPED_POINTS_SHA256
 
 
+# Cells that are their own repr in the form `fit` reuses: fixed notation in
+# [1, 1e7), at most 15 significant digits, no trailing fraction zero but ".0".
+OWN_REPR_CELLS = ["59.71", "-1.5", "7.0", "1.05", "-8806.3", "1234567.12345678",
+                  "9999999.99999999"]
+# Cells that read as numbers but are not their repr, or are a repr of
+# another form: below 1, 16 and 17 digits, 1e7 and 1e16 and above.
+OTHER_CELLS = ["1.50", "1e3", " 2.5", "1_0.5", "+1.5", ".5", "5.", "01.5", "0.1", "-0.0",
+               "3.00", "0.0001", "1e-05", "١.5", "1١.5", "0.333333333333333", "14.30206016712772",
+               "9999999.999999999", "0.30000000000000004", "1.0000000000000001", "1e7",
+               "10000000.0", "1e16", "1e+16", "9007199254740994.0", "2.5e+17", "-1e22"]
+
+
+def repr_points(x_cells, y_cells, a0: float, beta: float) -> bytes:
+    """The points file as repr of every x and y value wrote it."""
+    rows = [(float(x), float(y)) for x, y in zip(x_cells, y_cells)]
+    return ("x,y_observed,y_fitted\n"
+            + "".join(f"{x!r},{y!r},{a0 + beta * x!r}\n" for x, y in rows)).encode()
+
+
+# The points file is byte for byte the one repr of every value writes, on a
+# plain file (the bulk tier) and on the same file with quoted cells (the
+# scan), whether a column's cells are reused or not: one cell of another
+# form among own reprs keeps its whole column from being reused.
+@pytest.mark.parametrize("quoted", [False, True], ids=["plain", "quoted"])
+@pytest.mark.parametrize(
+    "x_cells, y_cells, reused",
+    [
+        (OTHER_CELLS, (OWN_REPR_CELLS * 4)[:len(OTHER_CELLS)], (False, True)),
+        (OWN_REPR_CELLS, OWN_REPR_CELLS[::-1], (True, True)),
+        (OTHER_CELLS, OTHER_CELLS[::-1], (False, False)),
+        (OWN_REPR_CELLS, ["1.50"] + OWN_REPR_CELLS[1:], (True, False)),
+        (OWN_REPR_CELLS, OWN_REPR_CELLS[:-1] + ["1.50"], (True, False)),
+        *((OWN_REPR_CELLS, OWN_REPR_CELLS[:3] + [cell] + OWN_REPR_CELLS[4:], (True, False))
+          for cell in OTHER_CELLS),
+    ],
+    ids=["other_x", "own_both", "other_both", "other_first_y", "other_last_y",
+         *(f"one_other_y{k}" for k in range(len(OTHER_CELLS)))],
+)
+def test_points_file_matches_repr_of_each_value(capsys, tmp_path, x_cells, y_cells, reused,
+                                                quoted):
+    assert len(x_cells) == len(y_cells)
+    assert all(repr(float(cell)) == cell for cell in OWN_REPR_CELLS)
+    quote = '"' if quoted else ""
+    lines = ["x,y,note"] + [f"{quote}{x}{quote},{quote}{y}{quote},n"
+                            for x, y in zip(x_cells, y_cells)]
+    path = tmp_path / "cells.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    text = cli._read_text(str(path))
+    assert (cli._bulk_columns(text, (("x", cli.FLOAT),)) is None) == quoted
+    xs, ys, x_read, y_read = cli.read_xy_columns(str(path), "x", "y")
+    assert (x_read, y_read) == (x_cells, y_cells)
+    assert ((cli._point_texts(x_read, xs) is x_read), (cli._point_texts(y_read, ys) is y_read)
+            ) == reused
+    code, out, err = run_cli(capsys, "fit", str(path), "--x", "x", "--y", "y")
+    assert (code, err) == (0, "")
+    values = values_block(out)
+    expected = repr_points(x_cells, y_cells, float(values["a0"]), float(values["beta"]))
+    assert Path(f"{path}.points.csv").read_bytes() == expected
+
+
 # A BOM or \r\n or \r line endings, as editors on Windows may save a file,
 # read as the shipped files do.
 @pytest.mark.parametrize("command", ["simulate", "fit", "analyze"])
@@ -488,7 +548,7 @@ class TestFit:
         code, out, err = run_cli(capsys, "fit", str(ols_csv), "--x", "x", "--y", "income")
         assert code == 3
         assert out == ""
-        assert "missing column" in err and "income" in err
+        assert err == f"error: {ols_csv}: missing column(s) 'income'; header has ['x', 'y']\n"
 
     def test_too_few_rows(self, capsys, tmp_path):
         path = tmp_path / "tiny.csv"

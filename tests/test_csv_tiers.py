@@ -15,7 +15,7 @@ import tracemalloc
 import pytest
 
 from econamp import cli
-from econamp.cli import ECON_CELLS, FLOAT, InputFormatError
+from econamp.cli import ECON_CELLS, FLOAT, TEXT, InputFormatError
 
 FILES = 400
 FIELD_LIMIT = 100  # a lowered csv.field_size_limit, so an oversized line stays small
@@ -42,9 +42,11 @@ def generate(rng, most_rows=5):
         header = [rng.choice(XY_NAMES) for _ in range(rng.randint(1, 4))]
         if not any(header):
             header[0] = "x"
-        # mostly columns the header has, sometimes a missing one
+        # mostly columns the header has, sometimes a missing one; then their
+        # cells' text, as fit reads them
         spec = tuple((rng.choice(header if rng.random() < 0.9 else XY_NAMES), FLOAT)
                      for _ in range(2))
+        spec += tuple((name, TEXT) for name, _ in spec)
     numeric = {name for name, kind in spec if kind != cli.LABEL}
     rows = [
         [number(rng) if name in numeric or rng.random() < 0.3 else rng.choice(TEXTS)
@@ -302,11 +304,11 @@ def plain_series(rows: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def transient_memory(text: str) -> int:
+def transient_memory(text: str, spec=ECON_CELLS) -> int:
     """The bulk tier's traced peak less the memory its columns still hold."""
     tracemalloc.start()
     try:
-        columns = cli._bulk_columns(text, ECON_CELLS)
+        columns = cli._bulk_columns(text, spec)
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -318,5 +320,17 @@ def transient_memory(text: str) -> int:
 # and cells, whatever the file's length (about 0.7 MiB here, at either size).
 def test_bulk_tier_memory_is_one_run_beside_the_columns():
     small, large = (transient_memory(plain_series(rows)) for rows in (20_000, 80_000))
+    assert small < 4 * 2**20 and large < 4 * 2**20
+    assert large < small + 2**20
+
+
+# fit's columns: the two columns' values, then their cells' text
+FIT_CELLS = (("investments", FLOAT), ("incomes", FLOAT), ("investments", TEXT),
+             ("incomes", TEXT))
+
+
+# The cells' text a TEXT column holds is part of the columns, not of the run.
+def test_bulk_tier_memory_with_text_columns_is_one_run_beside_the_columns():
+    small, large = (transient_memory(plain_series(rows), FIT_CELLS) for rows in (20_000, 80_000))
     assert small < 4 * 2**20 and large < 4 * 2**20
     assert large < small + 2**20

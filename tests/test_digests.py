@@ -49,9 +49,10 @@ def test_error_is_recorded_by_type_and_message(digests, design, error):
 
 # The small draws of PINS: a change to any figure or refusal of the stage
 # path, or to any figure, message or points-file byte of analyze or fit,
-# moves one of them.
+# moves one of them. The padded draw's points files take repr of the values.
 @pytest.mark.parametrize(
-    "draw", [("stage", 1, 200, None), ("series", 1, 3, 2_000)], ids=["stage", "series"]
+    "draw", [("stage", 1, 200, None), ("series", 1, 3, 2_000), ("padded", 1, 3, 2_000)],
+    ids=["stage", "series", "padded"],
 )
 def test_small_draw_digest_is_pinned(digests, draw):
     assert digests.digest(*draw) == digests.PINS[draw]
@@ -75,6 +76,19 @@ def test_records_hold_each_command_and_points_file(digests, tmp_path, monkeypatc
     assert text.count("[stderr]\n[points]\nx,y_observed,y_fitted\n") == 2
     assert "\n$ fit s.csv --x expenses --y quantity_out\n" in text
     assert sorted(p.name for p in tmp_path.iterdir()) == ["s.csv"]
+
+
+def test_padded_draw_pads_every_seventh_row(digests, tmp_path):
+    columns = digests.series_stream(1, 1, 14)[0]
+    digests.write_padded(tmp_path / "padded.csv", columns)
+    digests.perfbench_inputs().write_series(tmp_path / "plain.csv", columns)
+    padded = (tmp_path / "padded.csv").read_text().splitlines()
+    plain = (tmp_path / "plain.csv").read_text().splitlines()
+    assert padded[0] == plain[0] and len(padded) == len(plain) == 15
+    for index, (line, plain_line) in enumerate(zip(padded[1:], plain[1:])):
+        label, *numbers = plain_line.split(",")
+        pad = "0" if index in (6, 13) else ""
+        assert line == ",".join([label, *(number + pad for number in numbers)])
 
 
 def test_digest_sees_one_changed_cell(digests):
