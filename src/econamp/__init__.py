@@ -28,10 +28,11 @@ _EXPORTS = {
         "BjtCurrents", "BjtParams", "MosParams", "active_region_currents", "beta_from_alpha",
         "ebers_moll_currents", "mos_drain_current", "mos_transconductance", "thermal_voltage",
     ),
+    "cascade": ("cascade_gain",),
     "econmap": (
         "CobbDouglasParams", "CoefficientReport", "EconSeries", "RegressionFit",
-        "analyze_series", "beta_bank", "beta_p_economic", "beta_v_economic", "cascade_gain",
-        "cobb_douglas", "domar_sigma", "fit_linear", "harrod_b", "keynes_multiplier",
+        "analyze_series", "beta_bank", "beta_p_economic", "beta_v_economic", "cobb_douglas",
+        "domar_sigma", "fit_linear", "harrod_b", "keynes_multiplier",
     ),
     "errors": ("SolverError",),
 }

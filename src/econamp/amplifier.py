@@ -1,12 +1,13 @@
 """Stage gains, output power and operating-limit checks.
 
-cascade_gain, the composition of stage gains, is defined in econmap and
-imported here, so that `cascade` loads neither this module nor dataclasses.
+cascade_gain, the composition of stage gains, is defined in its own module
+and re-exported here, so that `cascade` loads neither this module nor
+dataclasses.
 """
 
 from dataclasses import dataclass
 
-from .econmap import cascade_gain  # noqa: F401 (re-exported)
+from .cascade import cascade_gain  # noqa: F401 (re-exported)
 from .errors import require_finite
 
 # circuit's OperatingPoint and SmallSignalParams are annotated by name only:

@@ -52,11 +52,14 @@ class AmplifierConfig:
     r_l: float
     device: BjtParams
 
+    # The checked divider is kept in a slot, not a field: vars() and the
+    # dataclass's repr, == and hash see only the fields.
+    __slots__ = ("__dict__", "__weakref__", "_thevenin")
+
     def __init__(self, v_cc: float, r_b1: float, r_b2: float, r_l: float, device: BjtParams):
         require_finite("v_cc, r_b1, r_b2, r_l", (v_cc, r_b1, r_b2, r_l), "> 0")
-        # stored before the divider check, which thevenin() forms from the fields
-        self.__dict__.update(v_cc=v_cc, r_b1=r_b1, r_b2=r_b2, r_l=r_l, device=device)
-        v_th, r_th = self.thevenin()
+        total = r_b1 + r_b2
+        v_th, r_th = v_cc * r_b2 / total, r_b1 * r_b2 / total
         low = sys.float_info.min
         # the chained comparisons also reject NaN
         if not (low <= v_th < math.inf and low <= r_th < math.inf and v_th / r_th < math.inf):
@@ -64,11 +67,15 @@ class AmplifierConfig:
                 f"v_cc, r_b1, r_b2 give v_th = {v_th} V and r_th = {r_th} ohm; both must be "
                 f"finite normal floats with v_th/r_th finite"
             )
+        self.__dict__.update(v_cc=v_cc, r_b1=r_b1, r_b2=r_b2, r_l=r_l, device=device)
+        object.__setattr__(self, "_thevenin", (v_th, r_th))
+
+    def __reduce__(self):  # copy and pickle rebuild it, slot and all, through __init__
+        return type(self), (self.v_cc, self.r_b1, self.r_b2, self.r_l, self.device)
 
     def thevenin(self):
-        """(v_th, r_th) of the base divider."""
-        total = self.r_b1 + self.r_b2
-        return self.v_cc * self.r_b2 / total, self.r_b1 * self.r_b2 / total
+        """(v_th, r_th) of the base divider, formed once by __init__."""
+        return self._thevenin
 
 
 @dataclass(frozen=True, init=False)
@@ -121,7 +128,7 @@ def solve_operating_point(config: AmplifierConfig) -> OperatingPoint:
     residual_tol, step_tol = RESIDUAL_TOL, STEP_TOL
     dev = config.device
     vt = _thermal_voltage(dev.temperature)
-    v_th, r_th = config.thevenin()
+    v_th, r_th = config._thevenin
     k_b = 1.0 - dev.alpha_n
     i_es = dev.i_es
     # the loop's invariants: k_b * i_es * (e + 1.0) groups from the left, so

@@ -5,8 +5,8 @@ total income over invested inputs is the economic gain (reciprocal of the
 Harrod capital coefficient, identical to the Domar productivity), and the
 Keynes multiplier is the economic slope, income increment per investment
 increment. The linear model income = a0 + beta * input is fitted by
-ordinary least squares. The gain of stages in cascade, the product of the
-stage gains, is defined here too, so that `cascade` loads no amplifier.
+ordinary least squares. cascade_gain, the gain of stages in cascade, is
+re-exported from its own module, which `cascade` loads without this one.
 
 The value types are immutable records, not dataclasses: importing
 dataclasses, and inspect with it, was about a sixth of the time of a
@@ -19,6 +19,7 @@ from collections import Counter
 from collections.abc import Sequence
 from operator import add, mul, truediv
 
+from .cascade import cascade_gain  # noqa: F401 (re-exported)
 from .errors import all_finite, require_finite
 
 
@@ -250,23 +251,6 @@ def keynes_multiplier(delta_v: float, delta_i: float) -> float:
     if delta_i == 0:
         raise ValueError("investment increment must be non-zero")
     return delta_v / delta_i
-
-
-def cascade_gain(stage_gains: Sequence[float]) -> float:
-    """Total gain of stages in cascade: the product of the stage gains.
-
-    A non-finite stage gain, or a product that overflows, raises ValueError
-    naming the (1-based) stage.
-    """
-    if not stage_gains:
-        raise ValueError("cascade needs at least one stage gain")
-    total = 1.0
-    for stage, gain in enumerate(stage_gains, start=1):
-        require_finite(f"stage {stage} gain", (gain,))
-        total *= gain
-        if not math.isfinite(total):
-            raise ValueError(f"cascade gain overflows at stage {stage}")
-    return total
 
 
 def _fsum(name: str, terms) -> float:

@@ -11,7 +11,7 @@ import pytest
 
 import econamp
 import econamp.circuit
-from econamp import cli
+from econamp import cli, csvio
 from econamp.cli import main, parse_config
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "perfbench" / "golden"
@@ -142,10 +142,10 @@ def test_points_file_matches_repr_of_each_value(capsys, tmp_path, x_cells, y_cel
     path = tmp_path / "cells.csv"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     text = cli._read_text(str(path))
-    assert (cli._bulk_columns(text, (("x", cli.FLOAT),)) is None) == quoted
+    assert (csvio._bulk_columns(text, (("x", csvio.FLOAT),)) is None) == quoted
     xs, ys, x_read, y_read = cli.read_xy_columns(str(path), "x", "y")
     assert (x_read, y_read) == (x_cells, y_cells)
-    assert ((cli._point_texts(x_read, xs) is x_read), (cli._point_texts(y_read, ys) is y_read)
+    assert ((csvio._point_texts(x_read, xs) is x_read), (csvio._point_texts(y_read, ys) is y_read)
             ) == reused
     code, out, err = run_cli(capsys, "fit", str(path), "--x", "x", "--y", "y")
     assert (code, err) == (0, "")
@@ -1142,6 +1142,29 @@ def test_cascade_gain_is_one_function_under_every_name():
     assert amplifier.cascade_gain is econmap.cascade_gain is econamp.cascade_gain
 
 
+def test_parse_config_is_public_and_loads_simulate_on_first_use():
+    # README documents cli.parse_config; the module that defines it loads only
+    # with `simulate` or on this name's first use
+    package_root = str(Path(econamp.__file__).resolve().parent.parent)
+    pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    child = (
+        "import sys, econamp.cli\n"
+        "print('econamp.simulate' in sys.modules)\n"
+        "from econamp.cli import parse_config\n"
+        "from econamp import simulate\n"
+        "print(parse_config is simulate.parse_config is econamp.cli.parse_config)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", child],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": pythonpath},
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\nTrue\n", "")
+    with pytest.raises(AttributeError, match="module 'econamp.cli' has no attribute 'no_such'"):
+        cli.no_such
+
+
 def test_module_entry_point():
     # the child imports the same econamp as this test, installed or not
     package_root = str(Path(econamp.__file__).resolve().parent.parent)
@@ -1170,12 +1193,14 @@ finally:
     print(*sorted(set(sys.modules) - before), file=sys.stderr)
 """
 
-CLI_MODULES = {"econamp", "econamp.cli", "econamp.errors", "econamp.econmap"}
+CLI_MODULES = {"econamp", "econamp.cli", "econamp.cascade", "econamp.errors"}
+CSV_MODULES = CLI_MODULES | {"econamp.csvio", "econamp.econmap"}
 LOADED_ECONAMP_MODULES = {
     None: {"econamp"},
-    "simulate": CLI_MODULES | {"econamp.amplifier", "econamp.circuit", "econamp.devices"},
-    "fit": CLI_MODULES,
-    "analyze": CLI_MODULES,
+    "simulate": CLI_MODULES | {"econamp.simulate", "econamp.amplifier", "econamp.circuit",
+                               "econamp.devices"},
+    "fit": CSV_MODULES,
+    "analyze": CSV_MODULES,
     "cascade": CLI_MODULES,
 }
 

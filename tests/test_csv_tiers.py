@@ -1,7 +1,7 @@
 """The bulk CSV tier against the per-cell scan.
 
-`cli._read_columns` converts a plain file a run of lines at a time and
-sends any other file to `cli._scan_columns`, the row-major scan that gives
+`csvio._read_columns` converts a plain file a run of lines at a time and
+sends any other file to `csvio._scan_columns`, the row-major scan that gives
 every CSV error. On seeded generated files, most of them plain but for one
 or two defects, the two-tier reader must give the same columns, or the same
 error text, as the scan run alone, and every file left clean must take the
@@ -14,8 +14,9 @@ import tracemalloc
 
 import pytest
 
-from econamp import cli
-from econamp.cli import ECON_CELLS, FLOAT, TEXT, InputFormatError
+from econamp import cli, csvio
+from econamp.cli import InputFormatError
+from econamp.csvio import ECON_CELLS, FLOAT, TEXT
 
 FILES = 400
 FIELD_LIMIT = 100  # a lowered csv.field_size_limit, so an oversized line stays small
@@ -47,7 +48,7 @@ def generate(rng, most_rows=5):
         spec = tuple((rng.choice(header if rng.random() < 0.9 else XY_NAMES), FLOAT)
                      for _ in range(2))
         spec += tuple((name, TEXT) for name, _ in spec)
-    numeric = {name for name, kind in spec if kind != cli.LABEL}
+    numeric = {name for name, kind in spec if kind != csvio.LABEL}
     rows = [
         [number(rng) if name in numeric or rng.random() < 0.3 else rng.choice(TEXTS)
          for name in header]
@@ -110,7 +111,7 @@ def outcome(read, *args) -> str:
 
 
 def scan_outcome(path, spec) -> str:
-    return outcome(cli._scan_columns, str(path), cli._read_text(str(path)), spec)
+    return outcome(csvio._scan_columns, str(path), cli._read_text(str(path)), spec)
 
 
 def test_bulk_tier_matches_the_scan(tmp_path, small_field_limit):
@@ -129,11 +130,11 @@ def test_bulk_tier_matches_the_scan(tmp_path, small_field_limit):
                 defect_in_lines(rng, lines)
         text = "\n".join(lines) + rng.choice(("\n", "\n", ""))
         path.write_text(text, encoding=rng.choice(("utf-8", "utf-8-sig")), newline="")
-        assert outcome(cli._read_columns, str(path), spec) == scan_outcome(path, spec), (text, spec)
-        clean = not defects and all(name in header for name, kind in spec if kind != cli.COUNT)
+        assert outcome(csvio._read_columns, str(path), spec) == scan_outcome(path, spec), (text, spec)
+        clean = not defects and all(name in header for name, kind in spec if kind != csvio.COUNT)
         if clean and max(map(len, lines)) <= FIELD_LIMIT:
             decoded = cli._read_text(str(path))
-            assert cli._bulk_columns(decoded, spec) is not None, (text, spec)
+            assert csvio._bulk_columns(decoded, spec) is not None, (text, spec)
             bulk += 1
     assert bulk >= FILES // 5
 
@@ -159,11 +160,11 @@ XY = (("x", FLOAT), ("y", FLOAT))
 def test_each_plain_condition_keeps_a_file_from_the_bulk_tier(
     tmp_path, small_field_limit, text, spec
 ):
-    assert cli._bulk_columns("x,y,z\n1,2,a\n3,4,b\n", XY) == [[1.0, 3.0], [2.0, 4.0]]
-    assert cli._bulk_columns(text, spec) is None
+    assert csvio._bulk_columns("x,y,z\n1,2,a\n3,4,b\n", XY) == [[1.0, 3.0], [2.0, 4.0]]
+    assert csvio._bulk_columns(text, spec) is None
     path = tmp_path / "one.csv"
     path.write_text(text, newline="")
-    assert outcome(cli._read_columns, str(path), spec) == scan_outcome(path, spec)
+    assert outcome(csvio._read_columns, str(path), spec) == scan_outcome(path, spec)
 
 
 TWICE_X = (("x", FLOAT), ("x", FLOAT))
@@ -193,10 +194,10 @@ TWICE_X = (("x", FLOAT), ("x", FLOAT))
          "nan_after_overflow"],
 )
 def test_whole_text_and_whole_column_checks(tmp_path, text, spec, bulk):
-    assert cli._bulk_columns(text, spec) == bulk
+    assert csvio._bulk_columns(text, spec) == bulk
     path = tmp_path / "shape.csv"
     path.write_text(text, encoding="utf-8", newline="")
-    assert outcome(cli._read_columns, str(path), spec) == scan_outcome(path, spec)
+    assert outcome(csvio._read_columns, str(path), spec) == scan_outcome(path, spec)
     if bulk is not None:
         assert repr(bulk) == scan_outcome(path, spec)
 
@@ -204,8 +205,8 @@ def test_whole_text_and_whole_column_checks(tmp_path, text, spec, bulk):
 def test_lone_surrogate_counts_as_one_character():
     # no file decodes to one, but a caller's text may hold it
     text = "x,y,z\n1,2,\ud800\n3,4,b\n"
-    assert cli._bulk_columns(text, XY) == [[1.0, 3.0], [2.0, 4.0]]
-    assert cli._bulk_columns(text.replace("\n3", ",\n3"), XY) is None
+    assert csvio._bulk_columns(text, XY) == [[1.0, 3.0], [2.0, 4.0]]
+    assert csvio._bulk_columns(text.replace("\n3", ",\n3"), XY) is None
 
 
 # Every file reads \r\n and a lone \r as \n, so a file of any line ending
@@ -223,14 +224,14 @@ def test_lone_surrogate_counts_as_one_character():
 def test_every_line_ending_takes_the_bulk_tier(tmp_path, data):
     path = tmp_path / "endings.csv"
     path.write_bytes(data)
-    assert cli._bulk_columns(cli._read_text(str(path)), XY) == [[1.0, 3.0], [2.0, 4.0]]
-    assert outcome(cli._read_columns, str(path), XY) == scan_outcome(path, XY)
+    assert csvio._bulk_columns(cli._read_text(str(path)), XY) == [[1.0, 3.0], [2.0, 4.0]]
+    assert outcome(csvio._read_columns, str(path), XY) == scan_outcome(path, XY)
 
 
 def test_line_break_in_a_quoted_cell_reads_as_newline(tmp_path):
     path = tmp_path / "quoted.csv"
     path.write_bytes(b'period,investments,expenses,incomes\r\n"a\r\nb",1,2,3\r\n"c\rd",2,3,4\r\n')
-    assert cli._read_columns(str(path), ECON_CELLS)[1] == ["a\nb", "c\nd"]
+    assert csvio._read_columns(str(path), ECON_CELLS)[1] == ["a\nb", "c\nd"]
 
 
 # Runs of a few characters put run boundaries at every line of a generated
@@ -239,7 +240,7 @@ def test_line_break_in_a_quoted_cell_reads_as_newline(tmp_path):
 # longer than the runs of 1, 3 and 8 characters.
 @pytest.mark.parametrize("run_chars", [1, 3, 8, 40])
 def test_runs_of_lines_match_the_scan(tmp_path, small_field_limit, monkeypatch, run_chars):
-    monkeypatch.setattr(cli, "RUN_CHARS", run_chars)
+    monkeypatch.setattr(csvio, "RUN_CHARS", run_chars)
     rng = random.Random(run_chars)
     path = tmp_path / "series.csv"
     bulk = 0
@@ -255,10 +256,10 @@ def test_runs_of_lines_match_the_scan(tmp_path, small_field_limit, monkeypatch, 
                 defect_in_lines(rng, lines)
         text = "\n".join(lines) + rng.choice(("\n", "\n", ""))
         path.write_text(text, encoding="utf-8", newline="")
-        assert outcome(cli._read_columns, str(path), spec) == scan_outcome(path, spec), (text, spec)
-        clean = not defects and all(name in header for name, kind in spec if kind != cli.COUNT)
+        assert outcome(csvio._read_columns, str(path), spec) == scan_outcome(path, spec), (text, spec)
+        clean = not defects and all(name in header for name, kind in spec if kind != csvio.COUNT)
         if clean and max(map(len, lines)) <= FIELD_LIMIT:
-            assert cli._bulk_columns(text, spec) is not None, (text, spec)
+            assert csvio._bulk_columns(text, spec) is not None, (text, spec)
             bulk += 1
     assert bulk >= FILES // 20
 
@@ -288,13 +289,13 @@ def last_run_text(case: str, rows: int = 30) -> str:
 def test_last_run_decides_the_tier(tmp_path, small_field_limit, monkeypatch, run_chars, case,
                                    bulk):
     text = last_run_text(case)
-    whole = cli._bulk_columns(text, ECON_CELLS)
-    monkeypatch.setattr(cli, "RUN_CHARS", run_chars)
-    assert cli._bulk_columns(text, ECON_CELLS) == whole
+    whole = csvio._bulk_columns(text, ECON_CELLS)
+    monkeypatch.setattr(csvio, "RUN_CHARS", run_chars)
+    assert csvio._bulk_columns(text, ECON_CELLS) == whole
     assert (whole is not None) == bulk
     path = tmp_path / "last.csv"
     path.write_text(text, encoding="utf-8", newline="")
-    assert outcome(cli._read_columns, str(path), ECON_CELLS) == scan_outcome(path, ECON_CELLS)
+    assert outcome(csvio._read_columns, str(path), ECON_CELLS) == scan_outcome(path, ECON_CELLS)
 
 
 def plain_series(rows: int) -> str:
@@ -308,7 +309,7 @@ def transient_memory(text: str, spec=ECON_CELLS) -> int:
     """The bulk tier's traced peak less the memory its columns still hold."""
     tracemalloc.start()
     try:
-        columns = cli._bulk_columns(text, spec)
+        columns = csvio._bulk_columns(text, spec)
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -122,3 +122,15 @@ def test_every_stage_type_is_covered():
     assert {cls for cls in exported if dataclasses.is_dataclass(cls)} == {
         row[0] for row in STAGE_TYPES
     }
+
+
+def test_amplifier_config_forms_its_divider_once():
+    # __init__ keeps the (v_th, r_th) it checks, outside the fields, for the
+    # bias solve; copies and replaced values form it again from their fields
+    config = AmplifierConfig(12.0, 100e3, 20e3, 1e3, DEVICE)
+    twins = (config, copy.copy(config), copy.deepcopy(config), pickle.loads(pickle.dumps(config)))
+    for twin in twins:
+        assert twin.thevenin() == (12.0 * 20e3 / 120e3, 100e3 * 20e3 / 120e3)
+    assert dataclasses.replace(config, r_b2=40e3).thevenin() == (
+        12.0 * 40e3 / 140e3, 100e3 * 40e3 / 140e3
+    )
