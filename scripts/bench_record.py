@@ -13,9 +13,10 @@ since the next run overwrites it.
 
 For each workload and end-to-end metric of BENCHMARK.json, the record holds
 the parent and change medians and quartiles (speed-normalized, as perfbench
-reports them), the medians of the raw timings, and the number of pairs the
-change won, ties counting for neither side. It also holds the seeds, the run
-length, the host and the Python version.
+reports them), the medians of the raw timings, the change's relative move
+(`change_ratio`, the change median over the parent median minus 1) and the
+number of pairs the change won, ties counting for neither side. It also
+holds the seeds, the run length, the host and the Python version.
 """
 
 import argparse
@@ -61,7 +62,8 @@ def spread(values: list) -> dict:
 
 
 def summary(pairs: list, metrics: list) -> dict:
-    """Per metric: both sides' spread, raw medians and the pairs the change won."""
+    """Per metric: both sides' spread, raw medians, the relative move of the
+    median and the pairs the change won."""
     out = {}
     for metric in metrics:
         name, sign = metric["name"], 1 if metric["better"] == "higher" else -1
@@ -69,12 +71,13 @@ def summary(pairs: list, metrics: list) -> dict:
                   for side in ("parent", "change")}
         raw = {side: statistics.median(run[side]["raw_end_to_end"][name] for run in pairs)
                for side in ("parent", "change")}
+        sides = {side: spread(values[side]) for side in ("parent", "change")}
         out[name] = {
             "unit": metric["unit"],
             "better": metric["better"],
-            "parent": spread(values["parent"]),
-            "change": spread(values["change"]),
+            **sides,
             "raw_median": raw,
+            "change_ratio": sides["change"]["median"] / sides["parent"]["median"] - 1,
             "change_won": sum(sign * (change - parent) > 0
                               for parent, change in zip(values["parent"], values["change"])),
         }

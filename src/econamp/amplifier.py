@@ -2,20 +2,25 @@
 
 cascade_gain, the composition of stage gains, is defined in its own module
 and re-exported here, so that `cascade` loads neither this module nor
-dataclasses.
+dataclasses. The two value types here take their repr, ==, hash and
+refusals from devices.Frozen, the one module besides errors and cascade
+that importing this one loads.
 """
 
 from dataclasses import dataclass
 
 from .cascade import cascade_gain  # noqa: F401 (re-exported)
+from .devices import Frozen
 from .errors import require_finite
 
 # circuit's OperatingPoint and SmallSignalParams are annotated by name only:
 # the gains read only their fields, so importing this module loads no circuit.
 
 
-@dataclass(frozen=True, init=False)
-class StageGain:
+@dataclass(init=False, repr=False, eq=False)
+class StageGain(Frozen):
+    """Current gain, voltage gain magnitude and load power of one solved stage."""
+
     beta_current: float
     voltage_gain: float
     power_out: float
@@ -28,8 +33,8 @@ class StageGain:
         )
 
 
-@dataclass(frozen=True, init=False)
-class OperatingLimits:
+@dataclass(init=False, repr=False, eq=False)
+class OperatingLimits(Frozen):
     """Device ratings; defaults are representative small-signal ratings."""
 
     i_c_max: float = 0.1

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from .devices import (
     EXP_ARG_CAP,
     BjtParams,
+    Frozen,
     _junction_arg,
     _thermal_voltage,
     active_region_currents,
@@ -39,8 +40,8 @@ STEP_TOL = 1e-12       # volts; polishes v_be past the residual window
 INITIAL_GUESS = 0.6    # volts, generic forward junction drop
 
 
-@dataclass(frozen=True, init=False)
-class AmplifierConfig:
+@dataclass(init=False, repr=False, eq=False)
+class AmplifierConfig(Frozen):
     """Supply, bias divider, load and the device of one CE stage.
 
     The divider's v_th and r_th must be finite normal floats, and v_th/r_th finite.
@@ -78,8 +79,8 @@ class AmplifierConfig:
         return self._thevenin
 
 
-@dataclass(frozen=True, init=False)
-class OperatingPoint:
+@dataclass(init=False, repr=False, eq=False)
+class OperatingPoint(Frozen):
     """Solved DC state; `saturated` flags v_ce <= 0 (device out of the active region)."""
 
     v_be: float
@@ -98,8 +99,8 @@ class OperatingPoint:
         self.__dict__.update(v_be=v_be, i_b=i_b, i_c=i_c, i_e=i_e, v_ce=v_ce, saturated=saturated)
 
 
-@dataclass(frozen=True, init=False)
-class SmallSignalParams:
+@dataclass(init=False, repr=False, eq=False)
+class SmallSignalParams(Frozen):
     """Input resistance, output conductance and slope at an operating point."""
 
     r_in: float

@@ -162,12 +162,14 @@ def _cmd_fit(path: str, x_column: str, y_column: str) -> str:
     fit = fit_linear(xs, ys)
     out_path = path + ".points.csv"
     a0, beta = fit.a0, fit.beta
-    x_texts, y_texts = _point_texts(x_cells, xs), _point_texts(y_cells, ys)
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
         fh.write("x,y_observed,y_fitted\n")
         for start in range(0, len(xs), POINTS_ROWS):
             stop = start + POINTS_ROWS
-            block = zip(x_texts[start:stop], y_texts[start:stop], xs[start:stop])
+            x_block = xs[start:stop]
+            # each block's cells are written as read if all are their own repr
+            block = zip(_point_texts(x_cells[start:stop], x_block),
+                        _point_texts(y_cells[start:stop], ys[start:stop]), x_block)
             fh.write("".join([f"{x_text},{y_text},{a0 + beta * x!r}\n"
                               for x_text, y_text, x in block]))
     rows = _fit_rows(fit)

@@ -3,15 +3,17 @@
 All functions are pure; parameter objects are frozen and validated on
 construction, so values can be shared freely between threads.
 
-The stage's value types here, in circuit and in amplifier are frozen
-dataclasses with written-out __init__s: each runs its checks, then stores
-every field in one step, where the generated frozen __init__ calls
-object.__setattr__ once per field.
+The stage's eight value types, here, in circuit and in amplifier, are
+dataclasses on the Frozen base below, with written-out __init__s: each runs
+its checks, then stores every field in one step, where a generated frozen
+__init__ calls object.__setattr__ once per field. Their decorator generates
+no method: repr, ==, hash and the refusals to assign or delete come from
+Frozen, so loading them compiles no code at run time.
 """
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 
 from .errors import require_finite
 
@@ -37,8 +39,43 @@ def require_conserved(i_e: float, i_b: float, i_c: float) -> None:
         )
 
 
-@dataclass(frozen=True, init=False)
-class BjtParams:
+class Frozen:
+    """The repr, ==, hash and refusals of a frozen dataclass, written once.
+
+    Each method agrees with the one @dataclass(frozen=True) generates: repr
+    and hash are over the fields in order, == holds between values of one
+    class with equal fields, and assigning or deleting any attribute raises
+    FrozenInstanceError. A subclass decorated with @dataclass(init=False,
+    repr=False, eq=False) keeps them, and its decorator generates nothing.
+    """
+
+    __slots__ = ()
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__dataclass_fields__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return _field_values(self) == _field_values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(_field_values(self))
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def _field_values(value: Frozen) -> tuple:
+    return tuple(getattr(value, name) for name in value.__dataclass_fields__)
+
+
+@dataclass(init=False, repr=False, eq=False)
+class BjtParams(Frozen):
     """Static bipolar transistor parameters (n-p-n convention).
 
     alpha_n is the forward common-base current-transfer ratio (i_c/i_e),
@@ -71,8 +108,8 @@ class BjtParams:
         )
 
 
-@dataclass(frozen=True, init=False)
-class MosParams:
+@dataclass(init=False, repr=False, eq=False)
+class MosParams(Frozen):
     """Square-law MOS parameters: k_prime in A/V^2, threshold in volts."""
 
     k_prime: float
@@ -84,8 +121,8 @@ class MosParams:
         self.__dict__.update(k_prime=k_prime, v_threshold=v_threshold)
 
 
-@dataclass(frozen=True, init=False)
-class BjtCurrents:
+@dataclass(init=False, repr=False, eq=False)
+class BjtCurrents(Frozen):
     """Terminal currents of a bipolar device; i_e = i_b + i_c by charge conservation."""
 
     i_e: float

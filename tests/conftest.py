@@ -1,3 +1,4 @@
+import os
 from pathlib import Path
 
 import pytest
@@ -9,3 +10,14 @@ DATA_DIR = REPO_ROOT / "data"
 @pytest.fixture
 def data_dir() -> Path:
     return DATA_DIR
+
+
+@pytest.fixture
+def child_env() -> dict:
+    """The environment of a child process that imports the same econamp as
+    the tests, installed or not."""
+    import econamp
+
+    package_root = str(Path(econamp.__file__).resolve().parent.parent)
+    pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": pythonpath}

@@ -1,5 +1,7 @@
 import math
 import random
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import pytest
@@ -230,3 +232,21 @@ class TestStageGainBundle:
         with pytest.raises(ValueError) as info:
             stage_gain(op, ss, r_l)
         assert str(info.value) == message
+
+
+def test_importing_amplifier_loads_no_circuit(child_env):
+    # the gains read circuit's types by their fields only
+    child = (
+        "import sys, econamp.amplifier\n"
+        "print(*sorted(m for m in sys.modules if m.partition('.')[0] == 'econamp'))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", child],
+        capture_output=True,
+        text=True,
+        env=child_env,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.split() == [
+        "econamp", "econamp.amplifier", "econamp.cascade", "econamp.devices", "econamp.errors",
+    ]

@@ -72,3 +72,13 @@ def test_summary_keeps_both_sides_and_raw_medians(bench_record):
             "parent": statistics.median(100 * v + i for i, v in enumerate(parent)),
             "change": statistics.median(100 * v + i for i, v in enumerate(change)),
         }
+
+
+def test_change_ratio_is_the_relative_move_of_the_medians(bench_record):
+    # medians 5 -> 4 give -20%; the means' ratio (-23.5%) and the median of the
+    # pairwise ratios (-25%) differ from it
+    runs = [(4.0, 3.0), (5.0, 4.0), (8.0, 6.0)]
+    record = [{side: {"metrics": {"p50_ms": {"value": run[k]}},
+                      "raw_end_to_end": {"p50_ms": run[k]}}
+               for k, side in enumerate(("parent", "change"))} for run in runs]
+    assert bench_record.summary(record, METRICS[1:])["p50_ms"]["change_ratio"] == 4.0 / 5.0 - 1

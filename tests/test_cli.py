@@ -1,6 +1,5 @@
 import hashlib
 import math
-import os
 import random
 import re
 import subprocess
@@ -116,7 +115,8 @@ def repr_points(x_cells, y_cells, a0: float, beta: float) -> bytes:
 # The points file is byte for byte the one repr of every value writes, on a
 # plain file (the bulk tier) and on the same file with quoted cells (the
 # scan), whether a column's cells are reused or not: one cell of another
-# form among own reprs keeps its whole column from being reused.
+# form among own reprs keeps its block of rows, here the whole column, from
+# being reused.
 @pytest.mark.parametrize("quoted", [False, True], ids=["plain", "quoted"])
 @pytest.mark.parametrize(
     "x_cells, y_cells, reused",
@@ -149,6 +149,41 @@ def test_points_file_matches_repr_of_each_value(capsys, tmp_path, x_cells, y_cel
             ) == reused
     code, out, err = run_cli(capsys, "fit", str(path), "--x", "x", "--y", "y")
     assert (code, err) == (0, "")
+    values = values_block(out)
+    expected = repr_points(x_cells, y_cells, float(values["a0"]), float(values["beta"]))
+    assert Path(f"{path}.points.csv").read_bytes() == expected
+
+
+# The points file is written a block of POINTS_ROWS rows at a time, and each
+# block's cells are reused or not on their own: a cell of another form in the
+# first, a middle or the last of four blocks sends only its block to repr, and
+# the bytes stay those repr of every value writes.
+@pytest.mark.parametrize("quoted", [False, True], ids=["plain", "quoted"])
+@pytest.mark.parametrize("block", [0, 1, 3], ids=["first", "middle", "last"])
+def test_points_file_reuses_cells_block_by_block(capsys, monkeypatch, tmp_path, block, quoted):
+    rows = 3 * cli.POINTS_ROWS + 5
+    x_cells = [f"{k + 1}.5" for k in range(rows)]
+    y_cells = [f"{3 * k + 1}.25" for k in range(rows)]
+    odd = block * cli.POINTS_ROWS + 2
+    y_cells[odd] = y_cells[odd] + "0"
+    quote = '"' if quoted else ""
+    lines = ["x,y"] + [f"{quote}{x}{quote},{quote}{y}{quote}" for x, y in zip(x_cells, y_cells)]
+    path = tmp_path / "blocks.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert (csvio._bulk_columns(cli._read_text(str(path)), (("x", csvio.FLOAT),)) is None) == quoted
+    reused = []
+    point_texts = csvio._point_texts
+
+    def spy(cells, values):
+        texts = point_texts(cells, values)
+        reused.append(texts is cells)
+        return texts
+
+    monkeypatch.setattr(csvio, "_point_texts", spy)
+    code, out, err = run_cli(capsys, "fit", str(path), "--x", "x", "--y", "y")
+    assert (code, err) == (0, "")
+    # per block, x then y: every x block is reused, the y block with the odd cell is not
+    assert reused == [k % 2 == 0 or k // 2 != block for k in range(8)]
     values = values_block(out)
     expected = repr_points(x_cells, y_cells, float(values["a0"]), float(values["beta"]))
     assert Path(f"{path}.points.csv").read_bytes() == expected
@@ -1142,11 +1177,9 @@ def test_cascade_gain_is_one_function_under_every_name():
     assert amplifier.cascade_gain is econmap.cascade_gain is econamp.cascade_gain
 
 
-def test_parse_config_is_public_and_loads_simulate_on_first_use():
+def test_parse_config_is_public_and_loads_simulate_on_first_use(child_env):
     # README documents cli.parse_config; the module that defines it loads only
     # with `simulate` or on this name's first use
-    package_root = str(Path(econamp.__file__).resolve().parent.parent)
-    pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     child = (
         "import sys, econamp.cli\n"
         "print('econamp.simulate' in sys.modules)\n"
@@ -1158,22 +1191,19 @@ def test_parse_config_is_public_and_loads_simulate_on_first_use():
         [sys.executable, "-c", child],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": pythonpath},
+        env=child_env,
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\nTrue\n", "")
     with pytest.raises(AttributeError, match="module 'econamp.cli' has no attribute 'no_such'"):
         cli.no_such
 
 
-def test_module_entry_point():
-    # the child imports the same econamp as this test, installed or not
-    package_root = str(Path(econamp.__file__).resolve().parent.parent)
-    pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+def test_module_entry_point(child_env):
     proc = subprocess.run(
         [sys.executable, "-m", "econamp", "cascade", "10", "20"],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": pythonpath},
+        env=child_env,
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "200.0"
@@ -1206,18 +1236,15 @@ LOADED_ECONAMP_MODULES = {
 
 
 @pytest.mark.parametrize("command", [None, *sorted(GOLDEN_COMMANDS)])
-def test_each_subcommand_loads_only_the_modules_it_uses(tmp_path, data_dir, command):
+def test_each_subcommand_loads_only_the_modules_it_uses(tmp_path, data_dir, child_env, command):
     for name in ("demo_amplifier.cfg", "synthetic_series.csv"):
         (tmp_path / name).write_bytes((data_dir / name).read_bytes())
-    # the child imports the same econamp as this test, as in test_module_entry_point
-    package_root = str(Path(econamp.__file__).resolve().parent.parent)
-    pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     argv = GOLDEN_COMMANDS[command] if command else ()
     proc = subprocess.run(
         [sys.executable, "-c", LOADED_MODULES_CHILD, *argv],
         cwd=tmp_path,
         capture_output=True,
-        env={**os.environ, "PYTHONPATH": pythonpath},
+        env=child_env,
     )
     assert proc.returncode == 0, proc.stderr
     loaded = set(proc.stderr.decode().split())

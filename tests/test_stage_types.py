@@ -1,22 +1,25 @@
 """The stage's value types keep the frozen-dataclass contract.
 
-Each of the eight is a frozen dataclass with a written-out __init__ that
-validates and then stores every field in one step. These tests hold what the
-generated __init__ gave: the signature, the refusals on assignment and
-deletion, repr, == and hash, dataclasses.replace (which re-validates), vars()
-and a copy or pickle round-trip.
+Each of the eight is a dataclass on devices.Frozen with a written-out
+__init__ that validates and then stores every field in one step; the base
+gives repr, ==, hash and the refusals, so the decorator generates nothing.
+These tests hold what a generated frozen dataclass gave: the signature, the
+refusals on assignment and deletion, repr, == and hash, dataclasses.replace
+(which re-validates), vars() and a copy or pickle round-trip.
 """
 
 import copy
 import dataclasses
 import inspect
 import pickle
+import subprocess
+import sys
 
 import pytest
 
 from econamp.amplifier import OperatingLimits, StageGain
 from econamp.circuit import AmplifierConfig, OperatingPoint, SmallSignalParams
-from econamp.devices import BjtCurrents, BjtParams, MosParams
+from econamp.devices import BjtCurrents, BjtParams, Frozen, MosParams
 
 DEVICE = BjtParams(1e-14, 1e-14, 0.99)
 
@@ -122,6 +125,48 @@ def test_every_stage_type_is_covered():
     assert {cls for cls in exported if dataclasses.is_dataclass(cls)} == {
         row[0] for row in STAGE_TYPES
     }
+
+
+def test_methods_come_from_the_base():
+    # the decorator generated none of them, and none is frozen by its flag
+    for cls in (row[0] for row in STAGE_TYPES):
+        assert issubclass(cls, Frozen) and "__init__" in vars(cls)
+        assert not {"__repr__", "__eq__", "__hash__", "__setattr__", "__delattr__"} & set(vars(cls))
+        assert cls.__dataclass_params__.frozen is False
+
+
+# Imports dataclasses first, and with it the stdlib namedtuples built from
+# source, then counts the code objects compiled from a string that run while
+# the stage path loads; each method a dataclass generates is one.
+GENERATED_CODE_CHILD = """\
+import dataclasses, sys, types
+generated = []
+
+
+def count(event, args):
+    if event == "exec" and isinstance(args[0], types.CodeType):
+        if args[0].co_filename == "<string>":
+            generated.append(args[0].co_name)
+
+
+sys.addaudithook(count)
+import econamp.devices, econamp.circuit, econamp.amplifier
+print(len(generated))
+"""
+
+
+def test_loading_the_stage_path_runs_no_generated_code(child_env):
+    proc = subprocess.run(
+        [sys.executable, "-c", GENERATED_CODE_CHILD],
+        capture_output=True,
+        text=True,
+        env=child_env,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\n", "")
+    # a class without a docstring gets one built from inspect.signature
+    for cls in (row[0] for row in STAGE_TYPES):
+        assert "__doc__" in vars(cls) and cls.__doc__
+        assert not cls.__doc__.startswith(f"{cls.__name__}(")
 
 
 def test_amplifier_config_forms_its_divider_once():
