@@ -30,7 +30,6 @@ from .devices import (
     _junction_arg,
     _thermal_voltage,
     active_region_currents,
-    beta_from_alpha,
     require_conserved,
 )
 from .errors import SolverError, require_finite
@@ -212,7 +211,8 @@ def small_signal_params(device: BjtParams, op: OperatingPoint) -> SmallSignalPar
             f"i_es, alpha_n, temperature give i_c = {op.i_c} A, slope_s = {slope_s} S; "
             f"both must be normal floats"
         )
-    r_in = beta_from_alpha(device.alpha_n) / slope_s
+    # beta_from_alpha's expression, without its check of an alpha_n BjtParams holds in (0, 1)
+    r_in = device.alpha_n / (1.0 - device.alpha_n) / slope_s
     g_out = device.i_cs * math.exp(_junction_arg(op.v_be - op.v_ce, vt, "v_cb")) / vt
     return SmallSignalParams(r_in, g_out, slope_s)
 

@@ -97,8 +97,9 @@ class BjtParams(Frozen):
         alpha_i: float = 0.0,
         temperature: float = DEFAULT_TEMPERATURE,
     ):
-        require_finite("i_es, i_cs", (i_es, i_cs), "> 0")
-        thermal_voltage(temperature)  # refuses a temperature it cannot use
+        require_finite("i_es, i_cs, temperature", (i_es, i_cs, temperature), "> 0")
+        if BOLTZMANN_K * temperature < sys.float_info.min:
+            thermal_voltage(temperature)  # raises its k*T refusal
         if not 0.0 < alpha_n < 1.0:
             raise ValueError(f"alpha_n must lie strictly in (0, 1), got {alpha_n}")
         if not 0.0 <= alpha_i < alpha_n:
@@ -151,6 +152,9 @@ def _thermal_voltage(temperature: float) -> float:
     return BOLTZMANN_K * temperature / ELECTRON_CHARGE
 
 
+_ABOVE_CAP = f" above the overflow cap {EXP_ARG_CAP:g}"  # formatted once, not per refusal
+
+
 def _junction_arg(voltage: float, vt: float, name: str) -> float:
     # v/Vt, refusing a non-finite voltage and arguments past the overflow cap:
     # the package's one guard, on the exponentials whose argument is unbounded,
@@ -160,10 +164,7 @@ def _junction_arg(voltage: float, vt: float, name: str) -> float:
     arg = voltage / vt
     if not (arg <= EXP_ARG_CAP and voltage > -math.inf):  # NaN fails the first test
         require_finite(name, (voltage,))
-        raise OverflowError(
-            f"{name} = {voltage:g} V gives exp argument {arg:.1f} "
-            f"above the overflow cap {EXP_ARG_CAP:g}"
-        )
+        raise OverflowError(f"{name} = {voltage:g} V gives exp argument {arg:.1f}{_ABOVE_CAP}")
     return arg
 
 

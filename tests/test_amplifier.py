@@ -130,6 +130,23 @@ class TestCascade:
         with pytest.raises(ValueError, match="overflows at stage 3"):
             cascade_gain([1e200, 1e-10, 1e200, 1.0])
 
+    @pytest.mark.parametrize(
+        "gains,stage",
+        [([1e-200, 1e-200], 2), ([5e-324, 0.5], 2), ([3.0, 1e-200, 1e-200, 1e300], 3),
+         ([-1e-200, 1e-200], 2)],
+    )
+    def test_underflow_rejected(self, gains, stage):
+        # a product of non-zero gains that reached 0 used to be returned as 0.0
+        with pytest.raises(ValueError, match=f"^cascade gain underflows at stage {stage}$"):
+            cascade_gain(gains)
+
+    @pytest.mark.parametrize(
+        "gains,expected",
+        [([0.0, 5.0], 0.0), ([1e-200, 1e-200, 0.0], 0.0), ([1e-160, 1e-160], 1e-160 * 1e-160)],
+    )
+    def test_zero_gain_and_subnormal_products_kept(self, gains, expected):
+        assert cascade_gain(gains) == expected
+
 
 class TestBreakdown:
     def test_current_limit(self):

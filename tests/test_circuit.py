@@ -548,6 +548,20 @@ class TestSmallSignal:
             tested += 1
         assert tested >= 25
 
+    def test_r_in_is_beta_from_alpha_over_slope_bit_for_bit(self):
+        # small_signal_params forms beta inline from the alpha_n BjtParams checked
+        active = 0
+        for config in wide_configs():
+            try:
+                op = solve_operating_point(config)
+            except SolverError:
+                continue
+            if not op.saturated:
+                ss = small_signal_params(config.device, op)
+                assert ss.r_in == beta_from_alpha(config.device.alpha_n) / ss.slope_s
+                active += 1
+        assert active > 800
+
     def test_slope_matches_finite_difference(self):
         op = solve_operating_point(DERIVED_CONFIG)
         analytic = small_signal_params(DERIVED_CONFIG.device, op)

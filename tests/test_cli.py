@@ -865,6 +865,20 @@ class TestCascade:
         assert out == ""
         assert stage in err
 
+    @pytest.mark.parametrize("gains", [["1e-200", "1e-200"], ["5e-324", "0.5"]])
+    def test_underflow_is_domain_error(self, capsys, gains):
+        # a product of non-zero gains that underflowed printed 0.0 and exited 0
+        assert run_cli(capsys, "cascade", *gains) == (
+            4, "", "error: cascade gain underflows at stage 2\n"
+        )
+
+    @pytest.mark.parametrize(
+        "gains,expected",
+        [(["0", "5"], "0.0"), (["1e-200", "1e-200", "0"], "0.0"), (["1e-160", "1e-160"], "1e-320")],
+    )
+    def test_zero_gain_and_subnormal_products_print(self, capsys, gains, expected):
+        assert run_cli(capsys, "cascade", *gains) == (0, expected + "\n", "")
+
     def test_internal_overflow_escapes_main(self, monkeypatch):
         # exit 4 is a ValueError's, a named verdict; any other exception is a
         # bug and shows as a traceback, OverflowError included

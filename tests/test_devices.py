@@ -77,6 +77,36 @@ class TestThermalVoltage:
         assert BjtParams(i_es=1e-14, i_cs=1e-14, alpha_n=0.99, temperature=lowest)
 
 
+NAN, INF = math.nan, math.inf
+KT_1E_300 = "temperature = 1e-300 K gives k*T = 1.5e-323 J, not a normal float"
+
+
+class TestBjtParamsRefusalOrder:
+    """Which check refuses first, when more than one would."""
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (dict(i_es=NAN, temperature=NAN), "i_es must be finite and > 0, got nan"),
+            (dict(i_es=-1.0, temperature=0.0), "i_es must be finite and > 0, got -1.0"),
+            (dict(i_cs=INF, temperature=-1.0), "i_cs must be finite and > 0, got inf"),
+            (dict(temperature=NAN), "temperature must be finite and > 0, got nan"),
+            (dict(temperature=INF), "temperature must be finite and > 0, got inf"),
+            (dict(temperature=0.0), "temperature must be finite and > 0, got 0.0"),
+            (dict(temperature=-1.0), "temperature must be finite and > 0, got -1.0"),
+            (dict(temperature=0.0, alpha_n=1.5), "temperature must be finite and > 0, got 0.0"),
+            (dict(temperature=1e-300), KT_1E_300),
+            (dict(temperature=1e-300, alpha_n=1.5), KT_1E_300),
+            (dict(alpha_n=1.5, alpha_i=-1.0), "alpha_n must lie strictly in (0, 1), got 1.5"),
+        ],
+    )
+    def test_first_failing_check_names_the_refusal(self, kwargs, message):
+        values = {"i_es": 1e-14, "i_cs": 1e-14, "alpha_n": 0.99, **kwargs}
+        with pytest.raises(ValueError) as exc:
+            BjtParams(**values)
+        assert str(exc.value) == message
+
+
 class TestEbersMoll:
     def test_zero_bias_gives_zero_currents(self):
         out = ebers_moll_currents(EXAMPLE_BJT, 0.0, 0.0)
@@ -146,6 +176,28 @@ class TestExponentialGuard:
         assert str(exc.value) == (
             f"{name} = 6 V gives exp argument 232.1 above the overflow cap 200"
         )
+
+    @pytest.mark.parametrize(
+        "voltage, temperature, text",
+        [
+            (5.2, 300.0, "{} = 5.2 V gives exp argument 201.1 above the overflow cap 200"),
+            (0.25, 1.0, "{} = 0.25 V gives exp argument 2901.1 above the overflow cap 200"),
+            (1e-90, 1e-100,
+             "{} = 1e-90 V gives exp argument 116045181215500.8 above the overflow cap 200"),
+            (123456789.0, 1e-3,
+             "{} = 1.23457e+08 V gives exp argument 1432656545178884.5 above the overflow cap 200"),
+            (1e308, 1e-100, "{} = 1e+308 V gives exp argument inf above the overflow cap 200"),
+        ],
+    )
+    def test_over_cap_text_is_pinned(self, voltage, temperature, text):
+        device = BjtParams(i_es=1e-14, i_cs=1e-14, alpha_n=0.99, temperature=temperature)
+        for name, evaluate in [
+            ("v_be", lambda: active_region_currents(device, voltage)),
+            ("v_cb", lambda: ebers_moll_currents(device, 0.0, voltage)),
+        ]:
+            with pytest.raises(OverflowError) as exc:
+                evaluate()
+            assert str(exc.value) == text.format(name)
 
     @pytest.mark.parametrize("path", EXP_PATHS)
     def test_cap_itself_is_evaluated(self, path):
