@@ -15,8 +15,19 @@ For each workload and end-to-end metric of BENCHMARK.json, the record holds
 the parent and change medians and quartiles (speed-normalized, as perfbench
 reports them), the medians of the raw timings, the change's relative move
 (`change_ratio`, the change median over the parent median minus 1) and the
-number of pairs the change won, ties counting for neither side. It also
-holds the seeds, the run length, the host and the Python version.
+number of pairs the change won, ties counting for neither side. Its
+`parent_spread` is the parent's q3 - q1 over the parent's median, and its
+`verdict` is the first of these that holds:
+
+- `gain`: the change won at least 9 of 10 pairs, and its median is better
+  than the parent's by more than the parent's q3 - q1;
+- `regression`: the change's median is worse than the parent's by more than
+  the metric's `bound` in BENCHMARK.json;
+- `unresolved`: `parent_spread` is wider than that bound, and not every
+  change run beats every parent run;
+- `no move`.
+
+It also holds the seeds, the run length, the host and the Python version.
 """
 
 import argparse
@@ -61,9 +72,22 @@ def spread(values: list) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "runs": values}
 
 
+def verdict(parent: dict, change: dict, sign: int, bound: float, won: int) -> str:
+    """The claim rule's reading of one metric's spreads; `sign` is 1 where higher is better."""
+    iqr = parent["q3"] - parent["q1"]
+    if won >= 0.9 * len(parent["runs"]) and sign * (change["median"] - parent["median"]) > iqr:
+        return "gain"
+    if -sign * (change["median"] / parent["median"] - 1) > bound:
+        return "regression"
+    beats = all(sign * (c - p) > 0 for c in change["runs"] for p in parent["runs"])
+    if iqr / parent["median"] > bound and not beats:
+        return "unresolved"
+    return "no move"
+
+
 def summary(pairs: list, metrics: list) -> dict:
     """Per metric: both sides' spread, raw medians, the relative move of the
-    median and the pairs the change won."""
+    median, the pairs the change won, the parent's spread and the verdict."""
     out = {}
     for metric in metrics:
         name, sign = metric["name"], 1 if metric["better"] == "higher" else -1
@@ -72,14 +96,18 @@ def summary(pairs: list, metrics: list) -> dict:
         raw = {side: statistics.median(run[side]["raw_end_to_end"][name] for run in pairs)
                for side in ("parent", "change")}
         sides = {side: spread(values[side]) for side in ("parent", "change")}
+        won = sum(sign * (change - parent) > 0
+                  for parent, change in zip(values["parent"], values["change"]))
+        parent = sides["parent"]
         out[name] = {
             "unit": metric["unit"],
             "better": metric["better"],
             **sides,
             "raw_median": raw,
-            "change_ratio": sides["change"]["median"] / sides["parent"]["median"] - 1,
-            "change_won": sum(sign * (change - parent) > 0
-                              for parent, change in zip(values["parent"], values["change"])),
+            "change_ratio": sides["change"]["median"] / parent["median"] - 1,
+            "change_won": won,
+            "parent_spread": (parent["q3"] - parent["q1"]) / parent["median"],
+            "verdict": verdict(parent, sides["change"], sign, metric["bound"], won),
         }
     return out
 

@@ -2,9 +2,9 @@
 
 cascade_gain, the composition of stage gains, is defined in its own module
 and re-exported here, so that `cascade` loads neither this module nor
-dataclasses. The two value types here take their repr, ==, hash and
-refusals from devices.Frozen, the one module besides errors and cascade
-that importing this one loads.
+dataclasses. The two value types here are dataclasses on devices.Frozen, the
+one module besides errors and cascade that importing this one loads; their
+repr, ==, hash, copy and refusals come from errors.Record.
 """
 
 from dataclasses import dataclass

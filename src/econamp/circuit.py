@@ -70,9 +70,6 @@ class AmplifierConfig(Frozen):
         self.__dict__.update(v_cc=v_cc, r_b1=r_b1, r_b2=r_b2, r_l=r_l, device=device)
         object.__setattr__(self, "_thevenin", (v_th, r_th))
 
-    def __reduce__(self):  # copy and pickle rebuild it, slot and all, through __init__
-        return type(self), (self.v_cc, self.r_b1, self.r_b2, self.r_l, self.device)
-
     def thevenin(self):
         """(v_th, r_th) of the base divider, formed once by __init__."""
         return self._thevenin

@@ -7,15 +7,17 @@ The stage's eight value types, here, in circuit and in amplifier, are
 dataclasses on the Frozen base below, with written-out __init__s: each runs
 its checks, then stores every field in one step, where a generated frozen
 __init__ calls object.__setattr__ once per field. Their decorator generates
-no method: repr, ==, hash and the refusals to assign or delete come from
-Frozen, so loading them compiles no code at run time.
+no method: repr, ==, hash, copy and the refusals to assign or delete come
+from errors.Record, as for the economic value types, so loading them
+compiles no code at run time.
 """
 
+import inspect  # loaded by dataclasses already
 import math
 import sys
 from dataclasses import FrozenInstanceError, dataclass
 
-from .errors import require_finite
+from .errors import Record, require_finite
 
 # CODATA 2018 exact values
 BOLTZMANN_K = 1.380649e-23      # J/K
@@ -39,39 +41,22 @@ def require_conserved(i_e: float, i_b: float, i_c: float) -> None:
         )
 
 
-class Frozen:
-    """The repr, ==, hash and refusals of a frozen dataclass, written once.
+class Frozen(Record):
+    """A Record whose fields are its class's annotations, refused as a frozen dataclass.
 
-    Each method agrees with the one @dataclass(frozen=True) generates: repr
-    and hash are over the fields in order, == holds between values of one
-    class with equal fields, and assigning or deleting any attribute raises
-    FrozenInstanceError. A subclass decorated with @dataclass(init=False,
-    repr=False, eq=False) keeps them, and its decorator generates nothing.
+    A subclass decorated with @dataclass(init=False, repr=False, eq=False)
+    keeps Record's methods, so its decorator generates nothing, and assigning
+    or deleting raises FrozenInstanceError. A subclass that annotates nothing
+    keeps its parent's fields.
     """
 
     __slots__ = ()
+    _refusal = FrozenInstanceError
 
-    def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__dataclass_fields__)
-        return f"{self.__class__.__qualname__}({fields})"
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return _field_values(self) == _field_values(other)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(_field_values(self))
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-
-def _field_values(value: Frozen) -> tuple:
-    return tuple(getattr(value, name) for name in value.__dataclass_fields__)
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if annotations := inspect.get_annotations(cls):  # the class's own only
+            cls._fields = tuple(annotations)
 
 
 @dataclass(init=False, repr=False, eq=False)

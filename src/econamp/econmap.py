@@ -8,9 +8,10 @@ increment. The linear model income = a0 + beta * input is fitted by
 ordinary least squares. cascade_gain, the gain of stages in cascade, is
 re-exported from its own module, which `cascade` loads without this one.
 
-The value types are immutable records, not dataclasses: importing
-dataclasses, and inspect with it, was about a sixth of the time of a
-`fit`, `analyze` or `cascade` call on the shipped inputs.
+The value types are errors.Record subclasses with slots, not dataclasses:
+importing dataclasses, and inspect with it, was about a sixth of the time of
+a `fit`, `analyze` or `cascade` call on the shipped inputs. Assigning to or
+deleting their fields raises AttributeError.
 """
 
 import math
@@ -20,50 +21,10 @@ from collections.abc import Sequence
 from operator import add, mul, truediv
 
 from .cascade import cascade_gain  # noqa: F401 (re-exported)
-from .errors import all_finite, require_finite
+from .errors import Record, all_finite, require_finite
 
 
-class _Record:
-    """An immutable value over the fields `_fields`, each a slot.
-
-    Its repr, == and hash are those of a frozen dataclass: == holds only
-    between records of the same class, and assigning or deleting an
-    attribute raises AttributeError. The subclass's __init__ validates and
-    hands the field values, in order, to this __init__.
-    """
-
-    __slots__ = _fields = ()
-
-    def __init__(self, *values):
-        for name, value in zip(self._fields, values):
-            object.__setattr__(self, name, value)
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._fields)
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
-        return f"{type(self).__qualname__}({fields})"
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __reduce__(self):  # copy and pickle rebuild it through the constructor
-        return type(self), self._values()
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-
-class EconSeries(_Record):
+class EconSeries(Record):
     """A period series as parallel columns, one entry per labeled period.
 
     quantity_out counts finished products; an entry is None for a period
@@ -105,7 +66,7 @@ class EconSeries(_Record):
         return len(self.labels)
 
 
-class RegressionFit(_Record):
+class RegressionFit(Record):
     """Fitted line y = a0 + beta*x with its coefficient of determination."""
 
     __slots__ = _fields = ("a0", "beta", "r_squared", "n")
@@ -119,7 +80,7 @@ class RegressionFit(_Record):
             raise ValueError(f"r_squared out of [0, 1]: {r_squared}")
 
 
-class CoefficientReport(_Record):
+class CoefficientReport(Record):
     """Every economic coefficient computable from one series.
 
     beta_p is a products-per-money ratio (dimensionally mixed, reported
@@ -191,7 +152,7 @@ def domar_sigma(delta_q: float, total_investments: float) -> float:
     return delta_q / total_investments
 
 
-class CobbDouglasParams(_Record):
+class CobbDouglasParams(Record):
     """Proportionality g and the elasticities of labour (lam) and capital (mu)."""
 
     __slots__ = _fields = ("g", "lam", "mu")

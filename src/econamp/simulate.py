@@ -4,17 +4,17 @@ Only `simulate` imports this module, and with it the circuit, device and
 amplifier layers and dataclasses; `econamp.cli.parse_config` loads it on first use.
 """
 
-from dataclasses import MISSING, fields
-
 from .amplifier import OperatingLimits, breakdown_check, stage_gain
 from .circuit import AmplifierConfig, small_signal_params, solve_operating_point
 from .cli import InputFormatError, _fmt, _read_text, _rows, table, values_block
 from .devices import BjtParams
 
-# the three types' fields but `device`: the config keys, in order
+# the three types' fields but `device`, each with whether its constructor
+# gives it a default: the config keys, in order
 CONFIG_FIELDS = [
-    (cls, f) for cls in (AmplifierConfig, BjtParams, OperatingLimits) for f in fields(cls)
-    if f.name != "device"
+    (cls, name, index >= len(cls._fields) - len(cls.__init__.__defaults__ or ()))
+    for cls in (AmplifierConfig, BjtParams, OperatingLimits)
+    for index, name in enumerate(cls._fields) if name != "device"
 ]
 
 
@@ -22,11 +22,11 @@ def parse_config(text: str, source: str = "<config>") -> tuple[AmplifierConfig, 
     """The stage and its breakdown limits from `key = value` lines with # comments.
 
     The keys are the fields of AmplifierConfig, BjtParams and OperatingLimits
-    but `device`. Those without a dataclass default are required, except i_cs,
+    but `device`. Those without a constructor default are required, except i_cs,
     which defaults to i_es. Each error is an InputFormatError naming `source`.
     """
-    owner = {f.name: cls for cls, f in CONFIG_FIELDS}
-    given = {cls: {} for cls, _ in CONFIG_FIELDS}  # each type's keyword arguments
+    owner = {name: cls for cls, name, _ in CONFIG_FIELDS}
+    given = {cls: {} for cls, _, _ in CONFIG_FIELDS}  # each type's keyword arguments
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -47,8 +47,8 @@ def parse_config(text: str, source: str = "<config>") -> tuple[AmplifierConfig, 
                 f"{source}:{lineno}: value for {key!r} is not a number: {rhs.strip()!r}"
             ) from None
     missing = [
-        f.name for cls, f in CONFIG_FIELDS
-        if f.default is MISSING and f.name != "i_cs" and f.name not in given[cls]
+        name for cls, name, has_default in CONFIG_FIELDS
+        if not has_default and name != "i_cs" and name not in given[cls]
     ]
     if missing:
         raise InputFormatError(f"{source}: missing required keys: {', '.join(missing)}")
@@ -78,7 +78,7 @@ def report(path: str) -> str:
     owners = {AmplifierConfig: config, BjtParams: config.device, OperatingLimits: limits}
     lines = [
         "config:",
-        *(f"{f.name} = {getattr(owners[cls], f.name)!r}" for cls, f in CONFIG_FIELDS),
+        *(f"{name} = {getattr(owners[cls], name)!r}" for cls, name, _ in CONFIG_FIELDS),
         "",
         "operating point:", *table(op_rows, width=5), "",  # width as in the shipped format
         "small signal:", *table(ss_rows), "",

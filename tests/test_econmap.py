@@ -613,6 +613,14 @@ RECORDS = [
      "incomes=(3.0, 4.0), quantity_out=(None, 7.0))"),
 ]
 
+# (type, a field, a value its constructor refuses) for each record in RECORDS
+REFUSED = {
+    RegressionFit: ("n", 1),
+    CobbDouglasParams: ("g", 0.0),
+    CoefficientReport: ("beta_v", math.nan),
+    EconSeries: ("investments", (1.0, -2.0)),
+}
+
 
 @pytest.mark.parametrize(
     "cls, names, args, changed, text", RECORDS, ids=[cls.__name__ for cls, *_ in RECORDS]
@@ -656,6 +664,16 @@ class TestRecords:
         record = cls(*args)
         for twin in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
             assert type(twin) is cls and twin == record
+
+    def test_rebuilt_record_is_validated_again(self, cls, names, args, changed, text):
+        # copy and pickle rebuild a record through its constructor, which checks it
+        field, bad = REFUSED[cls]
+        rebuild, values = cls(*args).__reduce__()
+        assert (rebuild, values) == (cls, args)
+        with pytest.raises(ValueError, match=rf"\b{field}\b"):
+            rebuild(*(bad if name == field else value for name, value in zip(names, values)))
+        with pytest.raises(ValueError, match=rf"\b{field}\b"):
+            cls(**{**dict(zip(names, args)), field: bad})
 
 
 def test_coefficient_report_optional_fields_default_to_none():

@@ -1,10 +1,12 @@
 import importlib.util
 import inspect
 import math
+import sys
 
 import pytest
 
 import econamp
+from econamp.errors import Record, require_finite
 
 
 @pytest.fixture
@@ -120,6 +122,46 @@ def test_value_type_rejects_non_finite_field(type_name, field, bad):
 def test_value_type_rejects_several_non_finite_fields(type_name, kwargs):
     with pytest.raises(ValueError, match="must be finite"):
         getattr(econamp, type_name)(**kwargs)
+
+
+# A Python int past the float range is not finite: while the check compared
+# against +-inf, the two cascades raised a bare OverflowError and BjtParams
+# accepted its i_es.
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: econamp.cascade_gain([10**400]), "stage 1 gain"),
+        (lambda: econamp.cascade_gain([2, 10**400]), "stage 2 gain"),
+        (lambda: econamp.BjtParams(10**400, 1e-14, 0.99), "i_es"),
+    ],
+    ids=["cascade-stage-1", "cascade-stage-2", "BjtParams-i_es"],
+)
+def test_int_past_the_float_range_is_refused(call, name):
+    with pytest.raises(ValueError, match=rf"^{name} must be finite"):
+        call()
+
+
+def test_require_finite_bounds_ints_by_the_float_range():
+    top = int(sys.float_info.max)  # the largest int a float holds exactly
+    require_finite("x, y", (top, -top))
+    require_finite("x", (1,), "> 0")
+    require_finite("x", (0,), ">= 0")
+    for values, bound in [((top + 1,), ""), ((-top - 1,), ""), ((0,), "> 0"),
+                          ((-1,), ">= 0"), ((10**400,), ">= 0")]:
+        with pytest.raises(ValueError, match=r"^x must be finite"):
+            require_finite("x", values, bound)
+
+
+def test_every_value_type_is_a_record():
+    # the stage's and the economic value types share one base and its methods
+    exported = [getattr(econamp, name) for name in econamp.__all__]
+    value_types = [cls for cls in exported if inspect.isclass(cls) and getattr(cls, "_fields", ())]
+    assert len(value_types) == 12
+    for cls in value_types:
+        assert issubclass(cls, Record), cls
+        assert not {
+            "__repr__", "__eq__", "__hash__", "__setattr__", "__delattr__", "__reduce__"
+        } & set(vars(cls)), cls
 
 
 _DEVICE = econamp.BjtParams(i_es=1e-14, i_cs=1e-14, alpha_n=0.99)

@@ -1,11 +1,13 @@
 """The stage's value types keep the frozen-dataclass contract.
 
 Each of the eight is a dataclass on devices.Frozen with a written-out
-__init__ that validates and then stores every field in one step; the base
-gives repr, ==, hash and the refusals, so the decorator generates nothing.
-These tests hold what a generated frozen dataclass gave: the signature, the
-refusals on assignment and deletion, repr, == and hash, dataclasses.replace
-(which re-validates), vars() and a copy or pickle round-trip.
+__init__ that validates and then stores every field in one step. Frozen, an
+errors.Record whose fields are the class's annotations, gives repr, ==,
+hash, copy and the refusals, so the decorator generates nothing. These tests
+hold what a generated frozen dataclass gave: the signature, the refusals on
+assignment and deletion, repr, == and hash, dataclasses.replace (which
+re-validates), vars() and a copy or pickle round-trip. The economic value
+types, Records too, are held to the same contract in test_econmap.
 """
 
 import copy
@@ -14,6 +16,7 @@ import inspect
 import pickle
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
@@ -92,6 +95,17 @@ class TestStageTypes:
         if cls is not BjtCurrents:  # whose fields are tied by conservation
             other = dataclasses.replace(value, **{_names(cls)[0]: args[0] * 0.5})
             assert other != value and hash(other) == hash(tuple(vars(other).values()))
+
+    def test_equality_is_only_within_one_class(self, cls, args, text, field, bad):
+        value = cls(*args)
+
+        class Subclass(cls):
+            __slots__ = ()
+
+        assert Subclass._fields == cls._fields == tuple(_names(cls))
+        for other in (SimpleNamespace(**dict(zip(_names(cls), args))), Subclass(*args)):
+            assert value != other and not value == other
+            assert other != value and not other == value
 
     def test_fields_cannot_be_assigned_or_deleted(self, cls, args, text, field, bad):
         value = cls(*args)
