@@ -5,8 +5,8 @@
 Each entry of PINS names a draw and the SHA-256 it gave when it was pinned.
 The script prints `name: digest` for each draw, marks a digest that differs
 from its pin MOVED, and then exits 1; it exits 0 when every pin holds. A
-change that moves a figure re-pins it with one edit to PINS, which tier-1's
-tests/test_digests.py reads too.
+change that moves a figure re-pins it with one edit to PINS. Tier-1's
+tests/test_digests.py checks every pin too, one test case per draw.
 
 A stage draw takes perfbench's `inputs.DesignStream(seed)`. Each design is
 built, solved, turned into small-signal parameters and gains, and checked
@@ -30,7 +30,8 @@ pass through libm's `exp` and `expm1`, so a platform whose libm rounds one of
 them differently gives other stage digests.
 
 The script imports econamp from the `src/` of the tree it sits in, so a copy
-of it placed in another checkout measures that checkout.
+of it placed in another checkout measures that checkout. In a tree without
+`src/` it measures the installed econamp.
 """
 
 import functools
@@ -55,23 +56,21 @@ from econamp.circuit import (  # noqa: E402
 from econamp.cli import main as cli_main  # noqa: E402
 from econamp.devices import BjtParams  # noqa: E402
 
-# (kind, seed, count, rows per series): the SHA-256 the draw gave when pinned
+# (kind, seed, count, rows per series): the SHA-256 the draw gave when pinned;
+# the draws of 200 designs and of 2,000 rows are a quick first check
 PINS = {
     ("stage", 1, 20_000, None): "5ebf07e742096fbf200719bb8f49dc97eb2ce6afb2bdf9c7ca2122c4c8382b3e",
     ("stage", 2, 20_000, None): "6da2502eb80897012df010c92dbabd3749aaa9f18d32b3770167913071667a5d",
     ("stage", 3, 20_000, None): "692d30e6967748684caacd3214bed737aa46eb4c1857513b2d955bdc1ab40361",
-    # tier-1's small stage draw
     ("stage", 1, 200, None): "b939a05bc42100c1b0aaa3f2e5d21c21fb16096158c22822b913613678a70a76",
     ("series", 1, 3, 100_000): "1118d2f836c4f541b4d9ba62e80e54a91975dcb4a5d55ce358caa14f64966274",
     # odd length, so the bulk CSV tier's runs of lines end at other rows than
     # on the 1e5-row series; pinned before the runs existed
     ("series", 2, 2, 70_001): "2c5ce62377f6f75a39728b7457f2a839477be407f164e9d457f6c718d572885a",
-    # tier-1's small series draw
     ("series", 1, 3, 2_000): "0e67592ef539abd5a60da1e778027e6b88c76c895e2318e87e80dd39d0d2da3c",
     # pinned while fit still took repr of every x and y cell; no record holds
     # an input cell, so a padded draw gives the digest of its plain draw
     ("padded", 3, 2, 100_000): "c17b770840d8818f62732dfe594a7a5fc17d6a40768fb9f4e31bf390e304fa71",
-    # tier-1's small padded draw
     ("padded", 1, 3, 2_000): "0e67592ef539abd5a60da1e778027e6b88c76c895e2318e87e80dd39d0d2da3c",
 }
 
@@ -182,17 +181,20 @@ def digest(kind: str, seed: int, count: int, rows) -> str:
     return series_digest(series_stream(seed, count, rows), padded=kind == "padded")
 
 
+def check(draw: tuple, pin: str) -> str:
+    """`name: digest` for one draw, marked MOVED when the digest is not `pin`."""
+    kind, seed, count, rows = draw
+    name = f"{kind} seed {seed} x {count}" + (f" x {rows} rows" if rows else "")
+    value = digest(*draw)
+    return f"{name}: {value}" + ("" if value == pin else f" MOVED from {pin}")
+
+
 def main() -> int:
     moved = False
     for draw, pin in PINS.items():
-        kind, seed, count, rows = draw
-        name = f"{kind} seed {seed} x {count}" + (f" x {rows} rows" if rows else "")
-        value = digest(*draw)
-        line = f"{name}: {value}"
-        if value != pin:
-            moved = True
-            line += f" MOVED from {pin}"
+        line = check(draw, pin)
         print(line, flush=True)
+        moved |= "MOVED" in line
     return 1 if moved else 0
 
 

@@ -102,9 +102,9 @@ class CoefficientReport(Record):
         fit: RegressionFit | None = None,
     ):
         super().__init__(beta_v, harrod_b, domar_sigma, mean_beta, beta_p, keynes_m, fit)
-        given = {
-            name: value for name, value in zip(self._fields, self._values())
-            if isinstance(value, float)
+        given = {  # every coefficient given; fit is checked by its own type
+            name: value for name, value in zip(self._fields, self._values()[:-1])
+            if value is not None
         }
         require_finite(", ".join(given), tuple(given.values()))
 

@@ -72,6 +72,9 @@ def require_finite(names: str, values: tuple, bound: str = "") -> None:
         if not low <= value <= _FLOAT_MAX and not (value == 0.0 and bound == ">= 0"):
             # built only on failure; index() matches by identity first, so finds a NaN
             name = names.split(", ")[values.index(value)]
+            if isinstance(value, int) and not -_FLOAT_MAX <= value <= _FLOAT_MAX:
+                # str() refuses an int of over 4,300 digits: name its size instead
+                value = f"{'a negative' if value < 0 else 'an'} int of {value.bit_length()} bits"
             raise ValueError(
                 f"{name} must be finite{' and ' + bound if bound else ''}, got {value}"
             )
@@ -83,11 +86,12 @@ def all_finite(values) -> bool:
     A float sum with an inf or NaN term is not finite, with or without the
     compensation of Python 3.12's sum, so a finite sum answers in one pass.
     Only a column whose sum is not finite, or cannot be formed, is checked
-    value by value, which also raises whatever that check raises.
+    value by value, as require_finite compares: an int past the float range
+    is not finite there, and a value that is no number raises TypeError.
     """
     try:
         if math.isfinite(sum(values)):
             return True
     except (TypeError, OverflowError):  # not numbers, or an int sum past the float range
         pass
-    return all(map(math.isfinite, values))
+    return all(-_FLOAT_MAX <= value <= _FLOAT_MAX for value in values)

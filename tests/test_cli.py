@@ -80,8 +80,7 @@ def test_stdout_matches_golden(capsys, monkeypatch, tmp_path, data_dir, command)
 
 
 # The points file the golden `fit` writes beside the shipped series, byte for
-# byte; CI's installed-package check compares its points file with the one
-# the checkout writes.
+# byte, whether tier-1 runs on the checkout or on the installed package.
 SHIPPED_POINTS_SHA256 = "debf67fef5193525d79f61ab0c633a0f415302660a227be2ba980a6626d090e6"
 
 
@@ -89,6 +88,19 @@ def test_shipped_points_file_is_pinned(capsys, monkeypatch, tmp_path, data_dir):
     (tmp_path / "synthetic_series.csv").write_bytes((data_dir / "synthetic_series.csv").read_bytes())
     monkeypatch.chdir(tmp_path)
     assert run_cli(capsys, *GOLDEN_COMMANDS["fit"])[0] == 0
+    points = (tmp_path / "synthetic_series.csv.points.csv").read_bytes()
+    assert hashlib.sha256(points).hexdigest() == SHIPPED_POINTS_SHA256
+
+
+def test_fit_with_attached_values_matches_golden(capsys, monkeypatch, tmp_path, data_dir):
+    # `--x=V` is `--x V`: the same stdout and the same points file
+    (tmp_path / "synthetic_series.csv").write_bytes((data_dir / "synthetic_series.csv").read_bytes())
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(
+        capsys, "fit", "synthetic_series.csv", "--x=investments", "--y=incomes"
+    )
+    assert (code, err) == (0, "")
+    assert out.encode() == (GOLDEN_DIR / "fit.out").read_bytes()
     points = (tmp_path / "synthetic_series.csv.points.csv").read_bytes()
     assert hashlib.sha256(points).hexdigest() == SHIPPED_POINTS_SHA256
 
@@ -856,7 +868,8 @@ class TestCascade:
 
     @pytest.mark.parametrize(
         "gains,stage",
-        [(["nan", "2"], "stage 1"), (["1e200", "1e200"], "stage 2"), (["-inf"], "stage 1")],
+        [(["nan", "2"], "stage 1"), (["1e200", "1e200"], "stage 2"), (["-inf"], "stage 1"),
+         (["inf"], "stage 1")],
     )
     def test_non_finite_gain_is_domain_error(self, capsys, gains, stage):
         # `cascade nan 2` used to print nan and exit 0
@@ -1221,6 +1234,31 @@ def test_module_entry_point(child_env):
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "200.0"
+
+
+# main's return is the process's exit code: 2 usage, 3 parse, 4 a domain verdict
+@pytest.mark.parametrize(
+    "argv, code, err",
+    [
+        (["cascade", "abc"], 2,
+         "econamp cascade: error: argument gains: invalid float value: 'abc'"),
+        (["simulate", "parse.cfg"], 3,
+         "error: parse.cfg:1: value for 'v_cc' is not a number: 'x'"),
+        (["cascade", "inf"], 4, "error: stage 1 gain must be finite, got inf"),
+    ],
+    ids=["usage", "parse", "domain"],
+)
+def test_module_entry_point_exit_code(tmp_path, child_env, argv, code, err):
+    (tmp_path / "parse.cfg").write_text("v_cc = x\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "econamp", *argv],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        env=child_env,
+    )
+    assert (proc.returncode, proc.stdout) == (code, "")
+    assert proc.stderr.splitlines()[-1] == err
 
 
 # Runs its arguments as `python -m econamp` does (bare `import econamp` when

@@ -9,13 +9,14 @@ SCRIPT = ROOT / "scripts" / "digests.py"
 # v_cc, r_b1, r_b2, r_l, i_es, i_cs, alpha_n, temperature
 DEMO = (12.0, 100e3, 20e3, 1e3, 1e-14, 1e-14, 0.99, 300.0)
 
+_spec = importlib.util.spec_from_file_location("digests", SCRIPT)
+DIGESTS = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(DIGESTS)  # defines the functions, runs nothing
 
-@pytest.fixture(scope="module")
+
+@pytest.fixture
 def digests():
-    spec = importlib.util.spec_from_file_location("digests", SCRIPT)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)  # defines the functions, runs nothing
-    return script
+    return DIGESTS
 
 
 def test_demo_record_holds_every_golden_figure(digests):
@@ -47,15 +48,15 @@ def test_error_is_recorded_by_type_and_message(digests, design, error):
     assert digests.record(design).endswith(error)
 
 
-# The small draws of PINS: a change to any figure or refusal of the stage
-# path, or to any figure, message or points-file byte of analyze or fit,
-# moves one of them. The padded draw's points files take repr of the values.
+# Every draw of PINS, as scripts/digests.py checks it: a change to any figure
+# or refusal of the stage path, or to any figure, message or points-file
+# byte of analyze or fit, moves a pin, and the failure names its draw.
 @pytest.mark.parametrize(
-    "draw", [("stage", 1, 200, None), ("series", 1, 3, 2_000), ("padded", 1, 3, 2_000)],
-    ids=["stage", "series", "padded"],
+    "draw", DIGESTS.PINS, ids=lambda draw: "-".join(str(part) for part in draw if part is not None)
 )
-def test_small_draw_digest_is_pinned(digests, draw):
-    assert digests.digest(*draw) == digests.PINS[draw]
+def test_pin_holds(digests, draw):
+    line = digests.check(draw, digests.PINS[draw])
+    assert "MOVED" not in line, line
 
 
 def test_digest_sees_one_changed_figure(digests):
@@ -101,8 +102,8 @@ def test_digest_sees_one_changed_cell(digests):
     assert digests.series_digest(moved) != digests.series_digest(series)
 
 
-# A one-entry PINS table of 30 designs, held and moved, so tier-1 runs none
-# of the large draws.
+# A one-entry PINS table of 30 designs, held and moved: main's lines and exit
+# code, without a second run of the draws test_pin_holds checks.
 @pytest.mark.parametrize("held", [True, False], ids=["held", "moved"])
 def test_main_checks_each_pin(digests, monkeypatch, capsys, held):
     draw = ("stage", 2, 30, None)

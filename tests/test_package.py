@@ -126,19 +126,43 @@ def test_value_type_rejects_several_non_finite_fields(type_name, kwargs):
 
 # A Python int past the float range is not finite: while the check compared
 # against +-inf, the two cascades raised a bare OverflowError and BjtParams
-# accepted its i_es.
+# accepted its i_es. CoefficientReport checked only its float fields, so
+# accepted it; EconSeries' column check raised a bare OverflowError.
 @pytest.mark.parametrize(
     "call, name",
     [
         (lambda: econamp.cascade_gain([10**400]), "stage 1 gain"),
         (lambda: econamp.cascade_gain([2, 10**400]), "stage 2 gain"),
         (lambda: econamp.BjtParams(10**400, 1e-14, 0.99), "i_es"),
+        (lambda: econamp.CoefficientReport(
+            beta_v=10**400, harrod_b=1.0, domar_sigma=1.0, mean_beta=1.0), "beta_v"),
+        (lambda: econamp.EconSeries(["a"], [10**400], [1.0], [1.0], [None]),
+         "period 'a': investments"),
+        (lambda: econamp.EconSeries(["a"], [1.0], [1.0], [1.0], [10**400]),
+         "period 'a': quantity_out"),
     ],
-    ids=["cascade-stage-1", "cascade-stage-2", "BjtParams-i_es"],
+    ids=["cascade-stage-1", "cascade-stage-2", "BjtParams-i_es", "CoefficientReport-beta_v",
+         "EconSeries-investments", "EconSeries-quantity_out"],
 )
 def test_int_past_the_float_range_is_refused(call, name):
     with pytest.raises(ValueError, match=rf"^{name} must be finite"):
         call()
+
+
+def test_refusal_names_the_size_of_an_int_past_the_float_range():
+    # str() of an int of over 4,300 digits raises its own ValueError, which
+    # took the place of the verdict; 10**400 printed all 401 digits
+    for value, shown in [(10**5000, "an int of 16610 bits"),
+                         (-10**400, "a negative int of 1329 bits")]:
+        with pytest.raises(ValueError) as caught:
+            econamp.cascade_gain([2, value])
+        assert str(caught.value) == f"stage 2 gain must be finite, got {shown}"
+    # a value the float range holds is shown as before, every digit of it
+    top = int(sys.float_info.max)
+    for value, bound in [(-top, "> 0"), (-1, ">= 0"), (0, "> 0"), (-1e300, ">= 0")]:
+        with pytest.raises(ValueError) as caught:
+            require_finite("x", (value,), bound)
+        assert str(caught.value) == f"x must be finite and {bound}, got {value}"
 
 
 def test_require_finite_bounds_ints_by_the_float_range():

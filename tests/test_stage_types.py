@@ -76,7 +76,9 @@ class TestStageTypes:
         built = cls(**dict(zip(_names(cls), args)))
         assert built == cls(*args)
         assert tuple(getattr(built, name) for name in _names(cls)) == args
-        assert vars(built) == dict(zip(_names(cls), args))  # simulate's config echo
+        # the fields are the instance dict, written in one step; a cache such
+        # as AmplifierConfig's divider lives in a slot
+        assert vars(built) == dict(zip(_names(cls), args))
 
     def test_defaults_are_stored(self, cls, args, text, field, bad):
         required = [f for f in dataclasses.fields(cls) if f.default is dataclasses.MISSING]
