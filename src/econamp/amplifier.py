@@ -1,13 +1,12 @@
 """Stage gains, output power and operating-limit checks.
 
 cascade_gain, the composition of stage gains, is defined in its own module
-and re-exported here, so that `cascade` loads neither this module nor
-dataclasses. The two value types here are dataclasses on devices.Frozen, the
-one module besides errors and cascade that importing this one loads; their
-repr, ==, hash, copy and refusals come from errors.Record.
+and re-exported here, so that `cascade` does not load this module. The two
+value types here are on devices.Frozen, the one module besides errors and
+cascade that importing this one loads; their repr, ==, hash, copy and
+refusals come from errors.Record, and each becomes a dataclass only when
+dataclasses first asks for its fields.
 """
-
-from dataclasses import dataclass
 
 from .cascade import cascade_gain  # noqa: F401 (re-exported)
 from .devices import Frozen
@@ -17,7 +16,6 @@ from .errors import require_finite
 # the gains read only their fields, so importing this module loads no circuit.
 
 
-@dataclass(init=False, repr=False, eq=False)
 class StageGain(Frozen):
     """Current gain, voltage gain magnitude and load power of one solved stage."""
 
@@ -33,7 +31,6 @@ class StageGain(Frozen):
         )
 
 
-@dataclass(init=False, repr=False, eq=False)
 class OperatingLimits(Frozen):
     """Device ratings; defaults are representative small-signal ratings."""
 

@@ -21,7 +21,6 @@ the bracket's top, min(v_cc, Vt*199), holds every argument within an ulp of
 
 import math
 import sys
-from dataclasses import dataclass
 
 from .devices import (
     EXP_ARG_CAP,
@@ -39,7 +38,6 @@ STEP_TOL = 1e-12       # volts; polishes v_be past the residual window
 INITIAL_GUESS = 0.6    # volts, generic forward junction drop
 
 
-@dataclass(init=False, repr=False, eq=False)
 class AmplifierConfig(Frozen):
     """Supply, bias divider, load and the device of one CE stage.
 
@@ -52,8 +50,8 @@ class AmplifierConfig(Frozen):
     r_l: float
     device: BjtParams
 
-    # The checked divider is kept in a slot, not a field: vars() and the
-    # dataclass's repr, == and hash see only the fields.
+    # The checked divider is kept in a slot, not a field: vars(), repr, ==,
+    # hash and dataclasses.fields see only the fields.
     __slots__ = ("__dict__", "__weakref__", "_thevenin")
 
     def __init__(self, v_cc: float, r_b1: float, r_b2: float, r_l: float, device: BjtParams):
@@ -75,7 +73,6 @@ class AmplifierConfig(Frozen):
         return self._thevenin
 
 
-@dataclass(init=False, repr=False, eq=False)
 class OperatingPoint(Frozen):
     """Solved DC state; `saturated` flags v_ce <= 0 (device out of the active region)."""
 
@@ -95,7 +92,6 @@ class OperatingPoint(Frozen):
         self.__dict__.update(v_be=v_be, i_b=i_b, i_c=i_c, i_e=i_e, v_ce=v_ce, saturated=saturated)
 
 
-@dataclass(init=False, repr=False, eq=False)
 class SmallSignalParams(Frozen):
     """Input resistance, output conductance and slope at an operating point."""
 

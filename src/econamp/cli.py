@@ -16,8 +16,8 @@ naming what it refuses, SolverError too. Other exceptions are bugs.
 import sys
 
 # Each subcommand imports the code it runs when it runs: `simulate` the
-# simulate module with the circuit, device and amplifier layers and
-# dataclasses; `fit` and `analyze` the CSV readers of csvio and econmap.
+# simulate module with the circuit, device and amplifier layers; `fit` and
+# `analyze` the CSV readers of csvio and econmap. None loads dataclasses.
 # Importing this module loads only cascade_gain's module and errors.
 from .cascade import cascade_gain
 

@@ -4,18 +4,17 @@ All functions are pure; parameter objects are frozen and validated on
 construction, so values can be shared freely between threads.
 
 The stage's eight value types, here, in circuit and in amplifier, are
-dataclasses on the Frozen base below, with written-out __init__s: each runs
+subclasses of the Frozen base below, with written-out __init__s: each runs
 its checks, then stores every field in one step, where a generated frozen
-__init__ calls object.__setattr__ once per field. Their decorator generates
-no method: repr, ==, hash, copy and the refusals to assign or delete come
-from errors.Record, as for the economic value types, so loading them
-compiles no code at run time.
+__init__ calls object.__setattr__ once per field. repr, ==, hash, copy and
+the refusals to assign or delete come from errors.Record, as for the
+economic value types. No module of the package imports dataclasses: a type
+becomes a dataclass when dataclasses first asks for its fields, so loading
+the stage path neither loads dataclasses nor compiles code at run time.
 """
 
-import inspect  # loaded by dataclasses already
 import math
 import sys
-from dataclasses import FrozenInstanceError, dataclass
 
 from .errors import Record, require_finite
 
@@ -41,25 +40,53 @@ def require_conserved(i_e: float, i_b: float, i_c: float) -> None:
         )
 
 
+class _DataclassOnFirstUse:
+    """A dataclass attribute of a Frozen subclass, set by decorating the class on first read.
+
+    Non-data, so once the decorator has stored the attribute in the class,
+    lookups find it there and never come back here. Two threads that read it
+    first at once both decorate the class, to the same fields.
+    """
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, instance, owner):
+        if owner is Frozen:  # the base is no dataclass
+            raise AttributeError(self.name)
+        from dataclasses import dataclass
+
+        dataclass(init=False, repr=False, eq=False)(owner)
+        return owner.__dict__[self.name]
+
+
 class Frozen(Record):
     """A Record whose fields are its class's annotations, refused as a frozen dataclass.
 
-    A subclass decorated with @dataclass(init=False, repr=False, eq=False)
-    keeps Record's methods, so its decorator generates nothing, and assigning
-    or deleting raises FrozenInstanceError. A subclass that annotates nothing
-    keeps its parent's fields.
+    A subclass becomes @dataclass(init=False, repr=False, eq=False) the first
+    time its __dataclass_fields__ or __dataclass_params__ is read, as
+    dataclasses.fields, replace and is_dataclass do. It keeps Record's
+    methods, so the decorator generates none, and assigning or deleting
+    raises FrozenInstanceError. A subclass that annotates nothing keeps its
+    parent's fields.
     """
 
     __slots__ = ()
-    _refusal = FrozenInstanceError
+    __dataclass_fields__ = _DataclassOnFirstUse()
+    __dataclass_params__ = _DataclassOnFirstUse()
+
+    @property
+    def _refusal(self):
+        from dataclasses import FrozenInstanceError
+
+        return FrozenInstanceError
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        if annotations := inspect.get_annotations(cls):  # the class's own only
-            cls._fields = tuple(annotations)
+        if annotations := cls.__annotations__:  # the class's own only, since 3.10
+            cls._fields = cls.__match_args__ = tuple(annotations)
 
 
-@dataclass(init=False, repr=False, eq=False)
 class BjtParams(Frozen):
     """Static bipolar transistor parameters (n-p-n convention).
 
@@ -94,7 +121,6 @@ class BjtParams(Frozen):
         )
 
 
-@dataclass(init=False, repr=False, eq=False)
 class MosParams(Frozen):
     """Square-law MOS parameters: k_prime in A/V^2, threshold in volts."""
 
@@ -107,7 +133,6 @@ class MosParams(Frozen):
         self.__dict__.update(k_prime=k_prime, v_threshold=v_threshold)
 
 
-@dataclass(init=False, repr=False, eq=False)
 class BjtCurrents(Frozen):
     """Terminal currents of a bipolar device; i_e = i_b + i_c by charge conservation."""
 
@@ -149,7 +174,9 @@ def _junction_arg(voltage: float, vt: float, name: str) -> float:
     arg = voltage / vt
     if not (arg <= EXP_ARG_CAP and voltage > -math.inf):  # NaN fails the first test
         require_finite(name, (voltage,))
-        raise OverflowError(f"{name} = {voltage:g} V gives exp argument {arg:.1f}{_ABOVE_CAP}")
+        # .1f below 1e16, where it shows at most 17 digits; g above, so the text stays short
+        text = f"{arg:.1f}" if arg < 1e16 else f"{arg:g}"
+        raise OverflowError(f"{name} = {voltage:g} V gives exp argument {text}{_ABOVE_CAP}")
     return arg
 
 

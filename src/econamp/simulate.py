@@ -1,7 +1,8 @@
 """The `simulate` subcommand: the config reader and the stage report.
 
 Only `simulate` imports this module, and with it the circuit, device and
-amplifier layers and dataclasses; `econamp.cli.parse_config` loads it on first use.
+amplifier layers, but not dataclasses; `econamp.cli.parse_config` loads it on
+first use.
 """
 
 from .amplifier import OperatingLimits, breakdown_check, stage_gain

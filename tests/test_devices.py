@@ -186,6 +186,12 @@ class TestExponentialGuard:
              "{} = 1e-90 V gives exp argument 116045181215500.8 above the overflow cap 200"),
             (123456789.0, 1e-3,
              "{} = 1.23457e+08 V gives exp argument 1432656545178884.5 above the overflow cap 200"),
+            # from 1e16 on, the argument is shown in g form: with .1f, the
+            # 1e300 V case spelled out 302 digits in a 366-character message
+            (1e-88, 1e-100,
+             "{} = 1e-88 V gives exp argument 1.16045e+16 above the overflow cap 200"),
+            (1e300, 300.0,
+             "{} = 1e+300 V gives exp argument 3.86817e+301 above the overflow cap 200"),
             (1e308, 1e-100, "{} = 1e+308 V gives exp argument inf above the overflow cap 200"),
         ],
     )

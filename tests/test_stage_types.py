@@ -1,13 +1,15 @@
 """The stage's value types keep the frozen-dataclass contract.
 
-Each of the eight is a dataclass on devices.Frozen with a written-out
-__init__ that validates and then stores every field in one step. Frozen, an
-errors.Record whose fields are the class's annotations, gives repr, ==,
-hash, copy and the refusals, so the decorator generates nothing. These tests
-hold what a generated frozen dataclass gave: the signature, the refusals on
-assignment and deletion, repr, == and hash, dataclasses.replace (which
-re-validates), vars() and a copy or pickle round-trip. The economic value
-types, Records too, are held to the same contract in test_econmap.
+Each of the eight is a devices.Frozen with a written-out __init__ that
+validates and then stores every field in one step. Frozen, an errors.Record
+whose fields are the class's annotations, gives repr, ==, hash, copy and the
+refusals, and makes each type a dataclass, whose decorator generates
+nothing, the first time dataclasses asks for its fields; loading and
+running the stage path imports no dataclasses. These tests hold what a
+generated frozen dataclass gave: the signature, the refusals on assignment
+and deletion, repr, == and hash, dataclasses.replace (which re-validates),
+vars() and a copy or pickle round-trip. The economic value types, Records
+too, are held to the same contract in test_econmap.
 """
 
 import copy
@@ -183,6 +185,74 @@ def test_loading_the_stage_path_runs_no_generated_code(child_env):
     for cls in (row[0] for row in STAGE_TYPES):
         assert "__doc__" in vars(cls) and cls.__doc__
         assert not cls.__doc__.startswith(f"{cls.__name__}(")
+
+
+# Solves the demo stage without dataclasses, then asks dataclasses about its
+# values: each type is decorated on that first ask, and the contract holds.
+LAZY_DATACLASS_CHILD = """\
+import sys
+from econamp.amplifier import StageGain, breakdown_check, stage_gain
+from econamp.circuit import OperatingPoint, small_signal_params, solve_operating_point
+from econamp.devices import Frozen
+from econamp.simulate import parse_config
+
+config, limits = parse_config(open(sys.argv[1]).read())
+op = solve_operating_point(config)
+ss = small_signal_params(config.device, op)
+gains = stage_gain(op, ss, config.r_l)
+assert breakdown_check(op, limits) == ()
+match op:
+    case OperatingPoint(v_be, i_b):  # __match_args__ needs no decorator
+        assert (v_be, i_b) == (op.v_be, op.i_b)
+assert not {"dataclasses", "inspect"} & set(sys.modules)
+
+
+class Derived(StageGain):
+    __slots__ = ()
+
+
+import dataclasses
+
+# the subclass is asked first, before its base is decorated
+assert [f.name for f in dataclasses.fields(Derived)] == list(StageGain._fields)
+assert not dataclasses.is_dataclass(Frozen) and not hasattr(Frozen, "__dataclass_fields__")
+for value in (config, config.device, op, ss, gains, limits):
+    cls = type(value)
+    assert dataclasses.is_dataclass(cls) and dataclasses.is_dataclass(value)
+    names = [f.name for f in dataclasses.fields(value)]
+    assert names == list(cls._fields) == list(cls.__match_args__)
+    assert cls.__dataclass_params__.frozen is False
+    # a second ask, and the decoration run again, as by two threads at once
+    assert [f.name for f in dataclasses.fields(cls)] == names
+    Frozen.__dict__["__dataclass_fields__"].__get__(None, cls)
+    assert [f.name for f in dataclasses.fields(cls)] == names
+    assert dataclasses.replace(value) == value
+    try:
+        value.extra = 1.0
+    except dataclasses.FrozenInstanceError as refusal:
+        assert str(refusal) == "cannot assign to field 'extra'"
+    else:
+        raise AssertionError("assignment taken")
+assert [f.name for f in dataclasses.fields(Derived)] == list(StageGain._fields)
+assert dataclasses.replace(op, v_ce=-1.0).v_ce == -1.0
+try:
+    dataclasses.replace(limits, p_max=0.0)
+except ValueError as refusal:
+    assert "p_max" in str(refusal)
+else:
+    raise AssertionError("replace took p_max = 0")
+print("ok")
+"""
+
+
+def test_stage_types_become_dataclasses_on_first_ask(data_dir, child_env):
+    proc = subprocess.run(
+        [sys.executable, "-c", LAZY_DATACLASS_CHILD, str(data_dir / "demo_amplifier.cfg")],
+        capture_output=True,
+        text=True,
+        env=child_env,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "ok\n", "")
 
 
 def test_amplifier_config_forms_its_divider_once():
