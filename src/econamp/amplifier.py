@@ -2,21 +2,18 @@
 
 cascade_gain, the composition of stage gains, is defined in its own module
 and re-exported here, so that `cascade` does not load this module. The two
-value types here are on devices.Frozen, the one module besides errors and
-cascade that importing this one loads; their repr, ==, hash, copy and
-refusals come from errors.Record, and each becomes a dataclass only when
-dataclasses first asks for its fields.
+value types here are errors.Record subclasses, like every value type of the
+package, so importing this module loads only errors and cascade besides.
 """
 
 from .cascade import cascade_gain  # noqa: F401 (re-exported)
-from .devices import Frozen
-from .errors import require_finite
+from .errors import Record, require_finite
 
 # circuit's OperatingPoint and SmallSignalParams are annotated by name only:
 # the gains read only their fields, so importing this module loads no circuit.
 
 
-class StageGain(Frozen):
+class StageGain(Record):
     """Current gain, voltage gain magnitude and load power of one solved stage."""
 
     beta_current: float
@@ -31,7 +28,7 @@ class StageGain(Frozen):
         )
 
 
-class OperatingLimits(Frozen):
+class OperatingLimits(Record):
     """Device ratings; defaults are representative small-signal ratings."""
 
     i_c_max: float = 0.1
@@ -52,17 +49,21 @@ def current_gain(i_out: float, i_in: float) -> float:
 
 
 def output_voltage(i_out: float, r_l: float) -> float:
-    """Voltage taken from the load resistor: i_out * r_l."""
+    """Voltage taken from the load resistor: i_out * r_l, refused as v_out past the float range."""
     require_finite("i_out", (i_out,))
     require_finite("r_l", (r_l,), "> 0")
-    return i_out * r_l
+    v_out = i_out * r_l
+    require_finite("v_out", (v_out,))
+    return v_out
 
 
 def output_power(i_c: float, r_l: float) -> float:
-    """Power delivered to the load: r_l * i_c^2."""
+    """Power delivered to the load: r_l * i_c^2, refused as power_out past the float range."""
     require_finite("i_c", (i_c,))
     require_finite("r_l", (r_l,), "> 0")
-    return r_l * i_c * i_c
+    power_out = r_l * i_c * i_c
+    require_finite("power_out", (power_out,))
+    return power_out
 
 
 def stage_voltage_gain(ss: "SmallSignalParams", r_l: float) -> float:

@@ -25,20 +25,19 @@ import sys
 from .devices import (
     EXP_ARG_CAP,
     BjtParams,
-    Frozen,
     _junction_arg,
     _thermal_voltage,
     active_region_currents,
     require_conserved,
 )
-from .errors import SolverError, require_finite
+from .errors import Record, SolverError, require_finite
 
 RESIDUAL_TOL = 1e-12   # amperes, base-node Kirchhoff residual
 STEP_TOL = 1e-12       # volts; polishes v_be past the residual window
 INITIAL_GUESS = 0.6    # volts, generic forward junction drop
 
 
-class AmplifierConfig(Frozen):
+class AmplifierConfig(Record):
     """Supply, bias divider, load and the device of one CE stage.
 
     The divider's v_th and r_th must be finite normal floats, and v_th/r_th finite.
@@ -73,7 +72,7 @@ class AmplifierConfig(Frozen):
         return self._thevenin
 
 
-class OperatingPoint(Frozen):
+class OperatingPoint(Record):
     """Solved DC state; `saturated` flags v_ce <= 0 (device out of the active region)."""
 
     v_be: float
@@ -92,7 +91,7 @@ class OperatingPoint(Frozen):
         self.__dict__.update(v_be=v_be, i_b=i_b, i_c=i_c, i_e=i_e, v_ce=v_ce, saturated=saturated)
 
 
-class SmallSignalParams(Frozen):
+class SmallSignalParams(Record):
     """Input resistance, output conductance and slope at an operating point."""
 
     r_in: float

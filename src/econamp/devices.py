@@ -4,13 +4,9 @@ All functions are pure; parameter objects are frozen and validated on
 construction, so values can be shared freely between threads.
 
 The stage's eight value types, here, in circuit and in amplifier, are
-subclasses of the Frozen base below, with written-out __init__s: each runs
-its checks, then stores every field in one step, where a generated frozen
-__init__ calls object.__setattr__ once per field. repr, ==, hash, copy and
-the refusals to assign or delete come from errors.Record, as for the
-economic value types. No module of the package imports dataclasses: a type
-becomes a dataclass when dataclasses first asks for its fields, so loading
-the stage path neither loads dataclasses nor compiles code at run time.
+errors.Record subclasses, as the economic ones are, with written-out
+__init__s: each runs its checks, then stores every field in one step, where
+a generated frozen __init__ calls object.__setattr__ once per field.
 """
 
 import math
@@ -40,54 +36,7 @@ def require_conserved(i_e: float, i_b: float, i_c: float) -> None:
         )
 
 
-class _DataclassOnFirstUse:
-    """A dataclass attribute of a Frozen subclass, set by decorating the class on first read.
-
-    Non-data, so once the decorator has stored the attribute in the class,
-    lookups find it there and never come back here. Two threads that read it
-    first at once both decorate the class, to the same fields.
-    """
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, instance, owner):
-        if owner is Frozen:  # the base is no dataclass
-            raise AttributeError(self.name)
-        from dataclasses import dataclass
-
-        dataclass(init=False, repr=False, eq=False)(owner)
-        return owner.__dict__[self.name]
-
-
-class Frozen(Record):
-    """A Record whose fields are its class's annotations, refused as a frozen dataclass.
-
-    A subclass becomes @dataclass(init=False, repr=False, eq=False) the first
-    time its __dataclass_fields__ or __dataclass_params__ is read, as
-    dataclasses.fields, replace and is_dataclass do. It keeps Record's
-    methods, so the decorator generates none, and assigning or deleting
-    raises FrozenInstanceError. A subclass that annotates nothing keeps its
-    parent's fields.
-    """
-
-    __slots__ = ()
-    __dataclass_fields__ = _DataclassOnFirstUse()
-    __dataclass_params__ = _DataclassOnFirstUse()
-
-    @property
-    def _refusal(self):
-        from dataclasses import FrozenInstanceError
-
-        return FrozenInstanceError
-
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
-        if annotations := cls.__annotations__:  # the class's own only, since 3.10
-            cls._fields = cls.__match_args__ = tuple(annotations)
-
-
-class BjtParams(Frozen):
+class BjtParams(Record):
     """Static bipolar transistor parameters (n-p-n convention).
 
     alpha_n is the forward common-base current-transfer ratio (i_c/i_e),
@@ -121,7 +70,7 @@ class BjtParams(Frozen):
         )
 
 
-class MosParams(Frozen):
+class MosParams(Record):
     """Square-law MOS parameters: k_prime in A/V^2, threshold in volts."""
 
     k_prime: float
@@ -133,7 +82,7 @@ class MosParams(Frozen):
         self.__dict__.update(k_prime=k_prime, v_threshold=v_threshold)
 
 
-class BjtCurrents(Frozen):
+class BjtCurrents(Record):
     """Terminal currents of a bipolar device; i_e = i_b + i_c by charge conservation."""
 
     i_e: float
@@ -227,21 +176,36 @@ def beta_from_alpha(alpha_n: float) -> float:
 
 
 def mos_drain_current(params: MosParams, v_gs: float, v_ds: float) -> float:
-    """Square-law drain current with cutoff, triode and saturation regions."""
+    """Square-law drain current with cutoff, triode and saturation regions.
+
+    A current past the float range is refused as i_d.
+    """
     require_finite("v_gs", (v_gs,))
     require_finite("v_ds", (v_ds,), ">= 0")
     v_ov = v_gs - params.v_threshold
     if v_ov <= 0:
         return 0.0
     if v_ds < v_ov:
-        return params.k_prime * (v_ov * v_ds - 0.5 * v_ds * v_ds)
-    return 0.5 * params.k_prime * v_ov * v_ov
+        # factored, so no partial product overflows or cancels where i_d does not:
+        # v_ov - v_ds/2 lies in (v_ov/2, v_ov]
+        i_d = params.k_prime * v_ds * (v_ov - 0.5 * v_ds)
+        if i_d == math.inf:  # k_prime * v_ds alone overflowed, the factor after it < 1
+            i_d = params.k_prime * (v_ds * (v_ov - 0.5 * v_ds))
+    else:
+        i_d = 0.5 * params.k_prime * v_ov * v_ov
+    require_finite("i_d", (i_d,))
+    return i_d
 
 
 def mos_transconductance(params: MosParams, v_gs: float) -> float:
-    """Saturation-region slope dI_D/dV_GS = k_prime*(v_gs - V_T); 0 in cutoff."""
+    """Saturation-region slope dI_D/dV_GS = k_prime*(v_gs - V_T); 0 in cutoff.
+
+    A slope past the float range is refused as g_m.
+    """
     require_finite("v_gs", (v_gs,))
     v_ov = v_gs - params.v_threshold
     if v_ov <= 0:
         return 0.0
-    return params.k_prime * v_ov
+    g_m = params.k_prime * v_ov
+    require_finite("g_m", (g_m,))
+    return g_m

@@ -7,11 +7,6 @@ Keynes multiplier is the economic slope, income increment per investment
 increment. The linear model income = a0 + beta * input is fitted by
 ordinary least squares. cascade_gain, the gain of stages in cascade, is
 re-exported from its own module, which `cascade` loads without this one.
-
-The value types are errors.Record subclasses with slots, not dataclasses:
-importing dataclasses, and inspect with it, was about a sixth of the time of
-a `fit`, `analyze` or `cascade` call on the shipped inputs. Assigning to or
-deleting their fields raises AttributeError.
 """
 
 import math
@@ -31,7 +26,11 @@ class EconSeries(Record):
     without a count. Each column is stored as a tuple.
     """
 
-    __slots__ = _fields = ("labels", "investments", "expenses", "incomes", "quantity_out")
+    labels: tuple[str, ...]
+    investments: tuple[float, ...]
+    expenses: tuple[float, ...]
+    incomes: tuple[float, ...]
+    quantity_out: tuple[float | None, ...]
 
     def __init__(
         self,
@@ -69,7 +68,10 @@ class EconSeries(Record):
 class RegressionFit(Record):
     """Fitted line y = a0 + beta*x with its coefficient of determination."""
 
-    __slots__ = _fields = ("a0", "beta", "r_squared", "n")
+    a0: float
+    beta: float
+    r_squared: float
+    n: int
 
     def __init__(self, a0: float, beta: float, r_squared: float, n: int):
         super().__init__(a0, beta, r_squared, n)
@@ -87,9 +89,13 @@ class CoefficientReport(Record):
     as a plain number); the purely monetary coefficients are dimensionless.
     """
 
-    __slots__ = _fields = (
-        "beta_v", "harrod_b", "domar_sigma", "mean_beta", "beta_p", "keynes_m", "fit",
-    )
+    beta_v: float
+    harrod_b: float
+    domar_sigma: float
+    mean_beta: float
+    beta_p: float | None = None
+    keynes_m: float | None = None
+    fit: RegressionFit | None = None
 
     def __init__(
         self,
@@ -109,18 +115,31 @@ class CoefficientReport(Record):
         require_finite(", ".join(given), tuple(given.values()))
 
 
+def _quotient(figure: str, names: str, numerator: float, denominator: float) -> float:
+    """numerator / denominator, each refused by name: `names` are theirs, the
+    numerator must be finite, the denominator finite and > 0, and a quotient
+    past the float range is refused as `figure`."""
+    numerator_name, denominator_name = names.split(", ")
+    require_finite(numerator_name, (numerator,))
+    require_finite(denominator_name, (denominator,), "> 0")
+    quotient = numerator / denominator
+    require_finite(figure, (quotient,))
+    return quotient
+
+
 def beta_p_economic(total_finished_products: float, inputs_value: float) -> float:
     """Product gain: total finished products over the value of the inputs."""
-    require_finite("total_finished_products", (total_finished_products,))
-    require_finite("inputs_value", (inputs_value,), "> 0")
-    return total_finished_products / inputs_value
+    return _quotient(
+        "beta_p", "total_finished_products, inputs_value", total_finished_products, inputs_value
+    )
 
 
 def beta_v_economic(total_incomes: float, investments_plus_expenses: float) -> float:
     """Value gain: total incomes over invested inputs; > 1 means amplification."""
-    require_finite("total_incomes", (total_incomes,))
-    require_finite("investments_plus_expenses", (investments_plus_expenses,), "> 0")
-    return total_incomes / investments_plus_expenses
+    return _quotient(
+        "beta_v", "total_incomes, investments_plus_expenses",
+        total_incomes, investments_plus_expenses,
+    )
 
 
 def beta_bank(output_values: float, total_values: float) -> float:
@@ -129,16 +148,12 @@ def beta_bank(output_values: float, total_values: float) -> float:
     The caller composes total_values (initial capital + amount obtained +
     given interests) and fixes the standard period.
     """
-    require_finite("output_values", (output_values,))
-    require_finite("total_values", (total_values,), "> 0")
-    return output_values / total_values
+    return _quotient("beta_bank", "output_values, total_values", output_values, total_values)
 
 
 def harrod_b(investments: float, incomes: float) -> float:
     """Capital coefficient: investments over incomes (reciprocal of the gain)."""
-    require_finite("investments", (investments,))
-    require_finite("incomes", (incomes,), "> 0")
-    return investments / incomes
+    return _quotient("harrod_b", "investments, incomes", investments, incomes)
 
 
 def domar_sigma(delta_q: float, total_investments: float) -> float:
@@ -147,15 +162,15 @@ def domar_sigma(delta_q: float, total_investments: float) -> float:
     With the production increment read as total income efficiency this is
     the same number as beta_v_economic.
     """
-    require_finite("delta_q", (delta_q,))
-    require_finite("total_investments", (total_investments,), "> 0")
-    return delta_q / total_investments
+    return _quotient("domar_sigma", "delta_q, total_investments", delta_q, total_investments)
 
 
 class CobbDouglasParams(Record):
     """Proportionality g and the elasticities of labour (lam) and capital (mu)."""
 
-    __slots__ = _fields = ("g", "lam", "mu")
+    g: float
+    lam: float
+    mu: float
 
     def __init__(self, g: float, lam: float, mu: float):
         super().__init__(g, lam, mu)
@@ -211,7 +226,9 @@ def keynes_multiplier(delta_v: float, delta_i: float) -> float:
     require_finite("delta_v, delta_i", (delta_v, delta_i))
     if delta_i == 0:
         raise ValueError("investment increment must be non-zero")
-    return delta_v / delta_i
+    multiplier = delta_v / delta_i
+    require_finite("keynes_m", (multiplier,))
+    return multiplier
 
 
 def _fsum(name: str, terms) -> float:
@@ -288,22 +305,22 @@ def analyze_series(series: EconSeries) -> CoefficientReport:
         raise ValueError(f"period {label!r}: zero inputs, ratio undefined")
     mean_beta = _fsum("sum of period gains", map(truediv, incomes, inputs)) / len(inputs)
 
-    beta_p = None
+    total_qty = None
     if None not in series.quantity_out:
-        beta_p = beta_p_economic(_fsum("total quantity_out", series.quantity_out), total_inputs)
-
-    keynes_m = None
-    if investments[-1] != investments[0]:
-        keynes_m = keynes_multiplier(incomes[-1] - incomes[0], investments[-1] - investments[0])
+        total_qty = _fsum("total quantity_out", series.quantity_out)
 
     fit = fit_linear(inputs, incomes) if high > low else None  # varied: two periods at least
 
+    # each ratio refuses its own overflow, in the report's field order
     return CoefficientReport(
         beta_v=beta_v_economic(total_inc, total_inputs),
         harrod_b=harrod_b(total_inv, total_inc),
         domar_sigma=domar_sigma(total_inc, total_inputs),
         mean_beta=mean_beta,
-        beta_p=beta_p,
-        keynes_m=keynes_m,
+        beta_p=None if total_qty is None else beta_p_economic(total_qty, total_inputs),
+        keynes_m=(
+            keynes_multiplier(incomes[-1] - incomes[0], investments[-1] - investments[0])
+            if investments[-1] != investments[0] else None
+        ),
         fit=fit,
     )

@@ -1,9 +1,11 @@
 """The package's one value check, its column test, its solver error and its value base.
 
 A domain verdict is a ValueError naming what it refuses, SolverError too, and
-any other exception is a bug. Record gives all twelve value types, the stage's
-and the economic ones, their repr, ==, hash, copy and refusals. They live
-apart, so no layer imports another for them.
+any other exception is a bug. Record is the one base of all twelve value
+types, the stage's and the economic ones: it takes their fields from their
+annotations, gives them repr, ==, hash, copy and the refusals, and makes each
+a dataclass when dataclasses first asks about it. They live apart, so no
+layer imports another for them.
 """
 
 import math
@@ -17,23 +19,55 @@ class SolverError(ValueError):
     """No bias solution below the exponential overflow cap."""
 
 
+class _DataclassOnFirstUse:
+    """A dataclass attribute of a Record subclass, set by decorating the class on first read.
+
+    Non-data, so once the decorator has stored the attribute in the class,
+    lookups find it there and never come back here. Two threads that read it
+    first at once both decorate the class, to the same fields.
+    """
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, instance, owner):
+        if owner is Record:  # the base is no dataclass
+            raise AttributeError(self.name)
+        from dataclasses import dataclass
+
+        dataclass(init=False, repr=False, eq=False)(owner)
+        return owner.__dict__[self.name]
+
+
 class Record:
-    """An immutable value over the fields `_fields`, in its constructor's order.
+    """An immutable value over its class's annotated fields, in their order.
 
     Its repr, == and hash are those of a frozen dataclass: repr and hash are
     over the fields in order, and == holds only between values of one class.
-    Assigning or deleting any attribute raises `_refusal`. copy and pickle
-    rebuild a value through its constructor, which validates it again. A
-    subclass's __init__ validates and hands the field values to this one, or
-    stores them itself.
+    Assigning or deleting any attribute raises FrozenInstanceError. copy and
+    pickle rebuild a value through its constructor, which validates it
+    again. A subclass's __init__ validates and hands the field values to this
+    one, or stores them in its __dict__ itself; one that annotates nothing
+    keeps its parent's fields.
+
+    A subclass becomes @dataclass(init=False, repr=False, eq=False) the first
+    time its __dataclass_fields__ or __dataclass_params__ is read, as
+    dataclasses.fields, replace and is_dataclass do. The decorator then
+    generates no method, and until then dataclasses is not imported.
     """
 
-    __slots__ = _fields = ()
-    _refusal = AttributeError
+    __slots__ = ()
+    _fields = __match_args__ = ()
+    __dataclass_fields__ = _DataclassOnFirstUse()
+    __dataclass_params__ = _DataclassOnFirstUse()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if annotations := cls.__annotations__:  # the class's own only, since 3.10
+            cls._fields = cls.__match_args__ = tuple(annotations)
 
     def __init__(self, *values):
-        for name, value in zip(self._fields, values):
-            object.__setattr__(self, name, value)
+        self.__dict__.update(zip(self._fields, values))
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)
@@ -54,10 +88,14 @@ class Record:
         return self.__class__, self._values()
 
     def __setattr__(self, name, value):
-        raise self._refusal(f"cannot assign to field {name!r}")
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
-        raise self._refusal(f"cannot delete field {name!r}")
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 def require_finite(names: str, values: tuple, bound: str = "") -> None:

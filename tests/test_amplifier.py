@@ -68,6 +68,17 @@ class TestOutputQuantities:
             r = rng.uniform(1.0, 1e5)
             assert output_power(i, r) == pytest.approx(output_voltage(i, r) * i, rel=1e-12)
 
+    def test_result_past_the_float_range_is_refused_by_name(self):
+        with pytest.raises(ValueError, match=r"^v_out must be finite, got inf$"):
+            output_voltage(1e300, 1e300)
+        with pytest.raises(ValueError, match=r"^v_out must be finite, got -inf$"):
+            output_voltage(-1e300, 1e300)
+        with pytest.raises(ValueError, match=r"^power_out must be finite, got inf$"):
+            output_power(1e200, 1e10)
+        # near the top of the float range, the value is returned, not refused
+        assert output_voltage(1.7e298, 1e10) == pytest.approx(1.7e308, rel=1e-15)
+        assert output_power(1e150, 1.7e8) == pytest.approx(1.7e308, rel=1e-15)
+
     def test_positive_load_required(self):
         with pytest.raises(ValueError):
             output_voltage(1e-3, 0.0)
@@ -265,5 +276,5 @@ def test_importing_amplifier_loads_no_circuit(child_env):
     )
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout.split() == [
-        "econamp", "econamp.amplifier", "econamp.cascade", "econamp.devices", "econamp.errors",
+        "econamp", "econamp.amplifier", "econamp.cascade", "econamp.errors",
     ]

@@ -1305,8 +1305,8 @@ def test_each_subcommand_loads_only_the_modules_it_uses(tmp_path, data_dir, chil
         assert proc.stdout == b""
     else:
         assert proc.stdout == (GOLDEN_DIR / f"{command}.out").read_bytes()
-    # econmap's value types are plain records, and the stage types become
-    # dataclasses only when dataclasses is asked about them: no command loads it
+    # the value types become dataclasses only when dataclasses is asked
+    # about them: no command loads it
     assert not {"dataclasses", "inspect"} & loaded
     if command in (None, "simulate", "cascade"):  # csv is loaded by the CSV readers only
         assert "csv" not in loaded

@@ -7,6 +7,7 @@ difference checks are independent of the analytic formulas they verify.
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -303,6 +304,26 @@ class TestMos:
     def test_negative_vds_rejected(self):
         with pytest.raises(ValueError):
             mos_drain_current(EXAMPLE_MOS, 2.0, -0.1)
+
+    @pytest.mark.parametrize("k_prime, v_gs, v_ds", [
+        (1e-10, 1e160, 1e150),  # v_ov * v_ds alone is past the float range
+        (1.2e308, 1.5000001, 1.5),  # k_prime * v_ds alone is
+        (2e-3, 3.0, 1.0),
+        (1e-300, 1e200, 3e199),
+    ])
+    def test_triode_current_is_the_exact_value_rounded(self, k_prime, v_gs, v_ds):
+        exact = Fraction(k_prime) * Fraction(v_ds) * (Fraction(v_gs) - Fraction(v_ds) / 2)
+        got = mos_drain_current(MosParams(k_prime, 0.0), v_gs, v_ds)
+        assert abs(Fraction(got) - exact) <= Fraction(math.ulp(float(exact)))
+
+    @pytest.mark.parametrize("function, args, text", [
+        (mos_drain_current, (1e300, 1e200), "i_d must be finite, got inf"),  # triode, was nan
+        (mos_drain_current, (1e300, 2e300), "i_d must be finite, got inf"),  # saturation
+        (mos_transconductance, (1e300,), "g_m must be finite, got inf"),
+    ])
+    def test_result_past_the_float_range_is_refused_by_name(self, function, args, text):
+        with pytest.raises(ValueError, match=f"^{text}$"):
+            function(MosParams(1e10, 0.0), *args)
 
     def test_transconductance_example(self):
         assert mos_transconductance(EXAMPLE_MOS, 2.0) == pytest.approx(2.0e-3, rel=1e-12)

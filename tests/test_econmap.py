@@ -6,15 +6,11 @@ references compute keynes_m and r_squared from their definitions in exact
 rational arithmetic (fractions.Fraction) on the same float inputs.
 """
 
-import copy
-import inspect
 import math
-import pickle
 import random
 import sys
 import time
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
 
@@ -33,6 +29,7 @@ from econamp.econmap import (
     harrod_b,
     keynes_multiplier,
 )
+from test_stage_types import ECONOMIC_TYPES, ValueTypeContract, contract_cases
 
 
 def series(*rows):
@@ -122,6 +119,22 @@ class TestCoefficients:
         assert keynes_multiplier(-10.0, 5.0) < 0
         with pytest.raises(ValueError):
             keynes_multiplier(1.0, 0.0)
+
+    @pytest.mark.parametrize("function, figure, numerator, denominator, text", [
+        (beta_v_economic, "beta_v", 1e308, 1e-300, "inf"),
+        (harrod_b, "harrod_b", 1e308, 1e-300, "inf"),
+        (domar_sigma, "domar_sigma", 1e308, 1e-300, "inf"),
+        (beta_p_economic, "beta_p", 1e308, 1e-300, "inf"),
+        (beta_bank, "beta_bank", 1e308, 1e-300, "inf"),
+        (keynes_multiplier, "keynes_m", 1e308, -1e-300, "-inf"),
+    ], ids=["beta_v", "harrod_b", "domar_sigma", "beta_p", "beta_bank", "keynes_m"])
+    def test_overflowing_ratio_is_refused_by_name(
+        self, function, figure, numerator, denominator, text
+    ):
+        # valid, finite arguments whose quotient is past the float range
+        with pytest.raises(ValueError, match=rf"^{figure} must be finite, got {text}$"):
+            function(numerator, denominator)
+        assert function(numerator, 1.0) == numerator
 
     def test_reciprocity(self):
         rng = random.Random(21)
@@ -567,6 +580,16 @@ class TestSeries:
         with pytest.raises(ValueError, match="must be finite"):
             analyze_series(tiny)
 
+    def test_ratio_refusals_follow_the_fit(self):
+        # beta_p = 2e307 / 3e-300 overflows, but the fit's refusal comes first,
+        # as when the report's own check refused beta_p
+        rows = [("a", 1e-300, 0.0, 1e-10, 1e307), ("b", 2e-300, 0.0, 1e-10, 1e307)]
+        with pytest.raises(ValueError, match="^s_xx = 0: "):
+            analyze_series(series(*rows))
+        # no fit for constant inputs: beta_p is refused by name
+        with pytest.raises(ValueError, match="^beta_p must be finite, got inf$"):
+            analyze_series(series(rows[0], ("b", 1e-300, 0.0, 1e-10, 1e307)))
+
     def test_zero_input_period_is_labeled(self):
         zero = series(("1990", 100.0, 0.0, 500.0), ("1991", 0.0, 0.0, 100.0))
         with pytest.raises(ValueError, match="1991"):
@@ -593,87 +616,9 @@ class TestSeries:
         assert other.fit.a0 == pytest.approx(base.fit.a0 * c, rel=1e-9)
 
 
-# The value types behave as frozen dataclasses do: (type, field names,
-# positional arguments, the same with one field changed, the expected repr).
-FIT = RegressionFit(1.0, 2.0, 0.9, 5)
-RECORDS = [
-    (RegressionFit, ("a0", "beta", "r_squared", "n"), (1.0, 2.0, 0.9, 5), (1.0, 2.0, 0.9, 6),
-     "RegressionFit(a0=1.0, beta=2.0, r_squared=0.9, n=5)"),
-    (CobbDouglasParams, ("g", "lam", "mu"), (1.0, 0.7, 0.3), (1.0, 0.7, 0.25),
-     "CobbDouglasParams(g=1.0, lam=0.7, mu=0.3)"),
-    (CoefficientReport,
-     ("beta_v", "harrod_b", "domar_sigma", "mean_beta", "beta_p", "keynes_m", "fit"),
-     (2.0, 0.5, 2.0, 2.0, 0.1, 3.0, FIT), (2.0, 0.5, 2.0, 2.0, 0.1, 3.0, None),
-     "CoefficientReport(beta_v=2.0, harrod_b=0.5, domar_sigma=2.0, mean_beta=2.0, "
-     "beta_p=0.1, keynes_m=3.0, fit=RegressionFit(a0=1.0, beta=2.0, r_squared=0.9, n=5))"),
-    (EconSeries, ("labels", "investments", "expenses", "incomes", "quantity_out"),
-     (("1990", "1991"), (1.0, 2.0), (0.5, 0.5), (3.0, 4.0), (None, 7.0)),
-     (("1990", "1991"), (1.0, 2.0), (0.5, 0.5), (3.0, 4.0), (None, 8.0)),
-     "EconSeries(labels=('1990', '1991'), investments=(1.0, 2.0), expenses=(0.5, 0.5), "
-     "incomes=(3.0, 4.0), quantity_out=(None, 7.0))"),
-]
-
-# (type, a field, a value its constructor refuses) for each record in RECORDS
-REFUSED = {
-    RegressionFit: ("n", 1),
-    CobbDouglasParams: ("g", 0.0),
-    CoefficientReport: ("beta_v", math.nan),
-    EconSeries: ("investments", (1.0, -2.0)),
-}
-
-
-@pytest.mark.parametrize(
-    "cls, names, args, changed, text", RECORDS, ids=[cls.__name__ for cls, *_ in RECORDS]
-)
-class TestRecords:
-    def test_repr(self, cls, names, args, changed, text):
-        assert repr(cls(*args)) == text
-
-    def test_positional_and_keyword_construction(self, cls, names, args, changed, text):
-        assert list(inspect.signature(cls).parameters) == list(names)
-        built = cls(**dict(zip(names, args)))
-        assert built == cls(*args)
-        assert tuple(getattr(built, name) for name in names) == args
-
-    def test_equality_is_over_the_fields_of_one_class(self, cls, names, args, changed, text):
-        record = cls(*args)
-        assert record == cls(*args) and not record != cls(*args)
-        assert record != cls(*changed) and not record == cls(*changed)
-
-        class Subclass(cls):
-            __slots__ = ()
-
-        for other in (args, SimpleNamespace(**dict(zip(names, args))), Subclass(*args)):
-            assert record != other and not record == other
-            assert other != record and not other == record
-
-    def test_hash_is_over_the_fields(self, cls, names, args, changed, text):
-        assert hash(cls(*args)) == hash(cls(*args)) == hash(args)
-        assert len({cls(*args), cls(*args), cls(*changed)}) == 2
-
-    def test_fields_cannot_be_assigned_or_deleted(self, cls, names, args, changed, text):
-        record = cls(*args)
-        for name in (*names, "extra"):
-            with pytest.raises(AttributeError):
-                setattr(record, name, 1.0)
-            with pytest.raises(AttributeError):
-                delattr(record, name)
-        assert repr(record) == text
-
-    def test_copy_and_pickle_give_an_equal_record(self, cls, names, args, changed, text):
-        record = cls(*args)
-        for twin in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
-            assert type(twin) is cls and twin == record
-
-    def test_rebuilt_record_is_validated_again(self, cls, names, args, changed, text):
-        # copy and pickle rebuild a record through its constructor, which checks it
-        field, bad = REFUSED[cls]
-        rebuild, values = cls(*args).__reduce__()
-        assert (rebuild, values) == (cls, args)
-        with pytest.raises(ValueError, match=rf"\b{field}\b"):
-            rebuild(*(bad if name == field else value for name, value in zip(names, values)))
-        with pytest.raises(ValueError, match=rf"\b{field}\b"):
-            cls(**{**dict(zip(names, args)), field: bad})
+@contract_cases(ECONOMIC_TYPES)
+class TestRecords(ValueTypeContract):
+    """The stage types' contract, for the four economic value types."""
 
 
 def test_coefficient_report_optional_fields_default_to_none():
