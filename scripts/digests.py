@@ -9,11 +9,12 @@ change that moves a figure re-pins it with one edit to PINS. Tier-1's
 tests/test_digests.py checks every pin too, one test case per draw.
 
 A stage draw takes perfbench's `inputs.DesignStream(seed)`. Each design is
-built, solved, turned into small-signal parameters and gains, and checked
-against the default operating limits, as a bias_sweep run takes it. Each
-design gives one record line: every figure of each step that returned, as
-`name=repr(value)`, and, when a step raised, the exception's type and
-message, which ends the design.
+built and run through `econamp.simulate.evaluate_stage` against the default
+operating limits, as `simulate` takes it: solved, turned into small-signal
+parameters and gains unless the point is saturated, and checked against the
+limits. Each design gives one record line: every field of each value the
+chain yielded, as `name=repr(value)`, then the violated limits, and, when a
+step raised, the exception's type and message, which ends the design.
 
 A series draw writes each series `inputs.make_series(seed, i, rows)` as the
 CSV the series_analysis workload reads, and runs `econamp.cli.main` on it in
@@ -47,22 +48,19 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from econamp.amplifier import OperatingLimits, breakdown_check, stage_gain  # noqa: E402
-from econamp.circuit import (  # noqa: E402
-    AmplifierConfig,
-    small_signal_params,
-    solve_operating_point,
-)
+from econamp.amplifier import OperatingLimits  # noqa: E402
+from econamp.circuit import AmplifierConfig  # noqa: E402
 from econamp.cli import main as cli_main  # noqa: E402
 from econamp.devices import BjtParams  # noqa: E402
+from econamp.simulate import evaluate_stage  # noqa: E402
 
 # (kind, seed, count, rows per series): the SHA-256 the draw gave when pinned;
 # the draws of 200 designs and of 2,000 rows are a quick first check
 PINS = {
-    ("stage", 1, 20_000, None): "5ebf07e742096fbf200719bb8f49dc97eb2ce6afb2bdf9c7ca2122c4c8382b3e",
-    ("stage", 2, 20_000, None): "6da2502eb80897012df010c92dbabd3749aaa9f18d32b3770167913071667a5d",
-    ("stage", 3, 20_000, None): "692d30e6967748684caacd3214bed737aa46eb4c1857513b2d955bdc1ab40361",
-    ("stage", 1, 200, None): "b939a05bc42100c1b0aaa3f2e5d21c21fb16096158c22822b913613678a70a76",
+    ("stage", 1, 20_000, None): "216739d1935bfb376d0ed25e21cc490f1ea193434d2a3611e5ce8b16f32a2b59",
+    ("stage", 2, 20_000, None): "2a8179580f6f06d60f4cf1d5a0394ca05d96ae06af5adbbdc9fb45db380a00a3",
+    ("stage", 3, 20_000, None): "526ab72cc499cb1b76cc9e37e514b4961d6ed80131462decf97dafaceb358a88",
+    ("stage", 1, 200, None): "5eed90fdb9fc43caca8f8164bc352f39e45a63301aa0b4e4a8be3e0c72f44c50",
     ("series", 1, 3, 100_000): "1118d2f836c4f541b4d9ba62e80e54a91975dcb4a5d55ce358caa14f64966274",
     # odd length, so the bulk CSV tier's runs of lines end at other rows than
     # on the 1e5-row series; pinned before the runs existed
@@ -75,9 +73,6 @@ PINS = {
 }
 
 LIMITS = OperatingLimits()
-OP_FIGURES = ("v_be", "i_b", "i_c", "i_e", "v_ce", "saturated")
-SS_FIGURES = ("r_in", "g_out", "slope_s")
-GAIN_FIGURES = ("beta_current", "voltage_gain", "power_out")
 COMMANDS = (
     ("analyze",),
     ("fit", "--x", "investments", "--y", "incomes"),
@@ -122,13 +117,11 @@ def record(design: tuple) -> str:
     try:
         device = BjtParams(i_es=i_es, i_cs=i_cs, alpha_n=alpha_n, temperature=temperature)
         config = AmplifierConfig(v_cc=v_cc, r_b1=r_b1, r_b2=r_b2, r_l=r_l, device=device)
-        op = solve_operating_point(config)
-        fields += [f"{name}={getattr(op, name)!r}" for name in OP_FIGURES]
-        ss = small_signal_params(device, op)
-        fields += [f"{name}={getattr(ss, name)!r}" for name in SS_FIGURES]
-        gains = stage_gain(op, ss, r_l)
-        fields += [f"{name}={getattr(gains, name)!r}" for name in GAIN_FIGURES]
-        fields.append(f"violations={breakdown_check(op, LIMITS)!r}")
+        for value in evaluate_stage(config, LIMITS):
+            if isinstance(value, tuple):  # the last: the violated limits' names
+                fields.append(f"violations={value!r}")
+            elif value is not None:  # None: a saturated point's small-signal step and gains
+                fields += [f"{name}={getattr(value, name)!r}" for name in value._fields]
     except Exception as exc:  # an error is a figure of the design too
         fields.append(f"{type(exc).__name__}: {exc}")
     return " ".join(fields)

@@ -41,11 +41,13 @@ class OperatingLimits(Record):
 
 
 def current_gain(i_out: float, i_in: float) -> float:
-    """Output current over input current."""
+    """Output current over input current, refused as beta_current past the float range."""
     require_finite("i_out, i_in", (i_out, i_in))
     if i_in == 0:
         raise ValueError("input current must be non-zero")
-    return i_out / i_in
+    beta_current = i_out / i_in
+    require_finite("beta_current", (beta_current,))
+    return beta_current
 
 
 def output_voltage(i_out: float, r_l: float) -> float:

@@ -6,17 +6,26 @@ the base node balanced against the exponential base current:
     (v_th - v_be) / r_th = i_b(v_be)
 
 A safeguarded Newton iteration on v_be does the work: a Newton step is
-accepted only while it stays inside the sign-change bracket and keeps
-cutting the residual, otherwise the bracket is bisected. Plain Newton is
-not enough here; descending the exponential it gains only one thermal
-voltage per step.
+accepted only while it stays inside the sign-change bracket and cuts the
+residual to a quarter at least, otherwise the bracket is bisected. Plain
+Newton is not enough here; descending the exponential it gains only one
+thermal voltage per step. There is no iteration budget: after the first
+pass every pass moves an end of the bracket to a float strictly inside it,
+and a bracket of floats cannot shrink forever. The longest solves bisect
+down towards 0 V through the float exponents, with under a thousand
+exponentials over 20,000 designs drawn across the whole float range.
 
 Each point costs one expm1(v_be/Vt): the base current is computed inline
-with active_region_currents' arithmetic, the same value plus one gives the
-Newton slope, and the returned point's currents come from the last one,
-formed once and checked once, by OperatingPoint. No exponential is guarded:
-the bracket's top, min(v_cc, Vt*199), holds every argument within an ulp of
-199, under the device's overflow cap.
+with active_region_currents' arithmetic, so every iterate is bit-identical
+to one through the device model, the same value plus one gives the Newton
+slope, and the returned point's currents come from the last one, formed
+once and checked once, by OperatingPoint (current conservation, then a
+finite v_be and v_ce). No exponential is guarded: the bracket's top,
+min(v_cc, Vt*199), holds every argument at 199, or an ulp above it where
+Vt*199 rounds up, under the device's overflow cap of 200. A residual still
+positive there is the solve's one verdict, SolverError; every later point
+lies strictly inside (0, top), and the guard would return the same
+division, so every iterate is bit-identical to a guarded one too.
 """
 
 import math
@@ -110,11 +119,14 @@ def solve_operating_point(config: AmplifierConfig) -> OperatingPoint:
     Stops at a point whose residual is under RESIDUAL_TOL, when that residual
     is exactly zero or the step that reached the point was under STEP_TOL;
     or once the bracket has collapsed to adjacent floats, the resolution
-    limit of a stiff divider. On the demo stage Newton reaches 8.1e-20 A at
-    v_be = 0.70773955894305696 by a 4.5e-12 V step, its next step rounds to
-    zero, and three bisections lead to the returned 0.7077395589436246,
-    whose currents reuse its expm1. Raises SolverError when the solution
-    would sit past the device's exponential overflow cap.
+    limit of a stiff divider, whose v_th/r_th of hundreds of amperes leaves
+    rounding noise in the residual above RESIDUAL_TOL. On the demo stage
+    Newton reaches 8.1e-20 A at v_be = 0.70773955894305696 by a 4.5e-12 V
+    step, its next step rounds to zero, a point at the bracket's end that is
+    not taken, and three bisections, the last by 5.7e-13 V, lead to the
+    returned 0.7077395589436246, whose currents reuse its expm1. Raises
+    SolverError when the solution would sit past the device's exponential
+    overflow cap.
     """
     expm1 = math.expm1  # looked up per call, so a patched math.expm1 is seen
     residual_tol, step_tol = RESIDUAL_TOL, STEP_TOL

@@ -4,9 +4,8 @@ All functions are pure; parameter objects are frozen and validated on
 construction, so values can be shared freely between threads.
 
 The stage's eight value types, here, in circuit and in amplifier, are
-errors.Record subclasses, as the economic ones are, with written-out
-__init__s: each runs its checks, then stores every field in one step, where
-a generated frozen __init__ calls object.__setattr__ once per field.
+errors.Record subclasses, as the economic ones are, whose written-out
+__init__s run their checks, then store every field in one step.
 """
 
 import math
@@ -115,11 +114,18 @@ _ABOVE_CAP = f" above the overflow cap {EXP_ARG_CAP:g}"  # formatted once, not p
 
 
 def _junction_arg(voltage: float, vt: float, name: str) -> float:
-    # v/Vt, refusing a non-finite voltage and arguments past the overflow cap:
-    # the package's one guard, on the exponentials whose argument is unbounded,
-    # the device laws' and small_signal_params' v_cb (the bias solve's bracket
-    # bounds all of its own). The device laws take expm1 of it, exact near 0 V
-    # where exp(x) - 1 cancels.
+    """voltage/vt, the argument of a junction exponential, or a refusal naming `name`.
+
+    The package's one guard, on the exponentials whose argument is unbounded:
+    the device laws', and small_signal_params' exp of v_cb. The bias solve
+    guards none of its own; circuit's docstring says why. A NaN or infinite
+    voltage raises require_finite's ValueError, and an argument above
+    EXP_ARG_CAP raises OverflowError("<name> = <v> V gives exp argument <arg>
+    above the overflow cap 200") rather than letting exp return inf. The
+    device laws take expm1 of it, which keeps exp(v/Vt) - 1 exact near 0 V,
+    where the subtraction cancels: a root at 3.1e-11 V came out 4.7e7 ulps
+    off with it.
+    """
     arg = voltage / vt
     if not (arg <= EXP_ARG_CAP and voltage > -math.inf):  # NaN fails the first test
         require_finite(name, (voltage,))
@@ -185,7 +191,12 @@ def mos_drain_current(params: MosParams, v_gs: float, v_ds: float) -> float:
     v_ov = v_gs - params.v_threshold
     if v_ov <= 0:
         return 0.0
-    if v_ds < v_ov:
+    if v_ov == math.inf:
+        # v_gs - v_threshold overflowed, so every v_ds lies below it, in the triode
+        # region: the law on the half of v_ov, which is finite, and twice the result
+        half_ov = 0.5 * v_gs - 0.5 * params.v_threshold
+        i_d = params.k_prime * v_ds * (half_ov - 0.25 * v_ds) * 2.0
+    elif v_ds < v_ov:
         # factored, so no partial product overflows or cancels where i_d does not:
         # v_ov - v_ds/2 lies in (v_ov/2, v_ov]
         i_d = params.k_prime * v_ds * (v_ov - 0.5 * v_ds)
@@ -206,6 +217,9 @@ def mos_transconductance(params: MosParams, v_gs: float) -> float:
     v_ov = v_gs - params.v_threshold
     if v_ov <= 0:
         return 0.0
-    g_m = params.k_prime * v_ov
+    if v_ov == math.inf:  # v_gs - v_threshold overflowed: twice the slope on its half
+        g_m = params.k_prime * (0.5 * v_gs - 0.5 * params.v_threshold) * 2.0
+    else:
+        g_m = params.k_prime * v_ov
     require_finite("g_m", (g_m,))
     return g_m

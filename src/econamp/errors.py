@@ -2,7 +2,10 @@
 
 A domain verdict is a ValueError naming what it refuses, SolverError too, and
 any other exception is a bug. Record is the one base of all twelve value
-types, the stage's and the economic ones: it takes their fields from their
+types, the eight stage ones (BjtParams, MosParams, BjtCurrents,
+AmplifierConfig, OperatingPoint, SmallSignalParams, StageGain,
+OperatingLimits) and the four economic ones (EconSeries, RegressionFit,
+CoefficientReport, CobbDouglasParams): it takes their fields from their
 annotations, gives them repr, ==, hash, copy and the refusals, and makes each
 a dataclass when dataclasses first asks about it. They live apart, so no
 layer imports another for them.
@@ -42,18 +45,29 @@ class _DataclassOnFirstUse:
 class Record:
     """An immutable value over its class's annotated fields, in their order.
 
-    Its repr, == and hash are those of a frozen dataclass: repr and hash are
+    The fields, and __match_args__, are the class's annotations in order. Its
+    repr, == and hash are those of a frozen dataclass: repr and hash are
     over the fields in order, and == holds only between values of one class.
-    Assigning or deleting any attribute raises FrozenInstanceError. copy and
-    pickle rebuild a value through its constructor, which validates it
-    again. A subclass's __init__ validates and hands the field values to this
-    one, or stores them in its __dict__ itself; one that annotates nothing
-    keeps its parent's fields.
+    Assigning or deleting any attribute raises FrozenInstanceError, an
+    AttributeError. copy and pickle rebuild a value through its constructor,
+    which validates it again. A subclass's __init__ validates and hands the
+    field values to this one, or stores them in its __dict__ itself in one
+    step, as the stage types do: a generated frozen __init__ calls
+    object.__setattr__ once per field, and the one-step store builds an
+    OperatingPoint, checks included, for about 30% less. A subclass that
+    annotates nothing keeps its parent's fields.
 
     A subclass becomes @dataclass(init=False, repr=False, eq=False) the first
     time its __dataclass_fields__ or __dataclass_params__ is read, as
-    dataclasses.fields, replace and is_dataclass do. The decorator then
-    generates no method, and until then dataclasses is not imported.
+    dataclasses.fields, replace and is_dataclass do. The decorator then takes
+    the fields' names, order, annotations and defaults and generates no
+    method, where frozen=True compiled and ran five per type, about 2 ms of
+    every process that loads the stage path. So fields, replace (which
+    validates again) and vars() work as for a frozen dataclass, while
+    __dataclass_params__.frozen reads False. Until then dataclasses is not
+    imported, nor inspect, which it imports: the two were over half of the
+    econamp.simulate import (9.6 ms of it against 4.1 ms without, by
+    python -X importtime on Python 3.11).
     """
 
     __slots__ = ()

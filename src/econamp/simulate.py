@@ -1,8 +1,10 @@
-"""The `simulate` subcommand: the config reader and the stage report.
+"""The `simulate` subcommand: the config reader, the stage chain and the report.
 
-Only `simulate` imports this module, and with it the circuit, device and
-amplifier layers, but not dataclasses; `econamp.cli.parse_config` loads it on
-first use.
+`evaluate_stage` is the one stage chain: solve, small-signal parameters,
+gains, limit check. `report` prints what it yields, and scripts/digests.py
+records it. Importing this module loads the circuit, device and amplifier
+layers, but not dataclasses; of the subcommands only `simulate` does, and
+`econamp.cli.parse_config` loads it on first use.
 """
 
 from .amplifier import OperatingLimits, breakdown_check, stage_gain
@@ -58,15 +60,27 @@ def parse_config(text: str, source: str = "<config>") -> tuple[AmplifierConfig, 
     return config, OperatingLimits(**given[OperatingLimits])
 
 
+def evaluate_stage(config: AmplifierConfig, limits: OperatingLimits):
+    """Yield the stage's OperatingPoint, SmallSignalParams, StageGain and violated limits.
+
+    The small-signal model holds only in the active region, so a saturated
+    point yields None for the small-signal parameters and the gains. A step
+    that refuses raises from the `next` that asks for its value, after the
+    values before it were yielded.
+    """
+    op = solve_operating_point(config)
+    yield op
+    active = not op.saturated
+    ss = small_signal_params(config.device, op) if active else None
+    yield ss
+    yield stage_gain(op, ss, config.r_l) if active else None
+    yield breakdown_check(op, limits)
+
+
 def report(path: str) -> str:
     """The `simulate` report of the config file at `path`."""
     config, limits = parse_config(_read_text(path), source=path)
-    op = solve_operating_point(config)
-    ss = gains = None  # the small-signal model holds only in the active region
-    if not op.saturated:
-        ss = small_signal_params(config.device, op)
-        gains = stage_gain(op, ss, config.r_l)
-    violations = breakdown_check(op, limits)
+    op, ss, gains, violations = evaluate_stage(config, limits)
     op_rows = _rows(op, v_be="V", i_b="A", i_c="A", i_e="A", v_ce="V")
     ss_rows = _rows(ss, r_in="ohm", g_out="S", slope_s="S")
     gain_rows = _rows(gains, beta_current="", voltage_gain="", power_out="W")

@@ -42,6 +42,12 @@ class TestCurrentGain:
         with pytest.raises(ValueError):
             current_gain(1e-3, 0.0)
 
+    @pytest.mark.parametrize("i_out, i_in", [(1e308, 1e-300), (-1e308, 1e-300), (0.5, 5e-324)])
+    def test_quotient_past_the_float_range_is_refused(self, i_out, i_in):
+        # returned inf
+        with pytest.raises(ValueError, match=r"^beta_current must be finite, got -?inf$"):
+            current_gain(i_out, i_in)
+
 
 class TestOutputQuantities:
     def test_voltage_example(self):

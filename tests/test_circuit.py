@@ -13,7 +13,7 @@ import sys
 import pytest
 
 import econamp.circuit
-from econamp.amplifier import stage_gain
+from econamp.amplifier import OperatingLimits
 from econamp.circuit import (
     INITIAL_GUESS,
     RESIDUAL_TOL,
@@ -33,6 +33,7 @@ from econamp.devices import (
     ebers_moll_currents,
     thermal_voltage,
 )
+from econamp.simulate import evaluate_stage
 
 K_BOLTZMANN = 1.380649e-23
 Q_ELECTRON = 1.602176634e-19
@@ -601,23 +602,20 @@ class TestSmallSignal:
 
 class TestStageAgainstDecimal:
     """The arithmetic after the root, apart from the root's own error: every
-    figure `simulate` prints, against decimal_stage at the solver's v_be."""
+    figure of evaluate_stage, which `simulate` prints, against decimal_stage
+    at the solver's v_be."""
 
     def test_figures_after_the_root_match_decimal_stage(self):
         worst = dict.fromkeys(STAGE_ULP_K, 0.0)
         active = 0
         for config in [*wide_configs(), DERIVED_CONFIG]:
             try:
-                op = solve_operating_point(config)
+                op, ss, gains, _ = evaluate_stage(config, OperatingLimits())
             except SolverError:
                 continue
             figures = [(op, ("i_b", "i_c", "i_e", "v_ce"))]
-            if not op.saturated:  # simulate's small-signal and gain figures
-                ss = small_signal_params(config.device, op)
-                figures += [
-                    (ss, ("r_in", "g_out", "slope_s")),
-                    (stage_gain(op, ss, config.r_l), ("beta_current", "voltage_gain", "power_out")),
-                ]
+            if ss is not None:  # simulate's small-signal and gain figures
+                figures += [(ss, ss._fields), (gains, gains._fields)]
                 active += 1
             exact = decimal_stage(config, op.v_be)
             conditions = stage_conditions(config, op.v_be, exact)

@@ -316,6 +316,20 @@ class TestMos:
         got = mos_drain_current(MosParams(k_prime, 0.0), v_gs, v_ds)
         assert abs(Fraction(got) - exact) <= Fraction(math.ulp(float(exact)))
 
+    # v_gs - v_threshold overflows though the result does not: these were
+    # refused as i_d got nan, i_d got inf and g_m got inf
+    @pytest.mark.parametrize("function, args, exact", [
+        (mos_drain_current, (1e308, 0.0), Fraction(0)),
+        (mos_drain_current, (1e308, 1.0),
+         Fraction(1e-10) * (Fraction(1e308) - Fraction(-1e308) - Fraction(1, 2))),
+        (mos_transconductance, (1e308,), Fraction(1e-10) * (Fraction(1e308) - Fraction(-1e308))),
+    ], ids=["i_d-zero-v_ds", "i_d-triode", "g_m"])
+    def test_overdrive_past_the_float_range_gives_the_exact_value_rounded(
+        self, function, args, exact
+    ):
+        got = function(MosParams(1e-10, -1e308), *args)
+        assert abs(Fraction(got) - exact) <= Fraction(math.ulp(float(exact)))
+
     @pytest.mark.parametrize("function, args, text", [
         (mos_drain_current, (1e300, 1e200), "i_d must be finite, got inf"),  # triode, was nan
         (mos_drain_current, (1e300, 2e300), "i_d must be finite, got inf"),  # saturation

@@ -3,6 +3,8 @@ from pathlib import Path
 
 import pytest
 
+from econamp.simulate import report
+
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPT = ROOT / "scripts" / "digests.py"
 # data/demo_amplifier.cfg as a design tuple:
@@ -19,23 +21,34 @@ def digests():
     return DIGESTS
 
 
-def test_demo_record_holds_every_golden_figure(digests):
-    # each float of the `[values]` block simulate prints for the demo config
+def test_demo_record_holds_every_golden_figure(digests, tmp_path):
+    # each float of the `[values]` block simulate prints, for the demo config
+    # and the stream's first 8 designs, 4 of them saturated
+    keys = ("v_cc", "r_b1", "r_b2", "r_l", "i_es", "i_cs", "alpha_n", "temperature")
     golden = (ROOT / "perfbench" / "golden" / "simulate.out").read_text()
-    values = golden.split("[values]\n")[1].splitlines()
-    floats = [line for line in values if not line.endswith(("true", "false"))]
-    fields = digests.record(DEMO).split()
-    assert len(floats) == 11 and set(floats) <= set(fields)
-    assert fields[-1] == "violations=()"
+    counts = []
+    for design in [DEMO, *digests.design_stream(1).take(8)]:
+        path = tmp_path / "stage.cfg"
+        path.write_text("".join(f"{key} = {value!r}\n" for key, value in zip(keys, design)))
+        printed = report(str(path))
+        if design == DEMO:
+            assert printed.split("[values]\n")[1] == golden.split("[values]\n")[1].rstrip("\n")
+        values = printed.split("[values]\n")[1].splitlines()
+        floats = [line for line in values if not line.endswith(("true", "false"))]
+        fields = digests.record(design).split()
+        assert set(floats) <= set(fields), design
+        assert fields[-1].startswith("violations=(")
+        counts.append(len(floats))
+    # the demo's 11 figures; a saturated point prints only its operating point
+    assert counts == [11, 5, 5, 11, 11, 5, 11, 11, 5]
 
 
 @pytest.mark.parametrize(
     "design, error",
     [
-        # saturated: the figures of the point, then the small-signal step's error
+        # saturated: the figures of the point, then no small-signal step
         ((12.0, 100e3, 20e3, 1e6, 1e-14, 1e-14, 0.99, 300.0),
-         "saturated=True OverflowError: v_cb = 7664.73 V gives exp argument 296485.2 "
-         "above the overflow cap 200"),
+         "v_ce=-7664.027020046788 saturated=True violations=()"),
         ((1e4, 1.0, 1e9, 1e3, 1e-300, 1e-14, 0.5, 300.0),
          "SolverError: no bias solution below the exponential overflow cap "
          "(residual at v_be=5.14455 V is still positive)"),

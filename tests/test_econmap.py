@@ -14,6 +14,8 @@ from fractions import Fraction
 
 import pytest
 
+from econamp.amplifier import OperatingLimits
+from econamp.devices import active_region_currents, beta_from_alpha
 from econamp.econmap import (
     CobbDouglasParams,
     CoefficientReport,
@@ -23,12 +25,16 @@ from econamp.econmap import (
     beta_bank,
     beta_p_economic,
     beta_v_economic,
+    cascade_gain,
     cobb_douglas,
     domar_sigma,
     fit_linear,
     harrod_b,
     keynes_multiplier,
 )
+from econamp.errors import SolverError
+from econamp.simulate import evaluate_stage
+from test_circuit import wide_configs
 from test_stage_types import ECONOMIC_TYPES, ValueTypeContract, contract_cases
 
 
@@ -629,3 +635,53 @@ def test_coefficient_report_optional_fields_default_to_none():
         "CoefficientReport(beta_v=2.0, harrod_b=0.5, domar_sigma=2.0, mean_beta=2.0, "
         "beta_p=None, keynes_m=None, fit=None)"
     )
+
+
+# The paper's analogy: a transistor's own currents, read as an economic unit
+# with investments = i_b, expenses = 0 and incomes = i_c, give the economic
+# coefficients the transistor's current gain beta = alpha_n/(1 - alpha_n).
+# The bound of each identity in ulps; after each, the worst measured on the
+# wide draw's active designs.
+ANALOGY_ULPS = {
+    "beta_v": 4,        # 3.0
+    "domar_sigma": 4,   # 3.0
+    "keynes_m": 4,      # 3.0
+    "mean_beta": 2,     # 1.0
+    "fit.beta": 4,      # 3.0
+    "harrod_b*beta": 2,  # 1.5, in ulps of 1
+    "cascade_gain": 2,  # 0.97, against the exact product of three stage betas
+}
+
+
+def test_transistor_currents_give_the_transistor_gain():
+    worst = dict.fromkeys(ANALOGY_ULPS, 0.0)
+    stage_betas = []
+    for config in wide_configs():
+        try:
+            op, ss, gains, _ = evaluate_stage(config, OperatingLimits())
+        except SolverError:
+            continue
+        if ss is None:  # saturated: no current gain
+            continue
+        stage_betas.append(gains.beta_current)
+        device = config.device
+        # twelve periods biased from the operating point down to 1/12 of its v_be
+        currents = [active_region_currents(device, op.v_be * (12 - k) / 12) for k in range(12)]
+        report = analyze_series(EconSeries(
+            [str(k) for k in range(12)], [c.i_b for c in currents], [0.0] * 12,
+            [c.i_c for c in currents], [None] * 12,
+        ))
+        beta = beta_from_alpha(device.alpha_n)
+        for name, value in [
+            ("beta_v", report.beta_v), ("domar_sigma", report.domar_sigma),
+            ("keynes_m", report.keynes_m), ("mean_beta", report.mean_beta),
+            ("fit.beta", report.fit.beta),
+        ]:
+            worst[name] = max(worst[name], ulps(value, Fraction(beta)))
+        worst["harrod_b*beta"] = max(worst["harrod_b*beta"], ulps(report.harrod_b * beta, 1))
+    for k in range(0, len(stage_betas) - 2, 3):  # cascades of three stages
+        stages = stage_betas[k:k + 3]
+        exact = math.prod(map(Fraction, stages))
+        worst["cascade_gain"] = max(worst["cascade_gain"], ulps(cascade_gain(stages), exact))
+    assert len(stage_betas) > 800  # 818 of the draw
+    assert {name: value for name, value in worst.items() if value > ANALOGY_ULPS[name]} == {}

@@ -19,6 +19,7 @@ import itertools
 import math
 import random
 import re
+from pathlib import Path
 
 import pytest
 
@@ -52,6 +53,7 @@ DERIVED_FIGURES = (
     "beta_v", "harrod_b", "domar_sigma", "mean_beta", "beta_p", "keynes_m",
 )
 EXIT_CODES = (0, 2, 3, 4)
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run(argv):
@@ -64,6 +66,15 @@ def run(argv):
 
 def names_one_of(message, names):
     return any(re.search(rf"(?<!\w){re.escape(name)}(?!\w)", message) for name in names)
+
+
+def test_readme_lists_the_derived_figures():
+    # the names between README's exit-4 list markers, each in backticks
+    text = README.read_text(encoding="utf-8")
+    block = text.split("<!-- exit-4 names: begin -->")[1].split("<!-- exit-4 names: end -->")[0]
+    listed = {" ".join(name.split()) for name in re.findall(r"`([^`]+)`", block)}
+    assert sorted(listed - set(DERIVED_FIGURES)) == [], "listed in README, not in DERIVED_FIGURES"
+    assert sorted(set(DERIVED_FIGURES) - listed) == [], "in DERIVED_FIGURES, not in README's list"
 
 
 def wide_value(rng):
