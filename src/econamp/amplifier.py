@@ -16,10 +16,6 @@ from .errors import Record, require_finite
 class StageGain(Record):
     """Current gain, voltage gain magnitude and load power of one solved stage."""
 
-    beta_current: float
-    voltage_gain: float
-    power_out: float
-
     def __init__(self, beta_current: float, voltage_gain: float, power_out: float):
         require_finite("beta_current, voltage_gain", (beta_current, voltage_gain))
         require_finite("power_out", (power_out,), ">= 0")
@@ -30,10 +26,6 @@ class StageGain(Record):
 
 class OperatingLimits(Record):
     """Device ratings; defaults are representative small-signal ratings."""
-
-    i_c_max: float = 0.1
-    v_ce_max: float = 40.0
-    p_max: float = 0.5
 
     def __init__(self, i_c_max: float = 0.1, v_ce_max: float = 40.0, p_max: float = 0.5):
         require_finite("i_c_max, v_ce_max, p_max", (i_c_max, v_ce_max, p_max), "> 0")
@@ -69,12 +61,15 @@ def output_power(i_c: float, r_l: float) -> float:
 
 
 def stage_voltage_gain(ss: "SmallSignalParams", r_l: float) -> float:
-    """Magnitude of the stage voltage gain, slope_s * r_l.
+    """Magnitude of the stage voltage gain, slope_s * r_l, refused as voltage_gain
+    past the float range.
 
     The CE stage inverts; the sign is a convention and is not returned.
     """
     require_finite("r_l", (r_l,), "> 0")
-    return ss.slope_s * r_l
+    voltage_gain = ss.slope_s * r_l
+    require_finite("voltage_gain", (voltage_gain,))
+    return voltage_gain
 
 
 def stage_gain(op: "OperatingPoint", ss: "SmallSignalParams", r_l: float) -> StageGain:

@@ -52,12 +52,6 @@ class AmplifierConfig(Record):
     The divider's v_th and r_th must be finite normal floats, and v_th/r_th finite.
     """
 
-    v_cc: float
-    r_b1: float
-    r_b2: float
-    r_l: float
-    device: BjtParams
-
     # The checked divider is kept in a slot, not a field: vars(), repr, ==,
     # hash and dataclasses.fields see only the fields.
     __slots__ = ("__dict__", "__weakref__", "_thevenin")
@@ -84,13 +78,6 @@ class AmplifierConfig(Record):
 class OperatingPoint(Record):
     """Solved DC state; `saturated` flags v_ce <= 0 (device out of the active region)."""
 
-    v_be: float
-    i_b: float
-    i_c: float
-    i_e: float
-    v_ce: float
-    saturated: bool = False
-
     def __init__(
         self, v_be: float, i_b: float, i_c: float, i_e: float, v_ce: float,
         saturated: bool = False,
@@ -102,10 +89,6 @@ class OperatingPoint(Record):
 
 class SmallSignalParams(Record):
     """Input resistance, output conductance and slope at an operating point."""
-
-    r_in: float
-    g_out: float
-    slope_s: float
 
     def __init__(self, r_in: float, g_out: float, slope_s: float):
         require_finite("r_in, slope_s", (r_in, slope_s), "> 0")

@@ -4,8 +4,9 @@ All functions are pure; parameter objects are frozen and validated on
 construction, so values can be shared freely between threads.
 
 The stage's eight value types, here, in circuit and in amplifier, are
-errors.Record subclasses, as the economic ones are, whose written-out
-__init__s run their checks, then store every field in one step.
+errors.Record subclasses, as the economic ones are. Each declares its fields
+once, as the parameters of its written-out __init__, which runs the checks,
+then stores every field in one step.
 """
 
 import math
@@ -43,12 +44,6 @@ class BjtParams(Record):
     temperature to 300 K and refused where thermal_voltage refuses it.
     """
 
-    i_es: float
-    i_cs: float
-    alpha_n: float
-    alpha_i: float = 0.0
-    temperature: float = DEFAULT_TEMPERATURE
-
     def __init__(
         self,
         i_es: float,
@@ -72,9 +67,6 @@ class BjtParams(Record):
 class MosParams(Record):
     """Square-law MOS parameters: k_prime in A/V^2, threshold in volts."""
 
-    k_prime: float
-    v_threshold: float
-
     def __init__(self, k_prime: float, v_threshold: float):
         require_finite("k_prime", (k_prime,), "> 0")
         require_finite("v_threshold", (v_threshold,))
@@ -83,10 +75,6 @@ class MosParams(Record):
 
 class BjtCurrents(Record):
     """Terminal currents of a bipolar device; i_e = i_b + i_c by charge conservation."""
-
-    i_e: float
-    i_c: float
-    i_b: float
 
     def __init__(self, i_e: float, i_c: float, i_b: float):
         require_conserved(i_e, i_b, i_c)
@@ -119,14 +107,17 @@ def _junction_arg(voltage: float, vt: float, name: str) -> float:
     The package's one guard, on the exponentials whose argument is unbounded:
     the device laws', and small_signal_params' exp of v_cb. The bias solve
     guards none of its own; circuit's docstring says why. A NaN or infinite
-    voltage raises require_finite's ValueError, and an argument above
-    EXP_ARG_CAP raises OverflowError("<name> = <v> V gives exp argument <arg>
-    above the overflow cap 200") rather than letting exp return inf. The
-    device laws take expm1 of it, which keeps exp(v/Vt) - 1 exact near 0 V,
-    where the subtraction cancels: a root at 3.1e-11 V came out 4.7e7 ulps
-    off with it.
+    voltage, or an int past the float range, raises require_finite's
+    ValueError, and an argument above EXP_ARG_CAP raises OverflowError("<name>
+    = <v> V gives exp argument <arg> above the overflow cap 200") rather than
+    letting exp return inf. The device laws take expm1 of it, which keeps
+    exp(v/Vt) - 1 exact near 0 V, where the subtraction cancels: a root at
+    3.1e-11 V came out 4.7e7 ulps off with it.
     """
-    arg = voltage / vt
+    try:
+        arg = voltage / vt
+    except OverflowError:  # an int past the float range, which require_finite names
+        arg = math.nan
     if not (arg <= EXP_ARG_CAP and voltage > -math.inf):  # NaN fails the first test
         require_finite(name, (voltage,))
         # .1f below 1e16, where it shows at most 17 digits; g above, so the text stays short
@@ -202,6 +193,13 @@ def mos_drain_current(params: MosParams, v_gs: float, v_ds: float) -> float:
         i_d = params.k_prime * v_ds * (v_ov - 0.5 * v_ds)
         if i_d == math.inf:  # k_prime * v_ds alone overflowed, the factor after it < 1
             i_d = params.k_prime * (v_ds * (v_ov - 0.5 * v_ds))
+        elif params.k_prime * v_ds < sys.float_info.min:
+            # k_prime * v_ds lost bits below the normal range: the frexp mantissas'
+            # product, in [1/8, 1) or 0, scaled by the summed exponents; i_d < 4 here
+            (m_k, e_k), (m_d, e_d), (m_f, e_f) = map(
+                math.frexp, (params.k_prime, v_ds, v_ov - 0.5 * v_ds)
+            )
+            i_d = math.ldexp(m_k * m_d * m_f, e_k + e_d + e_f)
     else:
         i_d = 0.5 * params.k_prime * v_ov * v_ov
     require_finite("i_d", (i_d,))

@@ -26,12 +26,6 @@ class EconSeries(Record):
     without a count. Each column is stored as a tuple.
     """
 
-    labels: tuple[str, ...]
-    investments: tuple[float, ...]
-    expenses: tuple[float, ...]
-    incomes: tuple[float, ...]
-    quantity_out: tuple[float | None, ...]
-
     def __init__(
         self,
         labels: tuple[str, ...],
@@ -68,11 +62,6 @@ class EconSeries(Record):
 class RegressionFit(Record):
     """Fitted line y = a0 + beta*x with its coefficient of determination."""
 
-    a0: float
-    beta: float
-    r_squared: float
-    n: int
-
     def __init__(self, a0: float, beta: float, r_squared: float, n: int):
         super().__init__(a0, beta, r_squared, n)
         require_finite("a0, beta", (a0, beta))
@@ -88,14 +77,6 @@ class CoefficientReport(Record):
     beta_p is a products-per-money ratio (dimensionally mixed, reported
     as a plain number); the purely monetary coefficients are dimensionless.
     """
-
-    beta_v: float
-    harrod_b: float
-    domar_sigma: float
-    mean_beta: float
-    beta_p: float | None = None
-    keynes_m: float | None = None
-    fit: RegressionFit | None = None
 
     def __init__(
         self,
@@ -167,10 +148,6 @@ def domar_sigma(delta_q: float, total_investments: float) -> float:
 
 class CobbDouglasParams(Record):
     """Proportionality g and the elasticities of labour (lam) and capital (mu)."""
-
-    g: float
-    lam: float
-    mu: float
 
     def __init__(self, g: float, lam: float, mu: float):
         super().__init__(g, lam, mu)

@@ -6,9 +6,9 @@ types, the eight stage ones (BjtParams, MosParams, BjtCurrents,
 AmplifierConfig, OperatingPoint, SmallSignalParams, StageGain,
 OperatingLimits) and the four economic ones (EconSeries, RegressionFit,
 CoefficientReport, CobbDouglasParams): it takes their fields from their
-annotations, gives them repr, ==, hash, copy and the refusals, and makes each
-a dataclass when dataclasses first asks about it. They live apart, so no
-layer imports another for them.
+__init__'s parameters, gives them repr, ==, hash, copy and the refusals, and
+makes each a dataclass when dataclasses first asks about it. They live apart,
+so no layer imports another for them.
 """
 
 import math
@@ -43,10 +43,18 @@ class _DataclassOnFirstUse:
 
 
 class Record:
-    """An immutable value over its class's annotated fields, in their order.
+    """An immutable value whose fields are the parameters of its class's __init__.
 
-    The fields, and __match_args__, are the class's annotations in order. Its
-    repr, == and hash are those of a frozen dataclass: repr and hash are
+    A subclass declares each field once, as a parameter of its own __init__
+    after self and before any *args or keyword-only one. Read from
+    __init__.__code__, so without inspect, they give _fields and
+    __match_args__ in order; their annotations become the class's
+    __annotations__ and their defaults class attributes, as a class-body
+    `name: type = default` line made them. A subclass that annotates a name in
+    its body is refused with a TypeError naming it; one that defines no
+    __init__ keeps its parent's fields.
+
+    Its repr, == and hash are those of a frozen dataclass: repr and hash are
     over the fields in order, and == holds only between values of one class.
     Assigning or deleting any attribute raises FrozenInstanceError, an
     AttributeError. copy and pickle rebuild a value through its constructor,
@@ -54,20 +62,15 @@ class Record:
     field values to this one, or stores them in its __dict__ itself in one
     step, as the stage types do: a generated frozen __init__ calls
     object.__setattr__ once per field, and the one-step store builds an
-    OperatingPoint, checks included, for about 30% less. A subclass that
-    annotates nothing keeps its parent's fields.
+    OperatingPoint, checks included, for about 30% less.
 
     A subclass becomes @dataclass(init=False, repr=False, eq=False) the first
     time its __dataclass_fields__ or __dataclass_params__ is read, as
     dataclasses.fields, replace and is_dataclass do. The decorator then takes
     the fields' names, order, annotations and defaults and generates no
-    method, where frozen=True compiled and ran five per type, about 2 ms of
-    every process that loads the stage path. So fields, replace (which
-    validates again) and vars() work as for a frozen dataclass, while
-    __dataclass_params__.frozen reads False. Until then dataclasses is not
-    imported, nor inspect, which it imports: the two were over half of the
-    econamp.simulate import (9.6 ms of it against 4.1 ms without, by
-    python -X importtime on Python 3.11).
+    method. So fields, replace (which validates again) and vars() work as for
+    a frozen dataclass, while __dataclass_params__.frozen reads False. Until
+    then neither dataclasses nor inspect, which it imports, is loaded.
     """
 
     __slots__ = ()
@@ -78,7 +81,17 @@ class Record:
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         if annotations := cls.__annotations__:  # the class's own only, since 3.10
-            cls._fields = cls.__match_args__ = tuple(annotations)
+            raise TypeError(
+                f"{cls.__qualname__} annotates {', '.join(annotations)} in its body; "
+                f"a Record's fields are its __init__'s parameters"
+            )
+        if init := cls.__dict__.get("__init__"):
+            code = init.__code__
+            cls._fields = cls.__match_args__ = names = code.co_varnames[1 : code.co_argcount]
+            cls.__annotations__ = {name: init.__annotations__[name] for name in names}
+            defaults = init.__defaults__ or ()
+            for name, default in zip(names[len(names) - len(defaults) :], defaults):
+                setattr(cls, name, default)
 
     def __init__(self, *values):
         self.__dict__.update(zip(self._fields, values))

@@ -106,6 +106,12 @@ class TestStageVoltageGain:
         gains = [stage_voltage_gain(ss, r) for r in (100.0, 1e3, 1e4)]
         assert gains == sorted(gains)
 
+    def test_gain_past_the_float_range_is_refused(self):
+        # returned inf
+        ss = SmallSignalParams(r_in=1e3, g_out=0.0, slope_s=40.0)
+        with pytest.raises(ValueError, match=r"^voltage_gain must be finite, got inf$"):
+            stage_voltage_gain(ss, 1e308)
+
 
 class TestCascade:
     def test_example(self):

@@ -217,6 +217,14 @@ class TestExponentialGuard:
         with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
             evaluate(value)
 
+    # the device laws' own arguments: an int past the float range raised a
+    # bare OverflowError from the division, not the cap's
+    @pytest.mark.parametrize("path", [path for path in EXP_PATHS if path != "small_signal_params"])
+    def test_int_past_the_float_range_is_refused_by_name(self, path):
+        name, evaluate = EXP_PATHS[path]
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got an int of 1329 bits$"):
+            evaluate(10**400)
+
     def test_deep_saturated_solution_refuses_small_signal(self):
         # the demo stage with r_l = 20e3 solves to v_ce = -141.5 V
         config = AmplifierConfig(
@@ -310,6 +318,9 @@ class TestMos:
         (1.2e308, 1.5000001, 1.5),  # k_prime * v_ds alone is
         (2e-3, 3.0, 1.0),
         (1e-300, 1e200, 3e199),
+        (5e-324, 1e300, 0.1),  # k_prime * v_ds alone is below the float range
+        (1e-300, 1e300, 1e-20),  # and below the normal range
+        (1e-320, 1e300, 1e12),  # below it and exact, while v_ds * v_ov overflows
     ])
     def test_triode_current_is_the_exact_value_rounded(self, k_prime, v_gs, v_ds):
         exact = Fraction(k_prime) * Fraction(v_ds) * (Fraction(v_gs) - Fraction(v_ds) / 2)

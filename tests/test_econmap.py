@@ -650,6 +650,7 @@ ANALOGY_ULPS = {
     "fit.beta": 4,      # 3.0
     "harrod_b*beta": 2,  # 1.5, in ulps of 1
     "cascade_gain": 2,  # 0.97, against the exact product of three stage betas
+    "|fit.a0|": 2,      # 1.5, in ulps of the design's largest i_c; the exact a0 is 0
 }
 
 
@@ -679,6 +680,8 @@ def test_transistor_currents_give_the_transistor_gain():
         ]:
             worst[name] = max(worst[name], ulps(value, Fraction(beta)))
         worst["harrod_b*beta"] = max(worst["harrod_b*beta"], ulps(report.harrod_b * beta, 1))
+        a0_ulps = abs(report.fit.a0) / math.ulp(max(c.i_c for c in currents))
+        worst["|fit.a0|"] = max(worst["|fit.a0|"], a0_ulps)
     for k in range(0, len(stage_betas) - 2, 3):  # cascades of three stages
         stages = stage_betas[k:k + 3]
         exact = math.prod(map(Fraction, stages))

@@ -11,6 +11,10 @@ whole float range with negatives and edge values mixed in, because that is
 where overflow, underflow and division by zero hide. The shipped demo
 config is also perturbed on a fixed grid: each key alone over the edge
 values, and each pair of keys over a few extremes.
+
+The library gets the same rule without the CLI: each export whose varied
+arguments are floats runs over a lattice of edge values, and either returns
+finite figures or refuses by name. README's examples are run as written.
 """
 
 import contextlib
@@ -19,11 +23,18 @@ import itertools
 import math
 import random
 import re
+import shlex
+import shutil
+import subprocess
+import sys
+import types
 from pathlib import Path
 
 import pytest
 
+import econamp
 from econamp import cli
+from econamp.errors import Record
 
 K_BOLTZMANN = 1.380649e-23
 Q_ELECTRON = 1.602176634e-19
@@ -75,6 +86,32 @@ def test_readme_lists_the_derived_figures():
     listed = {" ".join(name.split()) for name in re.findall(r"`([^`]+)`", block)}
     assert sorted(listed - set(DERIVED_FIGURES)) == [], "listed in README, not in DERIVED_FIGURES"
     assert sorted(set(DERIVED_FIGURES) - listed) == [], "in DERIVED_FIGURES, not in README's list"
+
+
+def fenced_block(text, heading):
+    """The first fenced code block after `heading`, without its fences."""
+    return text.split(f"\n{heading}\n", 1)[1].split("```", 2)[1].split("\n", 1)[1]
+
+
+def test_readme_examples_run(tmp_path, data_dir, child_env):
+    text = README.read_text(encoding="utf-8")
+    # README: `python -m econamp ...` works as `econamp ...` does. fit writes its
+    # points file next to its input, so the commands run on a copy of data/
+    shutil.copytree(data_dir, tmp_path / "data")
+    lines = fenced_block(text, "## CLI").splitlines()
+    assert len(lines) == 4
+    for line in lines:
+        program, *args = shlex.split(line)
+        assert program == "econamp"
+        proc = subprocess.run(
+            [sys.executable, "-m", "econamp", *args],
+            cwd=tmp_path, capture_output=True, text=True, env=child_env,
+        )
+        assert (line, proc.returncode, proc.stderr) == (line, 0, "")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(fenced_block(text, "## Library use"), {})
+    assert out.getvalue().endswith("\n5.0\n")  # the line its comment shows
 
 
 def wide_value(rng):
@@ -225,3 +262,80 @@ def test_cascade():
         gains = [wide_value(rng) for _ in range(1 + rng.randrange(6))]
         check(["cascade", *gains], [f"stage {k}" for k in range(1, len(gains) + 1)], failures)
     assert failures == []
+
+
+# ROADMAP item 17's lattice: signed zeros and extremes, values about 1, the
+# non-finite floats and an int past the float range.
+LATTICE = (
+    0.0, -0.0, 5e-324, -5e-324, sys.float_info.min, 1e-300, 1e-150, 0.5, 1.0, -1.0, 0.99,
+    1e150, 1e300, -1e300, sys.float_info.max, -sys.float_info.max, math.inf, -math.inf,
+    math.nan, 10**400,
+)
+# A valid value of each value type that an export takes before its float
+# arguments; the slope of 40 S lets slope_s * r_l pass the float range.
+HELD = {
+    "BjtParams": econamp.BjtParams(1e-14, 1e-14, 0.99),
+    "MosParams": econamp.MosParams(2e-3, 1.0),
+    "CobbDouglasParams": econamp.CobbDouglasParams(1.0, 0.7, 0.3),
+    "SmallSignalParams": econamp.SmallSignalParams(500.0, 0.0, 40.0),
+    "OperatingPoint": econamp.OperatingPoint(0.65, 1e-5, 1e-3, 1.01e-3, 5.0),
+}
+# The names a refusal may carry besides its float arguments' and
+# DERIVED_FIGURES: the result's own name, and the words that the two
+# zero-divisor refusals use for their divisor.
+RESULT_NAMES = {
+    "beta_bank": ("beta_bank",),
+    "cobb_douglas": ("Q",),
+    "current_gain": ("beta_current", "input current"),
+    "keynes_multiplier": ("investment increment",),
+    "mos_drain_current": ("i_d",),
+    "mos_transconductance": ("g_m",),
+    "output_voltage": ("v_out",),
+    "stage_gain": ("voltage_gain",),
+    "stage_voltage_gain": ("voltage_gain",),
+}
+EXP_CAP = re.compile(r" V gives exp argument \S+ above the overflow cap 200$")
+
+
+def scalar_exports():
+    """(name, function, held arguments, float argument names) of each function in
+    econamp.__all__ whose parameters are floats after value types that HELD has."""
+    for name in econamp.__all__:
+        function = getattr(econamp, name)
+        if not isinstance(function, types.FunctionType):
+            continue
+        code = function.__code__
+        parameters = code.co_varnames[: code.co_argcount]
+        # a class's name, or the name an annotation in quotes gives
+        kinds = [getattr(a, "__name__", a) for a in map(function.__annotations__.get, parameters)]
+        held = len(list(itertools.takewhile(HELD.__contains__, kinds)))
+        if set(kinds[held:]) == {"float"}:
+            yield name, function, tuple(HELD[kind] for kind in kinds[:held]), parameters[held:]
+
+
+def test_scalar_exports_are_right_or_refused_by_name_on_the_lattice():
+    exports = list(scalar_exports())
+    assert len(exports) == 19  # the other 6 functions of __all__ take no float
+    unexplained = []
+    for name, function, held, arguments in exports:
+        names = (*arguments, *DERIVED_FIGURES, *RESULT_NAMES.get(name, ()))
+        for values in itertools.product(LATTICE, repeat=len(arguments)):
+            try:
+                result = function(*held, *values)
+            except OverflowError as exc:  # the exp cap, documented until item 9
+                if EXP_CAP.search(str(exc)) and names_one_of(str(exc), arguments):
+                    continue
+                outcome = exc
+            except ValueError as exc:
+                if names_one_of(str(exc), names):
+                    continue
+                outcome = exc
+            except Exception as exc:  # noqa: BLE001 (reported below)
+                outcome = exc
+            else:
+                figures = result._values() if isinstance(result, Record) else (result,)
+                if all(type(figure) is float and math.isfinite(figure) for figure in figures):
+                    continue
+                outcome = result
+            unexplained.append(f"{name}: {outcome!r} for {values}"[:200])
+    assert unexplained == []

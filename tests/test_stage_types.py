@@ -1,9 +1,9 @@
 """The package's twelve value types keep the frozen-dataclass contract.
 
 Each is an errors.Record with a written-out __init__ that validates and
-then stores its fields. Record, whose fields are the class's annotations,
-gives repr, ==, hash, copy and the refusals, and makes each type a
-dataclass, whose decorator generates nothing, the first time dataclasses
+then stores its fields. Record, which takes the fields from that __init__'s
+parameters, gives repr, ==, hash, copy and the refusals, and makes each type
+a dataclass, whose decorator generates nothing, the first time dataclasses
 asks for its fields; loading and running any subcommand imports no
 dataclasses. One contract, ValueTypeContract, holds what a generated frozen
 dataclass gave: the signature, the refusals on assignment and deletion,
@@ -187,6 +187,43 @@ def test_every_stage_type_is_covered():
     assert {cls for cls in exported if dataclasses.is_dataclass(cls)} == {
         row[0] for row in VALUE_TYPES
     }
+
+
+def test_body_annotation_is_refused_by_name():
+    # a field is declared once, as an __init__ parameter, which would
+    # overwrite the annotation unseen
+    with pytest.raises(TypeError, match=r"\.Annotated annotates r_b1, r_b2 in its body"):
+
+        class Annotated(Record):
+            r_b1: float
+            r_b2: float
+
+            def __init__(self, v_cc: float):
+                self.__dict__.update(v_cc=v_cc)
+
+    with pytest.raises(TypeError, match=r"\.Extended annotates extra in its body"):
+
+        class Extended(StageGain):
+            extra: float = 0.0
+
+
+def test_fields_are_the_init_parameters():
+    class Value(Record):
+        def __init__(self, a: int, b: str = "b", *rest: int, c: float = 1.0):
+            super().__init__(a, b)
+
+    class Subclass(Value):
+        pass
+
+    assert Value.__annotations__ == {"a": int, "b": str}
+    for cls in (Value, Subclass):
+        assert cls._fields == cls.__match_args__ == ("a", "b")
+        assert cls.b == "b" and not hasattr(cls, "a") and not hasattr(cls, "c")
+        assert repr(cls(1)) == f"{cls.__qualname__}(a=1, b='b')"
+    fields = dataclasses.fields(Value)
+    assert [(f.name, f.type, f.default) for f in fields] == [
+        ("a", int, dataclasses.MISSING), ("b", str, "b")
+    ]
 
 
 def test_methods_come_from_the_base():
