@@ -16,11 +16,21 @@ the parent and change medians and quartiles (speed-normalized, as perfbench
 reports them), the medians of the raw timings, the change's relative move
 (`change_ratio`, the change median over the parent median minus 1) and the
 number of pairs the change won, ties counting for neither side. Its
-`parent_spread` is the parent's q3 - q1 over the parent's median, and its
-`verdict` is the first of these that holds:
+`parent_spread` is the parent's q3 - q1 over the parent's median.
+
+BENCH_AA.json, at the root of the checkout, is an A/A record: this script's
+record of a commit against itself, whose medians differ by noise and drift
+alone. Where it exists, each metric also holds that record's
+`aa_change_ratio` and `aa_parent_spread`, and its `aa_margin`: how far the
+change's relative move in the better direction exceeds the A/A floor, the
+larger of |aa_change_ratio| and aa_parent_spread. The record's `aa` names
+the A/A record's commit, host and Python, which should be this run's.
+
+Each metric's `verdict` is the first of these that holds:
 
 - `gain`: the change won at least 9 of 10 pairs, and its median is better
-  than the parent's by more than the parent's q3 - q1;
+  than the parent's by more than the parent's q3 - q1 and, where the A/A
+  record exists, its `aa_margin` is positive;
 - `regression`: the change's median is worse than the parent's by more than
   the metric's `bound` in BENCHMARK.json;
 - `unresolved`: `parent_spread` is wider than that bound, and not every
@@ -40,6 +50,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+AA_RECORD = ROOT / "BENCH_AA.json"
 RUNS_DIR = ROOT / ".perfbench_out" / "pairs"
 SEEDS = range(1, 11)  # one pair per seed
 
@@ -72,12 +83,15 @@ def spread(values: list) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "runs": values}
 
 
-def verdict(parent: dict, change: dict, sign: int, bound: float, won: int) -> str:
-    """The claim rule's reading of one metric's spreads; `sign` is 1 where higher is better."""
+def verdict(parent: dict, change: dict, sign: int, bound: float, won: int, floor: float) -> str:
+    """The claim rule's reading of one metric's spreads; `sign` is 1 where higher is
+    better, and a gain's relative move must also exceed `floor`, the A/A floor."""
     iqr = parent["q3"] - parent["q1"]
-    if won >= 0.9 * len(parent["runs"]) and sign * (change["median"] - parent["median"]) > iqr:
+    past_iqr = sign * (change["median"] - parent["median"]) > iqr
+    move = sign * (change["median"] / parent["median"] - 1)  # relative, better if positive
+    if won >= 0.9 * len(parent["runs"]) and past_iqr and move > floor:
         return "gain"
-    if -sign * (change["median"] / parent["median"] - 1) > bound:
+    if -move > bound:
         return "regression"
     beats = all(sign * (c - p) > 0 for c in change["runs"] for p in parent["runs"])
     if iqr / parent["median"] > bound and not beats:
@@ -85,9 +99,10 @@ def verdict(parent: dict, change: dict, sign: int, bound: float, won: int) -> st
     return "no move"
 
 
-def summary(pairs: list, metrics: list) -> dict:
+def summary(pairs: list, metrics: list, aa: dict | None = None) -> dict:
     """Per metric: both sides' spread, raw medians, the relative move of the
-    median, the pairs the change won, the parent's spread and the verdict."""
+    median, the pairs the change won, the parent's spread, the A/A figures
+    of `aa` (one workload's summaries in an A/A record) and the verdict."""
     out = {}
     for metric in metrics:
         name, sign = metric["name"], 1 if metric["better"] == "higher" else -1
@@ -99,15 +114,24 @@ def summary(pairs: list, metrics: list) -> dict:
         won = sum(sign * (change - parent) > 0
                   for parent, change in zip(values["parent"], values["change"]))
         parent = sides["parent"]
+        change_ratio = sides["change"]["median"] / parent["median"] - 1
+        if aa is None:
+            aa_figures, floor = {}, 0.0
+        else:
+            aa_ratio, aa_spread = aa[name]["change_ratio"], aa[name]["parent_spread"]
+            floor = max(abs(aa_ratio), aa_spread)
+            aa_figures = {"aa_change_ratio": aa_ratio, "aa_parent_spread": aa_spread,
+                          "aa_margin": sign * change_ratio - floor}
         out[name] = {
             "unit": metric["unit"],
             "better": metric["better"],
             **sides,
             "raw_median": raw,
-            "change_ratio": sides["change"]["median"] / parent["median"] - 1,
+            "change_ratio": change_ratio,
             "change_won": won,
             "parent_spread": (parent["q3"] - parent["q1"]) / parent["median"],
-            "verdict": verdict(parent, sides["change"], sign, metric["bound"], won),
+            **aa_figures,
+            "verdict": verdict(parent, sides["change"], sign, metric["bound"], won, floor),
         }
     return out
 
@@ -118,6 +142,7 @@ def main() -> int:
     parser.add_argument("--out", required=True, type=Path, help="the JSON record to write")
     args = parser.parse_args()
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    aa = json.loads(AA_RECORD.read_text()) if AA_RECORD.exists() else None
     workloads = [workload["name"] for workload in spec["workloads"]]
     RUNS_DIR.mkdir(parents=True, exist_ok=True)
     results = {name: [] for name in workloads}
@@ -146,7 +171,13 @@ def main() -> int:
         "seeds": list(SEEDS),
         "run_seconds": spec["run_seconds"],
         "goes_first": "the parent in pairs 1, 3, 5, ...; the change in pairs 2, 4, 6, ...",
-        "workloads": {name: summary(pairs, spec["end_to_end"]) for name, pairs in results.items()},
+        "aa": None if aa is None else {
+            "record": AA_RECORD.name, **{key: aa[key] for key in ("parent", "python", "host")}
+        },
+        "workloads": {
+            name: summary(pairs, spec["end_to_end"], aa and aa["workloads"][name])
+            for name, pairs in results.items()
+        },
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0

@@ -19,8 +19,9 @@ class StageGain(Record):
     def __init__(self, beta_current: float, voltage_gain: float, power_out: float):
         require_finite("beta_current, voltage_gain", (beta_current, voltage_gain))
         require_finite("power_out", (power_out,), ">= 0")
-        self.__dict__.update(
-            beta_current=beta_current, voltage_gain=voltage_gain, power_out=power_out
+        d = self.__dict__
+        d["beta_current"], d["voltage_gain"], d["power_out"] = (
+            beta_current, voltage_gain, power_out
         )
 
 
@@ -29,14 +30,15 @@ class OperatingLimits(Record):
 
     def __init__(self, i_c_max: float = 0.1, v_ce_max: float = 40.0, p_max: float = 0.5):
         require_finite("i_c_max, v_ce_max, p_max", (i_c_max, v_ce_max, p_max), "> 0")
-        self.__dict__.update(i_c_max=i_c_max, v_ce_max=v_ce_max, p_max=p_max)
+        d = self.__dict__
+        d["i_c_max"], d["v_ce_max"], d["p_max"] = i_c_max, v_ce_max, p_max
 
 
 def current_gain(i_out: float, i_in: float) -> float:
     """Output current over input current, refused as beta_current past the float range."""
     require_finite("i_out, i_in", (i_out, i_in))
     if i_in == 0:
-        raise ValueError("input current must be non-zero")
+        raise ValueError(f"i_in must be non-zero, got {i_in}")
     beta_current = i_out / i_in
     require_finite("beta_current", (beta_current,))
     return beta_current

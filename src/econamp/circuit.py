@@ -29,7 +29,6 @@ division, so every iterate is bit-identical to a guarded one too.
 """
 
 import math
-import sys
 
 from .devices import (
     EXP_ARG_CAP,
@@ -39,7 +38,7 @@ from .devices import (
     active_region_currents,
     require_conserved,
 )
-from .errors import Record, SolverError, require_finite
+from .errors import _FLOAT_MIN, Record, SolverError, require_finite
 
 RESIDUAL_TOL = 1e-12   # amperes, base-node Kirchhoff residual
 STEP_TOL = 1e-12       # volts; polishes v_be past the residual window
@@ -60,19 +59,24 @@ class AmplifierConfig(Record):
         require_finite("v_cc, r_b1, r_b2, r_l", (v_cc, r_b1, r_b2, r_l), "> 0")
         total = r_b1 + r_b2
         v_th, r_th = v_cc * r_b2 / total, r_b1 * r_b2 / total
-        low = sys.float_info.min
+        low = _FLOAT_MIN
         # the chained comparisons also reject NaN
         if not (low <= v_th < math.inf and low <= r_th < math.inf and v_th / r_th < math.inf):
             raise ValueError(
                 f"v_cc, r_b1, r_b2 give v_th = {v_th} V and r_th = {r_th} ohm; both must be "
                 f"finite normal floats with v_th/r_th finite"
             )
-        self.__dict__.update(v_cc=v_cc, r_b1=r_b1, r_b2=r_b2, r_l=r_l, device=device)
-        object.__setattr__(self, "_thevenin", (v_th, r_th))
+        d = self.__dict__
+        d["v_cc"], d["r_b1"], d["r_b2"], d["r_l"], d["device"] = v_cc, r_b1, r_b2, r_l, device
+        _set_thevenin(self, (v_th, r_th))
 
     def thevenin(self):
         """(v_th, r_th) of the base divider, formed once by __init__."""
         return self._thevenin
+
+
+# the slot's own setter: Record's __setattr__ refuses every assignment
+_set_thevenin = AmplifierConfig._thevenin.__set__
 
 
 class OperatingPoint(Record):
@@ -84,7 +88,10 @@ class OperatingPoint(Record):
     ):
         require_conserved(i_e, i_b, i_c)
         require_finite("v_be, v_ce", (v_be, v_ce))
-        self.__dict__.update(v_be=v_be, i_b=i_b, i_c=i_c, i_e=i_e, v_ce=v_ce, saturated=saturated)
+        d = self.__dict__
+        d["v_be"], d["i_b"], d["i_c"], d["i_e"], d["v_ce"], d["saturated"] = (
+            v_be, i_b, i_c, i_e, v_ce, saturated
+        )
 
 
 class SmallSignalParams(Record):
@@ -93,7 +100,8 @@ class SmallSignalParams(Record):
     def __init__(self, r_in: float, g_out: float, slope_s: float):
         require_finite("r_in, slope_s", (r_in, slope_s), "> 0")
         require_finite("g_out", (g_out,), ">= 0")
-        self.__dict__.update(r_in=r_in, g_out=g_out, slope_s=slope_s)
+        d = self.__dict__
+        d["r_in"], d["g_out"], d["slope_s"] = r_in, g_out, slope_s
 
 
 def solve_operating_point(config: AmplifierConfig) -> OperatingPoint:
@@ -126,7 +134,9 @@ def solve_operating_point(config: AmplifierConfig) -> OperatingPoint:
     # One thermal voltage of margin keeps hi/Vt within an ulp of 199, under the
     # cap, and every later point lies strictly inside (0, hi): none needs a guard.
     lo = 0.0
-    hi = min(config.v_cc, vt * (EXP_ARG_CAP - 1.0))
+    hi = vt * (EXP_ARG_CAP - 1.0)
+    if config.v_cc < hi:  # min(v_cc, hi), without the builtin's call
+        hi = config.v_cc
     e = expm1(hi / vt)
     if (v_th - hi) / r_th - k_b * (i_es * e) > 0.0:
         raise SolverError(
@@ -141,20 +151,20 @@ def solve_operating_point(config: AmplifierConfig) -> OperatingPoint:
     # Every pass after the first moves lo or hi to a float strictly inside the
     # bracket, so the residual test or the collapsed-bracket exit ends the loop.
     while True:
-        abs_f = abs(f)
-        if abs_f < residual_tol and (f == 0.0 or abs(step) < step_tol):
-            break
+        # |f| comes from the bracket's sign test, which may run first: the
+        # residual test reads neither end of the bracket
         if f > 0.0:
-            lo = v
+            lo, abs_f = v, f
         else:
-            hi = v
-        # d(residual)/dv, strictly negative for any valid config
-        di_b = k_i * (e + 1.0) / vt
-        candidate = v - f / (g_th - di_b)
+            hi, abs_f = v, -f
+        if abs_f < residual_tol and (f == 0.0 or -step_tol < step < step_tol):
+            break
+        # the divisor is d(residual)/dv, strictly negative for any valid config
+        candidate = v - f / (g_th - k_i * (e + 1.0) / vt)
         if lo < candidate < hi:
             e_candidate = expm1(candidate / vt)
             f_candidate = (v_th - candidate) / r_th - k_b * (i_es * e_candidate)
-            if abs(f_candidate) <= 0.25 * abs_f:
+            if -0.25 * abs_f <= f_candidate <= 0.25 * abs_f:  # |f_candidate| <= |f|/4
                 step, v, f, e = candidate - v, candidate, f_candidate, e_candidate
                 continue
             # Newton is crawling along the exponential; keep the bracket
@@ -193,7 +203,7 @@ def small_signal_params(device: BjtParams, op: OperatingPoint) -> SmallSignalPar
     """
     vt = _thermal_voltage(device.temperature)
     slope_s = op.i_c / vt
-    if not min(op.i_c, slope_s) >= sys.float_info.min:
+    if not min(op.i_c, slope_s) >= _FLOAT_MIN:
         raise ValueError(
             f"i_es, alpha_n, temperature give i_c = {op.i_c} A, slope_s = {slope_s} S; "
             f"both must be normal floats"
@@ -212,7 +222,8 @@ def static_finite_params(
     Central differences of the active-region currents over [v_be - delta,
     v_be + delta]; second-order accurate in delta. g_out is 0 because the
     active-region law carries no collector-voltage dependence. A delta too
-    small for the currents at its two ends to differ is refused.
+    small for the currents at its two ends to differ is refused, and so is
+    one that takes v_be + delta past the float range or the exponential cap.
     """
     require_finite("v_be", (v_be,))
     require_finite("delta", (delta,), "> 0")
@@ -221,7 +232,14 @@ def static_finite_params(
             f"delta {delta:g} flips the current sign at v_be - delta = "
             f"{v_be - delta:g} V"
         )
-    above = active_region_currents(device, v_be + delta)
+    top = v_be + delta
+    if top == math.inf:
+        raise ValueError(
+            f"delta {delta:g} takes v_be + delta past the float range at v_be = {v_be:g} V"
+        )
+    # checked here, as the device law would name the shifted voltage v_be
+    _junction_arg(top, _thermal_voltage(device.temperature), "v_be + delta")
+    above = active_region_currents(device, top)
     below = active_region_currents(device, v_be - delta)
     if above.i_b == below.i_b or above.i_c == below.i_c:
         raise ValueError(

@@ -202,7 +202,7 @@ def keynes_multiplier(delta_v: float, delta_i: float) -> float:
     """Investment multiplier: income increment over investment increment."""
     require_finite("delta_v, delta_i", (delta_v, delta_i))
     if delta_i == 0:
-        raise ValueError("investment increment must be non-zero")
+        raise ValueError(f"delta_i must be non-zero, got {delta_i}")
     multiplier = delta_v / delta_i
     require_finite("keynes_m", (multiplier,))
     return multiplier

@@ -261,8 +261,8 @@ class TestStageGainBundle:
             (-math.inf, 1e-5, 1e3, "i_out must be finite, got -inf"),
             (1e-3, math.nan, 1e3, "i_in must be finite, got nan"),
             (1e-3, math.inf, 1e3, "i_in must be finite, got inf"),
-            (1e-3, 0.0, 1e3, "input current must be non-zero"),
-            (1e-3, 0.0, math.nan, "input current must be non-zero"),
+            (1e-3, 0.0, 1e3, "i_in must be non-zero, got 0.0"),
+            (1e-3, 0.0, math.nan, "i_in must be non-zero, got 0.0"),
             (math.nan, 1e-5, math.nan, "i_out must be finite, got nan"),
         ],
     )

@@ -89,14 +89,18 @@ def test_change_ratio_is_the_relative_move_of_the_medians(bench_record):
 PARENT = [10.0, 10.1, 9.9, 10.2, 9.8, 10.0, 10.1, 9.9, 10.1, 9.9]
 
 
-def verdicts(script, parent: list, change: list) -> dict:
+def record(parent: list, change: list) -> list:
+    """The pairs of `parent` and `change` runs, each run's value the same for both metrics."""
+    return [{side: {"metrics": {m["name"]: {"value": value} for m in METRICS},
+                    "raw_end_to_end": {m["name"]: value for m in METRICS}}
+             for side, value in (("parent", p), ("change", c))}
+            for p, c in zip(parent, change)]
+
+
+def verdicts(script, parent: list, change: list, aa: dict | None = None) -> dict:
     """Both metrics' verdicts on the same runs. Lower is better for p50_ms and
     higher for throughput_per_s, so runs that fall gain on the one only."""
-    record = [{side: {"metrics": {m["name"]: {"value": value} for m in METRICS},
-                      "raw_end_to_end": {m["name"]: value for m in METRICS}}
-               for side, value in (("parent", p), ("change", c))}
-              for p, c in zip(parent, change)]
-    summary = script.summary(record, METRICS)
+    summary = script.summary(record(parent, change), METRICS, aa)
     return {name: (summary[name]["parent_spread"], summary[name]["verdict"])
             for name in ("p50_ms", "throughput_per_s")}
 
@@ -151,3 +155,38 @@ def test_no_move_when_the_runs_are_the_parent_s(bench_record):
         "p50_ms": (pytest.approx(0.02), "no move"),
         "throughput_per_s": (pytest.approx(0.02), "no move"),
     }
+
+
+def aa_record(change_ratio: float, parent_spread: float) -> dict:
+    """One workload of an A/A record whose two metrics read the same figures."""
+    return {m["name"]: {"change_ratio": change_ratio, "parent_spread": parent_spread}
+            for m in METRICS}
+
+
+def test_summary_copies_the_aa_figures_beside_the_change_s(bench_record):
+    lower = [value - 1.0 for value in PARENT]  # p50_ms 10% better, throughput 10% worse
+    summary = bench_record.summary(record(PARENT, lower), METRICS, aa_record(-0.03, 0.02))
+    for name, move in (("p50_ms", 0.1), ("throughput_per_s", -0.1)):
+        assert summary[name]["aa_change_ratio"] == -0.03
+        assert summary[name]["aa_parent_spread"] == 0.02
+        # the move in the better direction past the floor, max(|-0.03|, 0.02)
+        assert summary[name]["aa_margin"] == pytest.approx(move - 0.03)
+    # without an A/A record the record has no A/A figures
+    assert not any(key.startswith("aa_") for key in bench_record.summary(
+        record(PARENT, lower), METRICS)["p50_ms"])
+
+
+def test_gain_needs_a_move_past_the_aa_floor(bench_record):
+    lower = [value - 1.0 for value in PARENT]  # ten pairs won, a move of 10%
+    for aa, expected in (
+        (aa_record(0.05, 0.09), "gain"),
+        # the A/A medians parted by 11%, more than the move, with either sign
+        (aa_record(0.11, 0.01), "no move"),
+        (aa_record(-0.11, 0.01), "no move"),
+        # the A/A parent runs spread by 12%
+        (aa_record(0.0, 0.12), "no move"),
+    ):
+        assert verdicts(bench_record, PARENT, lower, aa)["p50_ms"][1] == expected
+    # the floor tightens only the gain rule: a regression is still one
+    assert verdicts(bench_record, PARENT, [value * 1.3 for value in PARENT],
+                    aa_record(0.0, 0.5))["p50_ms"][1] == "regression"

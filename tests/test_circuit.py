@@ -654,6 +654,19 @@ class TestStaticFiniteParams:
         with pytest.raises(ValueError, match="flips"):
             static_finite_params(DERIVED_CONFIG.device, 0.1, 0.2)
 
+    @pytest.mark.parametrize("v_be, delta, refusal, message", [
+        # v_be is finite: delta takes the shifted voltage past the float range
+        (sys.float_info.max, 1e300, ValueError,
+         "delta 1e+300 takes v_be + delta past the float range at v_be = 1.79769e+308 V"),
+        # the shifted voltage, not v_be, passes the exponential cap
+        (1e300, 1e300, OverflowError,
+         "v_be + delta = 2e+300 V gives exp argument 7.73635e+301 above the overflow cap 200"),
+    ])
+    def test_shifted_voltage_is_refused_by_its_name(self, v_be, delta, refusal, message):
+        with pytest.raises(refusal) as info:
+            static_finite_params(DERIVED_CONFIG.device, v_be, delta)
+        assert str(info.value) == message
+
     @pytest.mark.parametrize("delta", [1e-17, 1e-20, 1e-300])
     def test_delta_below_float_resolution_is_refused(self, delta):
         # v_be +- delta both round to 0.6: the currents were equal and r_in's

@@ -281,13 +281,11 @@ HELD = {
     "OperatingPoint": econamp.OperatingPoint(0.65, 1e-5, 1e-3, 1.01e-3, 5.0),
 }
 # The names a refusal may carry besides its float arguments' and
-# DERIVED_FIGURES: the result's own name, and the words that the two
-# zero-divisor refusals use for their divisor.
+# DERIVED_FIGURES: the result's own name.
 RESULT_NAMES = {
     "beta_bank": ("beta_bank",),
     "cobb_douglas": ("Q",),
-    "current_gain": ("beta_current", "input current"),
-    "keynes_multiplier": ("investment increment",),
+    "current_gain": ("beta_current",),
     "mos_drain_current": ("i_d",),
     "mos_transconductance": ("g_m",),
     "output_voltage": ("v_out",),

@@ -123,6 +123,11 @@ class ValueTypeContract:
     def test_repr(self, cls, args, changed, text, field, bad):
         assert repr(cls(*args)) == text
 
+    def test_fields_are_stored_in_order(self, cls, args, changed, text, field, bad):
+        # hash(tuple(vars(value).values())) below relies on it, as a reader of vars() may
+        for value in (cls(*args), cls(*changed), cls(**dict(zip(_names(cls), args)))):
+            assert list(vars(value)) == list(type(value)._fields)
+
     def test_equality_and_hash_are_over_the_fields(self, cls, args, changed, text, field, bad):
         value, other = cls(*args), cls(*changed)
         assert value == cls(*args) and not value != cls(*args)
@@ -205,6 +210,19 @@ def test_body_annotation_is_refused_by_name():
 
         class Extended(StageGain):
             extra: float = 0.0
+
+
+def test_unannotated_parameter_is_refused_by_name():
+    # a field's type is its parameter's annotation, so each parameter needs one
+    with pytest.raises(
+        TypeError,
+        match=r"\.Untyped leaves a, c unannotated in its __init__; "
+        r"a Record's fields are its __init__'s annotated parameters$",
+    ):
+
+        class Untyped(Record):
+            def __init__(self, a, b: float, c=0.0):
+                super().__init__(a, b, c)
 
 
 def test_fields_are_the_init_parameters():
