@@ -18,9 +18,12 @@ reports them), the medians of the raw timings, the change's relative move
 number of pairs the change won, ties counting for neither side. Its
 `parent_spread` is the parent's q3 - q1 over the parent's median.
 
-BENCH_AA.json, at the root of the checkout, is an A/A record: this script's
-record of a commit against itself, whose medians differ by noise and drift
-alone. Where it exists, each metric also holds that record's
+BENCH_AA.json, at the root of the checkout, is the A/A record: this
+script's record of a commit against itself, made with `--parent HEAD --out
+BENCH_AA.json` on a clean checkout, whose medians differ by noise and drift
+alone. That run reads no floor; every other run refuses to start unless
+BENCH_AA.json exists and covers each workload and end-to-end metric of
+BENCHMARK.json. Each metric then also holds the A/A record's
 `aa_change_ratio` and `aa_parent_spread`, and its `aa_margin`: how far the
 change's relative move in the better direction exceeds the A/A floor, the
 larger of |aa_change_ratio| and aa_parent_spread. The record's `aa` names
@@ -29,8 +32,8 @@ the A/A record's commit, host and Python, which should be this run's.
 Each metric's `verdict` is the first of these that holds:
 
 - `gain`: the change won at least 9 of 10 pairs, and its median is better
-  than the parent's by more than the parent's q3 - q1 and, where the A/A
-  record exists, its `aa_margin` is positive;
+  than the parent's by more than the parent's q3 - q1 and, outside the A/A
+  record itself, its `aa_margin` is positive;
 - `regression`: the change's median is worse than the parent's by more than
   the metric's `bound` in BENCHMARK.json;
 - `unresolved`: `parent_spread` is wider than that bound, and not every
@@ -99,6 +102,21 @@ def verdict(parent: dict, change: dict, sign: int, bound: float, won: int, floor
     return "no move"
 
 
+def read_aa(path: Path, spec: dict) -> dict:
+    """The A/A record at `path`; exits unless it covers every workload and
+    end-to-end metric of `spec`, the parsed BENCHMARK.json."""
+    remake = f"make it with --parent HEAD --out {AA_RECORD.name} on a clean checkout"
+    if not path.exists():
+        raise SystemExit(f"{path} is missing: {remake}")
+    aa = json.loads(path.read_text())
+    missing = [f"{workload['name']} {metric['name']}"
+               for workload in spec["workloads"] for metric in spec["end_to_end"]
+               if metric["name"] not in aa["workloads"].get(workload["name"], {})]
+    if missing:
+        raise SystemExit(f"{path} lacks {', '.join(missing)}: {remake}")
+    return aa
+
+
 def summary(pairs: list, metrics: list, aa: dict | None = None) -> dict:
     """Per metric: both sides' spread, raw medians, the relative move of the
     median, the pairs the change won, the parent's spread, the A/A figures
@@ -142,7 +160,8 @@ def main() -> int:
     parser.add_argument("--out", required=True, type=Path, help="the JSON record to write")
     args = parser.parse_args()
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    aa = json.loads(AA_RECORD.read_text()) if AA_RECORD.exists() else None
+    # the A/A record is the floor, so its own run reads none
+    aa = None if args.out.resolve() == AA_RECORD else read_aa(AA_RECORD, spec)
     workloads = [workload["name"] for workload in spec["workloads"]]
     RUNS_DIR.mkdir(parents=True, exist_ok=True)
     results = {name: [] for name in workloads}

@@ -68,15 +68,11 @@ class AmplifierConfig(Record):
             )
         d = self.__dict__
         d["v_cc"], d["r_b1"], d["r_b2"], d["r_l"], d["device"] = v_cc, r_b1, r_b2, r_l, device
-        _set_thevenin(self, (v_th, r_th))
+        object.__setattr__(self, "_thevenin", (v_th, r_th))
 
     def thevenin(self):
         """(v_th, r_th) of the base divider, formed once by __init__."""
         return self._thevenin
-
-
-# the slot's own setter: Record's __setattr__ refuses every assignment
-_set_thevenin = AmplifierConfig._thevenin.__set__
 
 
 class OperatingPoint(Record):
@@ -134,9 +130,7 @@ def solve_operating_point(config: AmplifierConfig) -> OperatingPoint:
     # One thermal voltage of margin keeps hi/Vt within an ulp of 199, under the
     # cap, and every later point lies strictly inside (0, hi): none needs a guard.
     lo = 0.0
-    hi = vt * (EXP_ARG_CAP - 1.0)
-    if config.v_cc < hi:  # min(v_cc, hi), without the builtin's call
-        hi = config.v_cc
+    hi = min(config.v_cc, vt * (EXP_ARG_CAP - 1.0))
     e = expm1(hi / vt)
     if (v_th - hi) / r_th - k_b * (i_es * e) > 0.0:
         raise SolverError(

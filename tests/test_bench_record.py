@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import statistics
 from pathlib import Path
 
@@ -190,3 +191,28 @@ def test_gain_needs_a_move_past_the_aa_floor(bench_record):
     # the floor tightens only the gain rule: a regression is still one
     assert verdicts(bench_record, PARENT, [value * 1.3 for value in PARENT],
                     aa_record(0.0, 0.5))["p50_ms"][1] == "regression"
+
+
+SPEC = {"workloads": [{"name": "bias_sweep"}, {"name": "cli_invocations"}], "end_to_end": METRICS}
+
+
+def test_aa_record_must_cover_every_workload_and_metric(bench_record, tmp_path):
+    path = tmp_path / "BENCH_AA.json"
+    with pytest.raises(SystemExit, match="BENCH_AA.json is missing: make it with --parent HEAD"):
+        bench_record.read_aa(path, SPEC)
+    covered = {"workloads": {"bias_sweep": aa_record(0.0, 0.01),
+                             "cli_invocations": aa_record(0.0, 0.01)}}
+    path.write_text(json.dumps(covered))
+    assert bench_record.read_aa(path, SPEC) == covered
+    # a workload, or one workload's metric, that the A/A record lacks is named
+    # before any run starts
+    del covered["workloads"]["bias_sweep"]["p50_ms"]
+    path.write_text(json.dumps(covered))
+    with pytest.raises(SystemExit, match=r"BENCH_AA.json lacks bias_sweep p50_ms: make it"):
+        bench_record.read_aa(path, SPEC)
+    del covered["workloads"]["cli_invocations"]
+    path.write_text(json.dumps(covered))
+    with pytest.raises(SystemExit, match=(
+        r"lacks bias_sweep p50_ms, cli_invocations throughput_per_s, cli_invocations p50_ms:"
+    )):
+        bench_record.read_aa(path, SPEC)
