@@ -27,7 +27,10 @@ BENCHMARK.json. Each metric then also holds the A/A record's
 `aa_change_ratio` and `aa_parent_spread`, and its `aa_margin`: how far the
 change's relative move in the better direction exceeds the A/A floor, the
 larger of |aa_change_ratio| and aa_parent_spread. The record's `aa` names
-the A/A record's commit, host and Python, which should be this run's.
+the A/A record's commit, host and Python. A run also refuses to start where
+the A/A record's Python version, platform, processor count or Python
+implementation differs from this machine's, as perfbench records them,
+since a floor measured elsewhere bounds nothing here.
 
 Each metric's `verdict` is the first of these that holds:
 
@@ -45,6 +48,8 @@ It also holds the seeds, the run length, the host and the Python version.
 
 import argparse
 import json
+import os
+import platform
 import shutil
 import statistics
 import subprocess
@@ -117,6 +122,32 @@ def read_aa(path: Path, spec: dict) -> dict:
     return aa
 
 
+def machine() -> dict:
+    """This machine's Python version and host, as perfbench's environment() records them."""
+    return {
+        "python": platform.python_version(),
+        "host": {
+            "platform": " ".join((platform.system(), platform.release(), platform.machine())),
+            "nproc": (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                      else os.cpu_count()),
+            "implementation": platform.python_implementation(),
+        },
+    }
+
+
+def require_same_machine(aa: dict, here: dict) -> None:
+    """Exits, naming the field, unless the A/A record `aa` was made on `here`."""
+    fields = [("python", aa["python"], here["python"])]
+    fields += [(f"host {key}", aa["host"][key], value) for key, value in here["host"].items()]
+    for field, recorded, value in fields:
+        if recorded != value:
+            raise SystemExit(
+                f"{AA_RECORD.name} was made with {field} {recorded!r}, and this machine has "
+                f"{value!r}: re-make it with --parent HEAD --out {AA_RECORD.name} on a clean "
+                f"checkout"
+            )
+
+
 def summary(pairs: list, metrics: list, aa: dict | None = None) -> dict:
     """Per metric: both sides' spread, raw medians, the relative move of the
     median, the pairs the change won, the parent's spread, the A/A figures
@@ -162,6 +193,8 @@ def main() -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     # the A/A record is the floor, so its own run reads none
     aa = None if args.out.resolve() == AA_RECORD else read_aa(AA_RECORD, spec)
+    if aa is not None:
+        require_same_machine(aa, machine())
     workloads = [workload["name"] for workload in spec["workloads"]]
     RUNS_DIR.mkdir(parents=True, exist_ok=True)
     results = {name: [] for name in workloads}

@@ -7,7 +7,7 @@ package, so importing this module loads only errors and cascade besides.
 """
 
 from .cascade import cascade_gain  # noqa: F401 (re-exported)
-from .errors import Record, require_finite
+from .errors import _FLOAT_MAX, _FLOAT_TINY, Record, require_finite
 
 # circuit's OperatingPoint and SmallSignalParams are annotated by name only:
 # the gains read only their fields, so importing this module loads no circuit.
@@ -17,8 +17,13 @@ class StageGain(Record):
     """Current gain, voltage gain magnitude and load power of one solved stage."""
 
     def __init__(self, beta_current: float, voltage_gain: float, power_out: float):
-        require_finite("beta_current, voltage_gain", (beta_current, voltage_gain))
-        require_finite("power_out", (power_out,), ">= 0")
+        if not (
+            -_FLOAT_MAX <= beta_current <= _FLOAT_MAX
+            and -_FLOAT_MAX <= voltage_gain <= _FLOAT_MAX
+            and (_FLOAT_TINY <= power_out <= _FLOAT_MAX or power_out == 0.0)
+        ):
+            require_finite("beta_current, voltage_gain", (beta_current, voltage_gain))
+            require_finite("power_out", (power_out,), ">= 0")
         d = self.__dict__
         d["beta_current"], d["voltage_gain"], d["power_out"] = (
             beta_current, voltage_gain, power_out
@@ -75,13 +80,22 @@ def stage_voltage_gain(ss: "SmallSignalParams", r_l: float) -> float:
 
 
 def stage_gain(op: "OperatingPoint", ss: "SmallSignalParams", r_l: float) -> StageGain:
-    """Bundle the three gain figures of one solved stage."""
-    return StageGain(
-        current_gain(op.i_c, op.i_b),
-        stage_voltage_gain(ss, r_l),
-        # output_power's expression; the two calls above have checked i_c and r_l
-        r_l * op.i_c * op.i_c,
-    )
+    """Bundle the three gain figures of one solved stage.
+
+    Refuses as current_gain and stage_voltage_gain do, in that order; where
+    their inputs pass, the figures are formed here and StageGain checks each.
+    """
+    i_c, i_b = op.i_c, op.i_b
+    if not (
+        -_FLOAT_MAX <= i_c <= _FLOAT_MAX
+        and -_FLOAT_MAX <= i_b <= _FLOAT_MAX
+        and i_b != 0
+        and _FLOAT_TINY <= r_l <= _FLOAT_MAX
+    ):
+        current_gain(i_c, i_b)
+        stage_voltage_gain(ss, r_l)
+    # current_gain's, stage_voltage_gain's and output_power's expressions
+    return StageGain(i_c / i_b, ss.slope_s * r_l, r_l * i_c * i_c)
 
 
 def breakdown_check(op: "OperatingPoint", limits: OperatingLimits) -> tuple[str, ...]:

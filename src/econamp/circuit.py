@@ -15,7 +15,7 @@ and a bracket of floats cannot shrink forever. The longest solves bisect
 down towards 0 V through the float exponents, with under a thousand
 exponentials over 20,000 designs drawn across the whole float range.
 
-Each point costs one expm1(v_be/Vt): the base current is computed inline
+Each iterate costs one expm1(v_be/Vt): the base current is computed inline
 with active_region_currents' arithmetic, so every iterate is bit-identical
 to one through the device model, the same value plus one gives the Newton
 slope, and the returned point's currents come from the last one, formed
@@ -25,7 +25,10 @@ min(v_cc, Vt*199), holds every argument at 199, or an ulp above it where
 Vt*199 rounds up, under the device's overflow cap of 200. A residual still
 positive there is the solve's one verdict, SolverError; every later point
 lies strictly inside (0, top), and the guard would return the same
-division, so every iterate is bit-identical to a guarded one too.
+division, so every iterate is bit-identical to a guarded one too. The top
+costs its exponential only where v_th > top. Elsewhere (v_th - top)/r_th
+<= 0 and k_b*(i_es*expm1(top/Vt)) >= 0, so the residual there is never
+positive, nor NaN, and the exponential would serve nothing else.
 """
 
 import math
@@ -38,7 +41,7 @@ from .devices import (
     active_region_currents,
     require_conserved,
 )
-from .errors import _FLOAT_MIN, Record, SolverError, require_finite
+from .errors import _FLOAT_MAX, _FLOAT_MIN, _FLOAT_TINY, Record, SolverError, require_finite
 
 RESIDUAL_TOL = 1e-12   # amperes, base-node Kirchhoff residual
 STEP_TOL = 1e-12       # volts; polishes v_be past the residual window
@@ -56,7 +59,13 @@ class AmplifierConfig(Record):
     __slots__ = ("__dict__", "__weakref__", "_thevenin")
 
     def __init__(self, v_cc: float, r_b1: float, r_b2: float, r_l: float, device: BjtParams):
-        require_finite("v_cc, r_b1, r_b2, r_l", (v_cc, r_b1, r_b2, r_l), "> 0")
+        if not (
+            _FLOAT_TINY <= v_cc <= _FLOAT_MAX
+            and _FLOAT_TINY <= r_b1 <= _FLOAT_MAX
+            and _FLOAT_TINY <= r_b2 <= _FLOAT_MAX
+            and _FLOAT_TINY <= r_l <= _FLOAT_MAX
+        ):
+            require_finite("v_cc, r_b1, r_b2, r_l", (v_cc, r_b1, r_b2, r_l), "> 0")
         total = r_b1 + r_b2
         v_th, r_th = v_cc * r_b2 / total, r_b1 * r_b2 / total
         low = _FLOAT_MIN
@@ -82,8 +91,18 @@ class OperatingPoint(Record):
         self, v_be: float, i_b: float, i_c: float, i_e: float, v_ce: float,
         saturated: bool = False,
     ):
-        require_conserved(i_e, i_b, i_c)
-        require_finite("v_be, v_ce", (v_be, v_ce))
+        # require_conserved's test where its scale, max(|i_e|, |i_c|, |i_b|), is i_e,
+        # as on every solved point
+        tol = 1e-12 * i_e
+        if not (
+            0.0 <= i_b <= i_e <= _FLOAT_MAX
+            and 0.0 <= i_c <= i_e
+            and -tol <= i_e - (i_b + i_c) <= tol
+            and -_FLOAT_MAX <= v_be <= _FLOAT_MAX
+            and -_FLOAT_MAX <= v_ce <= _FLOAT_MAX
+        ):
+            require_conserved(i_e, i_b, i_c)
+            require_finite("v_be, v_ce", (v_be, v_ce))
         d = self.__dict__
         d["v_be"], d["i_b"], d["i_c"], d["i_e"], d["v_ce"], d["saturated"] = (
             v_be, i_b, i_c, i_e, v_ce, saturated
@@ -94,8 +113,13 @@ class SmallSignalParams(Record):
     """Input resistance, output conductance and slope at an operating point."""
 
     def __init__(self, r_in: float, g_out: float, slope_s: float):
-        require_finite("r_in, slope_s", (r_in, slope_s), "> 0")
-        require_finite("g_out", (g_out,), ">= 0")
+        if not (
+            _FLOAT_TINY <= r_in <= _FLOAT_MAX
+            and _FLOAT_TINY <= slope_s <= _FLOAT_MAX
+            and (_FLOAT_TINY <= g_out <= _FLOAT_MAX or g_out == 0.0)
+        ):
+            require_finite("r_in, slope_s", (r_in, slope_s), "> 0")
+            require_finite("g_out", (g_out,), ">= 0")
         d = self.__dict__
         d["r_in"], d["g_out"], d["slope_s"] = r_in, g_out, slope_s
 
@@ -111,9 +135,10 @@ def solve_operating_point(config: AmplifierConfig) -> OperatingPoint:
     Newton reaches 8.1e-20 A at v_be = 0.70773955894305696 by a 4.5e-12 V
     step, its next step rounds to zero, a point at the bracket's end that is
     not taken, and three bisections, the last by 5.7e-13 V, lead to the
-    returned 0.7077395589436246, whose currents reuse its expm1. Raises
-    SolverError when the solution would sit past the device's exponential
-    overflow cap.
+    returned 0.7077395589436246, whose currents reuse its expm1: 16 points,
+    one exponential each, and none at the bracket's top, 5.1 V, which lies
+    above the demo's v_th of 2 V. Raises SolverError when the solution would
+    sit past the device's exponential overflow cap.
     """
     expm1 = math.expm1  # looked up per call, so a patched math.expm1 is seen
     residual_tol, step_tol = RESIDUAL_TOL, STEP_TOL
@@ -129,10 +154,10 @@ def solve_operating_point(config: AmplifierConfig) -> OperatingPoint:
 
     # One thermal voltage of margin keeps hi/Vt within an ulp of 199, under the
     # cap, and every later point lies strictly inside (0, hi): none needs a guard.
+    # Only above v_th can the residual at hi be positive.
     lo = 0.0
     hi = min(config.v_cc, vt * (EXP_ARG_CAP - 1.0))
-    e = expm1(hi / vt)
-    if (v_th - hi) / r_th - k_b * (i_es * e) > 0.0:
+    if v_th > hi and (v_th - hi) / r_th - k_b * (i_es * expm1(hi / vt)) > 0.0:
         raise SolverError(
             f"no bias solution below the exponential overflow cap "
             f"(residual at v_be={hi:g} V is still positive)"
@@ -197,7 +222,7 @@ def small_signal_params(device: BjtParams, op: OperatingPoint) -> SmallSignalPar
     """
     vt = _thermal_voltage(device.temperature)
     slope_s = op.i_c / vt
-    if not min(op.i_c, slope_s) >= _FLOAT_MIN:
+    if not (op.i_c >= _FLOAT_MIN and slope_s >= _FLOAT_MIN):
         raise ValueError(
             f"i_es, alpha_n, temperature give i_c = {op.i_c} A, slope_s = {slope_s} S; "
             f"both must be normal floats"

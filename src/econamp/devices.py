@@ -13,7 +13,7 @@ __dict__.update on CPython 3.10 to 3.13.
 
 import math
 
-from .errors import _FLOAT_MIN, Record, require_finite
+from .errors import _FLOAT_MAX, _FLOAT_MIN, _FLOAT_TINY, Record, require_finite
 
 # CODATA 2018 exact values
 BOLTZMANN_K = 1.380649e-23      # J/K
@@ -53,7 +53,12 @@ class BjtParams(Record):
         alpha_i: float = 0.0,
         temperature: float = DEFAULT_TEMPERATURE,
     ):
-        require_finite("i_es, i_cs, temperature", (i_es, i_cs, temperature), "> 0")
+        if not (
+            _FLOAT_TINY <= i_es <= _FLOAT_MAX
+            and _FLOAT_TINY <= i_cs <= _FLOAT_MAX
+            and _FLOAT_TINY <= temperature <= _FLOAT_MAX
+        ):
+            require_finite("i_es, i_cs, temperature", (i_es, i_cs, temperature), "> 0")
         if BOLTZMANN_K * temperature < _FLOAT_MIN:
             thermal_voltage(temperature)  # raises its k*T refusal
         if not 0.0 < alpha_n < 1.0:

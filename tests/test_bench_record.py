@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import re
 import statistics
 from pathlib import Path
 
@@ -216,3 +217,21 @@ def test_aa_record_must_cover_every_workload_and_metric(bench_record, tmp_path):
         r"lacks bias_sweep p50_ms, cli_invocations throughput_per_s, cli_invocations p50_ms:"
     )):
         bench_record.read_aa(path, SPEC)
+
+
+def test_aa_record_must_come_from_this_machine(bench_record):
+    here = bench_record.machine()
+    aa = {"python": here["python"], "host": dict(here["host"])}
+    bench_record.require_same_machine(aa, here)  # the same machine passes
+    # each field that differs is named before any run starts
+    for field, other in (
+        ("python", {**aa, "python": "3.10.13"}),
+        ("host platform", {**aa, "host": {**aa["host"], "platform": "Linux 6.1 x86_64"}}),
+        ("host nproc", {**aa, "host": {**aa["host"], "nproc": 64}}),
+        ("host implementation", {**aa, "host": {**aa["host"], "implementation": "PyPy"}}),
+    ):
+        recorded = other["python"] if field == "python" else other["host"][field[5:]]
+        with pytest.raises(SystemExit, match=re.escape(
+            f"BENCH_AA.json was made with {field} {recorded!r}, and this machine has "
+        )):
+            bench_record.require_same_machine(other, here)

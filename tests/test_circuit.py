@@ -422,14 +422,34 @@ class TestSolveOperatingPoint:
         # The demo solve stops by the residual test; its returned point reuses
         # the exponential the loop computed there. (A solve that stops at a
         # collapsed bracket may evaluate an end of it twice, since its midpoint
-        # rounds to one of the ends.)
+        # rounds to one of the ends.) Its v_th of 2 V lies below the bracket's
+        # top, which is not evaluated.
         args = []
         expm1 = math.expm1
         monkeypatch.setattr(math, "expm1", lambda arg: args.append(arg) or expm1(arg))
         op = solve_operating_point(DERIVED_CONFIG)
         vt = thermal_voltage(DERIVED_CONFIG.device.temperature)
-        assert len(args) == len(set(args)) == 17
+        assert len(args) == len(set(args)) == 16
         assert args.count(op.v_be / vt) == 1
+
+    def test_bracket_top_is_evaluated_only_below_v_th(self, monkeypatch):
+        # Where v_th <= top, the residual at the top is (v_th - top)/r_th <= 0
+        # less a base current >= 0: it can hold no verdict, so it is not formed.
+        device = BjtParams(i_es=1e-100, i_cs=1e-100, alpha_n=0.99)
+        vt = thermal_voltage(device.temperature)
+        top = vt * (EXP_ARG_CAP - 1.0)
+        args = []
+        expm1 = math.expm1
+        monkeypatch.setattr(math, "expm1", lambda arg: args.append(arg) or expm1(arg))
+        # an equal divider halves v_cc, so v_th = 1.001*top and 0.999*top
+        above = AmplifierConfig(v_cc=2.002 * top, r_b1=1e3, r_b2=1e3, r_l=1e3, device=device)
+        with pytest.raises(SolverError, match="no bias solution below the exponential"):
+            solve_operating_point(above)
+        assert args == [top / vt]
+        args.clear()
+        below = AmplifierConfig(v_cc=1.998 * top, r_b1=1e3, r_b2=1e3, r_l=1e3, device=device)
+        assert solve_operating_point(below).v_be < below.thevenin()[0]
+        assert args and top / vt not in args
 
     def test_returned_currents_match_the_device_model(self):
         # The returned point forms its currents inline, with the arithmetic

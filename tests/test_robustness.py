@@ -18,6 +18,7 @@ finite figures or refuses by name. README's examples are run as written.
 """
 
 import contextlib
+import hashlib
 import io
 import itertools
 import math
@@ -337,3 +338,56 @@ def test_scalar_exports_are_right_or_refused_by_name_on_the_lattice():
                 outcome = result
             unexplained.append(f"{name}: {outcome!r} for {values}"[:200])
     assert unexplained == []
+
+
+def stage_gain_of(i_c, i_b, r_l):
+    # a plain namespace, since OperatingPoint refuses most of these values itself
+    op = types.SimpleNamespace(i_c=i_c, i_b=i_b)
+    return econamp.stage_gain(op, HELD["SmallSignalParams"], r_l)
+
+
+# The checks on the bias_sweep path, each with valid arguments whose floats the
+# pin below varies over the lattice, one field at a time and then each pair.
+GUARDED = {
+    "BjtParams": (econamp.BjtParams, dict(
+        i_es=1e-14, i_cs=1e-14, alpha_n=0.99, alpha_i=0.5, temperature=300.0)),
+    "AmplifierConfig": (econamp.AmplifierConfig, dict(
+        v_cc=12.0, r_b1=100e3, r_b2=20e3, r_l=1e3, device=HELD["BjtParams"])),
+    "OperatingPoint": (econamp.OperatingPoint, dict(
+        v_be=0.65, i_b=1e-5, i_c=1e-3, i_e=1.01e-3, v_ce=5.0)),
+    "SmallSignalParams": (econamp.SmallSignalParams, dict(r_in=500.0, g_out=0.0, slope_s=40.0)),
+    "StageGain": (econamp.StageGain, dict(beta_current=100.0, voltage_gain=77.4, power_out=4e-3)),
+    "stage_gain": (stage_gain_of, dict(i_c=1e-3, i_b=1e-5, r_l=1e3)),
+}
+# SHA-256 of every (callable, arguments, outcome) line, where the outcome is the
+# exception's type and text, or the result's repr
+OUTCOME_SHA = {
+    "BjtParams": "a23858958867480ff3c01971886a1d2696fad4e8ec774083b9c0a6112c13764c",
+    "AmplifierConfig": "22b9ea3c522bfcb3ebcb66e91f67d4f853a330e1bc62bf497970c951a438d383",
+    "OperatingPoint": "7bb04262cf6333a3f87bca1e35ff6837cf72bd35154e84196e965bfb0b72c420",
+    "SmallSignalParams": "e6c268521c420c3afc6a3a343807d6c3899e39e4dcce3c8e96d960edda2f48f1",
+    "StageGain": "9be47ec275462b92fccae5682c1f2fc6649d27da7aa58717022907a9a5133194",
+    "stage_gain": "b1e0ca84015970d9cd9e27b1b785b24f35f6dd6ad3e87c6566ccb72d6f99a24a",
+}
+
+
+def lattice_outcomes(name):
+    """The outcome lines of GUARDED[name] over the lattice."""
+    function, valid = GUARDED[name]
+    floats = [field for field, value in valid.items() if type(value) is float]
+    for count in (1, 2):
+        for fields in itertools.combinations(floats, count):
+            for values in itertools.product(LATTICE, repeat=count):
+                arguments = {**valid, **dict(zip(fields, values))}
+                try:
+                    outcome = repr(function(**arguments))
+                except Exception as exc:  # noqa: BLE001 (pinned below)
+                    outcome = f"{type(exc).__name__}: {exc}"
+                yield f"{name} {arguments!r} {outcome}\n"
+
+
+@pytest.mark.parametrize("name", GUARDED)
+def test_guarded_outcomes_are_pinned(name):
+    # every result and every refusal of the stage path's checks, text and order
+    digest = hashlib.sha256("".join(lattice_outcomes(name)).encode()).hexdigest()
+    assert digest == OUTCOME_SHA[name]
