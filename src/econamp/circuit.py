@@ -154,7 +154,7 @@ def solve_operating_point(config: AmplifierConfig) -> OperatingPoint:
 
     # One thermal voltage of margin keeps hi/Vt within an ulp of 199, under the
     # cap, and every later point lies strictly inside (0, hi): none needs a guard.
-    # Only above v_th can the residual at hi be positive.
+    # The residual at hi can be positive only where v_th > hi.
     lo = 0.0
     hi = min(config.v_cc, vt * (EXP_ARG_CAP - 1.0))
     if v_th > hi and (v_th - hi) / r_th - k_b * (i_es * expm1(hi / vt)) > 0.0:

@@ -446,10 +446,14 @@ class TestSolveOperatingPoint:
         with pytest.raises(SolverError, match="no bias solution below the exponential"):
             solve_operating_point(above)
         assert args == [top / vt]
-        args.clear()
-        below = AmplifierConfig(v_cc=1.998 * top, r_b1=1e3, r_b2=1e3, r_l=1e3, device=device)
-        assert solve_operating_point(below).v_be < below.thevenin()[0]
-        assert args and top / vt not in args
+        # 1-ohm resistors halve 2*top exactly, so v_th = top there
+        for below in (
+            AmplifierConfig(v_cc=2.0 * top, r_b1=1.0, r_b2=1.0, r_l=1e3, device=device),
+            AmplifierConfig(v_cc=1.998 * top, r_b1=1e3, r_b2=1e3, r_l=1e3, device=device),
+        ):
+            args.clear()
+            assert solve_operating_point(below).v_be < below.thevenin()[0] <= top
+            assert args and top / vt not in args
 
     def test_returned_currents_match_the_device_model(self):
         # The returned point forms its currents inline, with the arithmetic
