@@ -7,7 +7,10 @@ directory, so the repository itself gains no worktree to prune. For every
 workload of BENCHMARK.json, each of the 10 pairs runs
 `perfbench/run.py --trace 0` once on the parent tree and once on this
 checkout, for perfbench's own run length, with the pair's seed (1 to 10),
-the side that goes first alternating from one pair to the next. After each
+the side that goes first alternating from one pair to the next. A run
+refuses to start where a `__pycache__` directory or `*.pyc` file lies under
+either tree's `src/`, since bytecode compiled beforehand removes the compile
+cost that every CLI call of a fresh checkout pays. After each
 run its `.perfbench_out/` result is copied aside into `.perfbench_out/pairs/`,
 since the next run overwrites it.
 
@@ -148,6 +151,17 @@ def require_same_machine(aa: dict, here: dict) -> None:
             )
 
 
+def require_no_bytecode(trees) -> None:
+    """Exits, naming the path, where a `__pycache__` or `*.pyc` lies under a
+    tree's src/: a fresh checkout compiles the package from source on every
+    CLI call, and cached bytecode would take that cost out of one side only."""
+    for tree in trees:
+        for path in sorted((tree / "src").rglob("*")):
+            if path.name == "__pycache__" or path.suffix == ".pyc":
+                raise SystemExit(f"{path} is cached bytecode: remove it, so that both sides "
+                                 f"compile the package from source as a fresh checkout does")
+
+
 def summary(pairs: list, metrics: list, aa: dict | None = None) -> dict:
     """Per metric: both sides' spread, raw medians, the relative move of the
     median, the pairs the change won, the parent's spread, the A/A figures
@@ -201,6 +215,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         parent = unpack(args.parent, Path(tmp))
         trees = {"parent": Path(tmp), "change": ROOT}
+        require_no_bytecode(trees.values())
         for i, seed in enumerate(SEEDS):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for name in workloads:

@@ -22,18 +22,21 @@ _EXPORTS = {
     ),
     "circuit": (
         "AmplifierConfig", "OperatingPoint", "SmallSignalParams", "small_signal_params",
-        "solve_operating_point", "static_finite_params",
+        "solve_operating_point",
     ),
-    "devices": (
-        "BjtCurrents", "BjtParams", "MosParams", "active_region_currents", "beta_from_alpha",
-        "ebers_moll_currents", "mos_drain_current", "mos_transconductance", "thermal_voltage",
+    "devices": ("BjtParams", "thermal_voltage"),
+    "currents": (
+        "BjtCurrents", "active_region_currents", "beta_from_alpha", "ebers_moll_currents",
+        "static_finite_params",
     ),
+    "mos": ("MosParams", "mos_drain_current", "mos_transconductance"),
     "cascade": ("cascade_gain",),
     "econmap": (
-        "CobbDouglasParams", "CoefficientReport", "EconSeries", "RegressionFit",
-        "analyze_series", "beta_bank", "beta_p_economic", "beta_v_economic", "cobb_douglas",
-        "domar_sigma", "fit_linear", "harrod_b", "keynes_multiplier",
+        "CobbDouglasParams", "CoefficientReport", "EconSeries", "analyze_series", "beta_bank",
+        "beta_p_economic", "beta_v_economic", "cobb_douglas", "domar_sigma", "harrod_b",
+        "keynes_multiplier",
     ),
+    "regression": ("RegressionFit", "fit_linear"),
     "errors": ("SolverError",),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
@@ -41,13 +44,26 @@ _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in nam
 __all__ = sorted(_MODULE_OF)
 
 
-def __getattr__(name: str):
-    module = _MODULE_OF.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
-    globals()[name] = value  # later lookups skip this hook
-    return value
+def _forwarder(namespace: dict, homes: dict):
+    """A PEP 562 module __getattr__ for the module whose globals are `namespace`.
+
+    Each name of `homes` is looked up in the econamp submodule that `homes`
+    maps it to, which is imported on first use, and bound in `namespace`, so
+    later lookups skip the hook. The package finds its public names so, and
+    devices, circuit and cli the names of code that lives in other modules.
+    """
+
+    def __getattr__(name: str):
+        home = homes.get(name)
+        if home is None:
+            raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
+        value = namespace[name] = getattr(importlib.import_module(f"{__name__}.{home}"), name)
+        return value
+
+    return __getattr__
+
+
+__getattr__ = _forwarder(globals(), _MODULE_OF)
 
 
 def __dir__() -> list[str]:

@@ -33,15 +33,15 @@ positive, nor NaN, and the exponential would serve nothing else.
 
 import math
 
-from .devices import (
-    EXP_ARG_CAP,
-    BjtParams,
-    _junction_arg,
-    _thermal_voltage,
-    active_region_currents,
-    require_conserved,
-)
+from . import _forwarder
+from .devices import EXP_ARG_CAP, BjtParams, _junction_arg, _thermal_voltage, require_conserved
 from .errors import _FLOAT_MAX, _FLOAT_MIN, _FLOAT_TINY, Record, SolverError, require_finite
+
+# static_finite_params and active_region_currents live in currents, which no
+# subcommand loads; both names resolve here too
+__getattr__ = _forwarder(
+    globals(), dict.fromkeys(("active_region_currents", "static_finite_params"), "currents")
+)
 
 RESIDUAL_TOL = 1e-12   # amperes, base-node Kirchhoff residual
 STEP_TOL = 1e-12       # volts; polishes v_be past the residual window
@@ -92,12 +92,11 @@ class OperatingPoint(Record):
         saturated: bool = False,
     ):
         # require_conserved's test where its scale, max(|i_e|, |i_c|, |i_b|), is i_e,
-        # as on every solved point
-        tol = 1e-12 * i_e
+        # as on every solved point; formed once i_e is known to lie in the float range
         if not (
             0.0 <= i_b <= i_e <= _FLOAT_MAX
             and 0.0 <= i_c <= i_e
-            and -tol <= i_e - (i_b + i_c) <= tol
+            and -(tol := 1e-12 * i_e) <= i_e - (i_b + i_c) <= tol
             and -_FLOAT_MAX <= v_be <= _FLOAT_MAX
             and -_FLOAT_MAX <= v_ce <= _FLOAT_MAX
         ):
@@ -231,40 +230,3 @@ def small_signal_params(device: BjtParams, op: OperatingPoint) -> SmallSignalPar
     r_in = device.alpha_n / (1.0 - device.alpha_n) / slope_s
     g_out = device.i_cs * math.exp(_junction_arg(op.v_be - op.v_ce, vt, "v_cb")) / vt
     return SmallSignalParams(r_in, g_out, slope_s)
-
-
-def static_finite_params(
-    device: BjtParams, v_be: float, delta: float
-) -> SmallSignalParams:
-    """Finite-variation estimates of the small-signal parameters.
-
-    Central differences of the active-region currents over [v_be - delta,
-    v_be + delta]; second-order accurate in delta. g_out is 0 because the
-    active-region law carries no collector-voltage dependence. A delta too
-    small for the currents at its two ends to differ is refused, and so is
-    one that takes v_be + delta past the float range or the exponential cap.
-    """
-    require_finite("v_be", (v_be,))
-    require_finite("delta", (delta,), "> 0")
-    if v_be - delta < 0:
-        raise ValueError(
-            f"delta {delta:g} flips the current sign at v_be - delta = "
-            f"{v_be - delta:g} V"
-        )
-    top = v_be + delta
-    if top == math.inf:
-        raise ValueError(
-            f"delta {delta:g} takes v_be + delta past the float range at v_be = {v_be:g} V"
-        )
-    # checked here, as the device law would name the shifted voltage v_be
-    _junction_arg(top, _thermal_voltage(device.temperature), "v_be + delta")
-    above = active_region_currents(device, top)
-    below = active_region_currents(device, v_be - delta)
-    if above.i_b == below.i_b or above.i_c == below.i_c:
-        raise ValueError(
-            f"delta {delta:g} is below the float resolution of the currents at "
-            f"v_be = {v_be:g} V"
-        )
-    slope_s = (above.i_c - below.i_c) / (2.0 * delta)
-    r_in = (2.0 * delta) / (above.i_b - below.i_b)
-    return SmallSignalParams(r_in=r_in, g_out=0.0, slope_s=slope_s)

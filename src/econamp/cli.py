@@ -16,9 +16,10 @@ naming what it refuses, SolverError too. Other exceptions are bugs.
 import sys
 
 # Each subcommand imports the code it runs when it runs: `simulate` the
-# simulate module with the circuit, device and amplifier layers; `fit` and
-# `analyze` the CSV readers of csvio and econmap. None loads dataclasses.
+# simulate module with the circuit, device and amplifier layers; `fit` csvio
+# and regression; `analyze` those and econmap. None loads dataclasses.
 # Importing this module loads only cascade_gain's module and errors.
+from . import _forwarder
 from .cascade import cascade_gain
 
 EXIT_OK = 0
@@ -93,7 +94,7 @@ def _read_text(path: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# simulate: its code loads with its subcommand
+# the handlers: each imports the code its subcommand runs when it runs
 
 def _cmd_simulate(path: str) -> str:
     from .simulate import report
@@ -101,114 +102,34 @@ def _cmd_simulate(path: str) -> str:
     return report(path)
 
 
-def __getattr__(name: str):
-    if name == "parse_config":  # public, and loaded with the rest of simulate
-        from .simulate import parse_config
-
-        return parse_config
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-# ---------------------------------------------------------------------------
-# fit and analyze
-#
-# perfbench's traced run wraps read_econ_series, analyze_series,
-# render_coefficients, read_xy_columns and fit_linear as attributes of this
-# module, so the handlers look them up here. The two econmap functions are
-# forwarders that import econmap when called, and its types are annotated by
-# name only.
-
-POINTS_ROWS = 4096  # the points file is written this many rows at a time
-
-
-def read_xy_columns(path: str, x_column: str, y_column: str):
-    """The x and y values, then the x and y cells' text."""
-    from .csvio import FLOAT, TEXT, _read_columns
-
-    return _read_columns(
-        path, ((x_column, FLOAT), (y_column, FLOAT), (x_column, TEXT), (y_column, TEXT))
-    )
-
-
-def read_econ_series(path: str) -> "EconSeries":
-    from .csvio import ECON_CELLS, _read_columns
-    from .econmap import EconSeries
-
-    quantities, labels, investments, expenses, incomes = _read_columns(path, ECON_CELLS)
-    # every cell is parsed before any value is judged
-    return EconSeries(labels, investments, expenses, incomes, quantities)
-
-
-def fit_linear(xs, ys) -> "RegressionFit":
-    from . import econmap
-
-    return econmap.fit_linear(xs, ys)
-
-
-def analyze_series(series: "EconSeries") -> "CoefficientReport":
-    from . import econmap
-
-    return econmap.analyze_series(series)
-
-
-def _fit_rows(fit) -> list:
-    return _rows(fit, a0="", beta="", r_squared="", n="")
-
-
 def _cmd_fit(path: str, x_column: str, y_column: str) -> str:
-    from .csvio import _point_texts
+    from .csvio import fit_report
 
-    xs, ys, x_cells, y_cells = read_xy_columns(path, x_column, y_column)
-    fit = fit_linear(xs, ys)
-    out_path = path + ".points.csv"
-    a0, beta = fit.a0, fit.beta
-    with open(out_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("x,y_observed,y_fitted\n")
-        for start in range(0, len(xs), POINTS_ROWS):
-            stop = start + POINTS_ROWS
-            x_block = xs[start:stop]
-            # each block's cells are written as read if all are their own repr
-            block = zip(_point_texts(x_cells[start:stop], x_block),
-                        _point_texts(y_cells[start:stop], ys[start:stop]), x_block)
-            fh.write("".join([f"{x_text},{y_text},{a0 + beta * x!r}\n"
-                              for x_text, y_text, x in block]))
-    rows = _fit_rows(fit)
-    lines = [
-        f"fit: {y_column} = a0 + beta * {x_column}",
-        *table(rows[-1:] + rows[:-1]),
-        f"  points file: {out_path}",
-        "",
-        *values_block(rows),
-    ]
-    return "\n".join(lines)
-
-
-def render_coefficients(report: "CoefficientReport", n_periods: int) -> str:
-    rows = _rows(report, beta_v="", harrod_b="", domar_sigma="", mean_beta="", beta_p="",
-                 keynes_m="")
-    fit_rows = [] if report.fit is None else _fit_rows(report.fit)
-    lines = [
-        f"periods: {n_periods}", "",
-        "coefficients:", *table(rows), "",
-        "regression (incomes vs investments+expenses):",
-        *(table(fit_rows) if fit_rows else ["  n/a (needs >= 2 periods with varying inputs)"]),
-        "",
-        *values_block(rows + [(f"fit_{key}", value, unit) for key, value, unit in fit_rows]),
-    ]
-    return "\n".join(lines)
+    return fit_report(path, x_column, y_column)
 
 
 def _cmd_analyze(path: str) -> str:
-    series = read_econ_series(path)
-    report = analyze_series(series)
-    return render_coefficients(report, len(series))
+    from .csvio import analyze_report
 
+    return analyze_report(path)
 
-# ---------------------------------------------------------------------------
-# cascade
 
 def _cmd_cascade(gains: list) -> str:
     return repr(cascade_gain(gains))
+
+
+# Names of code that loads with its subcommand, resolved here on first use:
+# the public parse_config, and the five that perfbench's traced run wraps as
+# attributes of this module, read_econ_series, analyze_series,
+# render_coefficients, read_xy_columns and fit_linear. The fit and analyze
+# handlers call those five through this module, so they run a wrapper set here.
+__getattr__ = _forwarder(globals(), {
+    "parse_config": "simulate",
+    **dict.fromkeys(("read_xy_columns", "read_econ_series", "render_coefficients",
+                     "POINTS_ROWS"), "csvio"),
+    "fit_linear": "regression",
+    "analyze_series": "econmap",
+})
 
 
 # ---------------------------------------------------------------------------

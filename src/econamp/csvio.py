@@ -1,4 +1,4 @@
-"""The CSV readers of `fit` and `analyze`, and the text of `fit`'s points file.
+"""The `fit` and `analyze` subcommands: their CSV readers, reports and points file.
 
 Only those two subcommands import this module. A reader names the columns it
 needs in cell order, as (column, kind) pairs: a FLOAT cell must hold a finite
@@ -15,7 +15,8 @@ import io
 import math
 import re
 
-from .cli import InputFormatError, _read_text
+from . import cli
+from .cli import InputFormatError, _read_text, _rows, table, values_block
 from .errors import all_finite
 
 FLOAT, LABEL, COUNT, TEXT = "float", "label", "count", "text"
@@ -163,3 +164,84 @@ def _point_texts(cells, values) -> list:
     # UTF-8 is in the pattern
     data = ("\n" + "\n".join(cells)).encode()
     return list(map(repr, values)) if re.search(NOT_OWN_REPR, data) else cells
+
+
+# ---------------------------------------------------------------------------
+# the subcommands
+#
+# perfbench's traced run wraps read_econ_series, analyze_series,
+# render_coefficients, read_xy_columns and fit_linear as attributes of cli,
+# so the handlers look each one up there when they call it. econmap's types
+# are annotated by name only: `fit` loads regression for its fit_linear, and
+# no econmap.
+
+POINTS_ROWS = 4096  # the points file is written this many rows at a time
+
+
+def read_xy_columns(path: str, x_column: str, y_column: str):
+    """The x and y values, then the x and y cells' text."""
+    return _read_columns(
+        path, ((x_column, FLOAT), (y_column, FLOAT), (x_column, TEXT), (y_column, TEXT))
+    )
+
+
+def read_econ_series(path: str) -> "EconSeries":
+    from .econmap import EconSeries
+
+    quantities, labels, investments, expenses, incomes = _read_columns(path, ECON_CELLS)
+    # every cell is parsed before any value is judged
+    return EconSeries(labels, investments, expenses, incomes, quantities)
+
+
+def _fit_rows(fit) -> list:
+    return _rows(fit, a0="", beta="", r_squared="", n="")
+
+
+def fit_report(path: str, x_column: str, y_column: str) -> str:
+    """The `fit` report of two columns of the CSV file at `path`, which also
+    writes the points file beside it."""
+    xs, ys, x_cells, y_cells = cli.read_xy_columns(path, x_column, y_column)
+    fit = cli.fit_linear(xs, ys)
+    out_path = path + ".points.csv"
+    a0, beta = fit.a0, fit.beta
+    with open(out_path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("x,y_observed,y_fitted\n")
+        for start in range(0, len(xs), POINTS_ROWS):
+            stop = start + POINTS_ROWS
+            x_block = xs[start:stop]
+            # each block's cells are written as read if all are their own repr
+            block = zip(_point_texts(x_cells[start:stop], x_block),
+                        _point_texts(y_cells[start:stop], ys[start:stop]), x_block)
+            fh.write("".join([f"{x_text},{y_text},{a0 + beta * x!r}\n"
+                              for x_text, y_text, x in block]))
+    rows = _fit_rows(fit)
+    lines = [
+        f"fit: {y_column} = a0 + beta * {x_column}",
+        *table(rows[-1:] + rows[:-1]),
+        f"  points file: {out_path}",
+        "",
+        *values_block(rows),
+    ]
+    return "\n".join(lines)
+
+
+def render_coefficients(report: "CoefficientReport", n_periods: int) -> str:
+    rows = _rows(report, beta_v="", harrod_b="", domar_sigma="", mean_beta="", beta_p="",
+                 keynes_m="")
+    fit_rows = [] if report.fit is None else _fit_rows(report.fit)
+    lines = [
+        f"periods: {n_periods}", "",
+        "coefficients:", *table(rows), "",
+        "regression (incomes vs investments+expenses):",
+        *(table(fit_rows) if fit_rows else ["  n/a (needs >= 2 periods with varying inputs)"]),
+        "",
+        *values_block(rows + [(f"fit_{key}", value, unit) for key, value, unit in fit_rows]),
+    ]
+    return "\n".join(lines)
+
+
+def analyze_report(path: str) -> str:
+    """The `analyze` report of the period series in the CSV file at `path`."""
+    series = cli.read_econ_series(path)
+    report = cli.analyze_series(series)
+    return cli.render_coefficients(report, len(series))

@@ -235,3 +235,20 @@ def test_aa_record_must_come_from_this_machine(bench_record):
             f"BENCH_AA.json was made with {field} {recorded!r}, and this machine has "
         )):
             bench_record.require_same_machine(other, here)
+
+
+def test_bytecode_cache_under_either_src_is_refused(bench_record, tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for tree in (parent, change):
+        (tree / "src" / "econamp").mkdir(parents=True)
+        (tree / "src" / "econamp" / "cli.py").write_text("")
+    bench_record.require_no_bytecode([parent, change])  # sources alone pass
+    cache = change / "src" / "econamp" / "__pycache__"
+    cache.mkdir()
+    with pytest.raises(SystemExit, match=rf"^{re.escape(str(cache))} is cached bytecode"):
+        bench_record.require_no_bytecode([parent, change])
+    cache.rmdir()
+    stray = parent / "src" / "econamp" / "cli.cpython-311.pyc"
+    stray.write_bytes(b"")
+    with pytest.raises(SystemExit, match=rf"^{re.escape(str(stray))} is cached bytecode"):
+        bench_record.require_no_bytecode([parent, change])

@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import math
 import random
 import re
@@ -246,6 +247,36 @@ def test_traced_layers_are_looked_up_as_module_attributes(capsys, monkeypatch, t
         assert (code, err) == (0, "")
         assert out.encode() == (GOLDEN_DIR / f"{command}.out").read_bytes()
     assert calls == dict.fromkeys(calls, 1)
+
+
+# Every name perfbench imports from econamp or patches on its modules: stage.py's
+# imports, the one bias_sweep's traced run patches on circuit, the five
+# series_analysis' traced run wraps on cli, and the main its runs call.
+PERFBENCH_NAMES = {
+    "amplifier": ("OperatingLimits", "breakdown_check", "stage_gain"),
+    "circuit": ("AmplifierConfig", "SolverError", "active_region_currents", "small_signal_params",
+                "solve_operating_point"),
+    "devices": ("BjtParams",),
+    "cli": ("main", "read_econ_series", "analyze_series", "render_coefficients",
+            "read_xy_columns", "fit_linear"),
+}
+
+
+def test_every_name_perfbench_uses_resolves():
+    source = "\n".join(path.read_text() for path in GOLDEN_DIR.parent.glob("*.py"))
+    imported = {
+        (module, name.strip())
+        for module, in_parens, on_line in re.findall(
+            r"from econamp\.(\w+) import (?:\(([^)]*)\)|([\w, ]+))", source)
+        for name in (in_parens or on_line).split(",") if name.strip()
+    }
+    listed = {(module, name) for module, names in PERFBENCH_NAMES.items() for name in names}
+    assert imported and imported <= listed
+    for module, name in sorted(listed):
+        value = getattr(importlib.import_module(f"econamp.{module}"), name)
+        assert callable(value), (module, name)
+        if name in econamp.__all__:
+            assert value is getattr(econamp, name), (module, name)
 
 
 def test_report_rows_render_both_views():
@@ -1275,14 +1306,15 @@ finally:
     print(*sorted(set(sys.modules) - before), file=sys.stderr)
 """
 
+# `fit` loads no econmap, and `simulate` neither the current laws nor the MOS device
 CLI_MODULES = {"econamp", "econamp.cli", "econamp.cascade", "econamp.errors"}
-CSV_MODULES = CLI_MODULES | {"econamp.csvio", "econamp.econmap"}
+FIT_MODULES = CLI_MODULES | {"econamp.csvio", "econamp.regression"}
 LOADED_ECONAMP_MODULES = {
     None: {"econamp"},
     "simulate": CLI_MODULES | {"econamp.simulate", "econamp.amplifier", "econamp.circuit",
                                "econamp.devices"},
-    "fit": CSV_MODULES,
-    "analyze": CSV_MODULES,
+    "fit": FIT_MODULES,
+    "analyze": FIT_MODULES | {"econamp.econmap"},
     "cascade": CLI_MODULES,
 }
 

@@ -1,6 +1,8 @@
+import importlib
 import importlib.util
 import inspect
 import math
+import subprocess
 import sys
 
 import pytest
@@ -51,6 +53,92 @@ def test_every_exported_name_resolves_to_econamp_code():
         value = getattr(econamp, name)
         assert value.__name__ == name
         assert value.__module__.startswith("econamp."), name
+
+
+# The names of econamp.__all__ that each submodule bound when the stage laws,
+# the MOS device and the regression had not yet left devices, circuit and
+# econmap, and the fit and analyze code cli: each still resolves there.
+SUBMODULE_NAMES = {
+    "amplifier": ("OperatingLimits", "StageGain", "breakdown_check", "cascade_gain",
+                  "current_gain", "output_power", "output_voltage", "stage_gain",
+                  "stage_voltage_gain"),
+    "cascade": ("cascade_gain",),
+    "circuit": ("AmplifierConfig", "BjtParams", "OperatingPoint", "SmallSignalParams",
+                "SolverError", "active_region_currents", "small_signal_params",
+                "solve_operating_point", "static_finite_params"),
+    "cli": ("analyze_series", "cascade_gain", "fit_linear"),
+    "devices": ("BjtCurrents", "BjtParams", "MosParams", "active_region_currents",
+                "beta_from_alpha", "ebers_moll_currents", "mos_drain_current",
+                "mos_transconductance", "thermal_voltage"),
+    "econmap": ("CobbDouglasParams", "CoefficientReport", "EconSeries", "RegressionFit",
+                "analyze_series", "beta_bank", "beta_p_economic", "beta_v_economic",
+                "cascade_gain", "cobb_douglas", "domar_sigma", "fit_linear", "harrod_b",
+                "keynes_multiplier"),
+    "errors": ("SolverError",),
+    "simulate": ("AmplifierConfig", "BjtParams", "OperatingLimits", "breakdown_check",
+                 "small_signal_params", "solve_operating_point", "stage_gain"),
+}
+
+
+@pytest.mark.parametrize("module", sorted(SUBMODULE_NAMES))
+def test_submodule_names_resolve_to_the_package_s(module):
+    submodule = importlib.import_module(f"econamp.{module}")
+    for name in SUBMODULE_NAMES[module]:
+        assert getattr(submodule, name) is getattr(econamp, name), name
+
+
+def test_all_names_every_name_the_submodules_resolve():
+    assert econamp.__all__ == sorted(set().union(*SUBMODULE_NAMES.values()))
+
+
+# Runs each statement given in a fresh copy of the package and prints, one line
+# each, the econamp modules it loaded.
+LOADS_CHILD = """\
+import sys
+for statement in sys.argv[1:]:
+    for module in [m for m in sys.modules if m.partition(".")[0] == "econamp"]:
+        del sys.modules[module]
+    before = set(sys.modules)
+    exec(statement)
+    print(*sorted(m for m in set(sys.modules) - before if m.partition(".")[0] == "econamp"))
+"""
+DEVICE_LOADS = {"econamp", "econamp.errors", "econamp.devices"}
+CIRCUIT_LOADS = DEVICE_LOADS | {"econamp.circuit"}
+ECONMAP_LOADS = {"econamp", "econamp.errors", "econamp.cascade", "econamp.econmap"}
+CLI_LOADS = {"econamp", "econamp.errors", "econamp.cascade", "econamp.cli"}
+MOS, CURRENTS, REGRESSION = "econamp.mos", "econamp.currents", "econamp.regression"
+MOS_NAMES = ("MosParams", "mos_drain_current", "mos_transconductance")
+CURRENTS_NAMES = ("BjtCurrents", "active_region_currents", "beta_from_alpha",
+                  "ebers_moll_currents")
+# (module, name, the econamp modules looking it up there loaded while its code
+# lived in devices, circuit, econmap or cli, the modules it loads beyond those)
+MOVED_LOOKUPS = [
+    *((module, name, DEVICE_LOADS, {MOS}) for module in ("devices", None) for name in MOS_NAMES),
+    *((module, name, DEVICE_LOADS, {CURRENTS})
+      for module in ("devices", None) for name in CURRENTS_NAMES),
+    ("circuit", "active_region_currents", CIRCUIT_LOADS, {CURRENTS}),
+    *((module, "static_finite_params", CIRCUIT_LOADS, {CURRENTS}) for module in ("circuit", None)),
+    *((module, name, ECONMAP_LOADS, {REGRESSION})
+      for module in ("econmap", None) for name in ("RegressionFit", "fit_linear")),
+    *(("cli", name, CLI_LOADS, {"econamp.csvio"})
+      for name in ("read_xy_columns", "read_econ_series", "render_coefficients")),
+    ("cli", "fit_linear", CLI_LOADS, {REGRESSION}),
+    ("cli", "analyze_series", CLI_LOADS, {"econamp.econmap", REGRESSION}),
+]
+
+
+def test_a_moved_name_loads_only_the_module_that_defines_it(child_env):
+    # cli.analyze_series loads econmap, and with it the regression econmap imports
+    lookups = [f"from econamp{'.' + module if module else ''} import {name}"
+               for module, name, _, _ in MOVED_LOOKUPS]
+    proc = subprocess.run(
+        [sys.executable, "-c", LOADS_CHILD, *lookups],
+        capture_output=True, text=True, env=child_env, check=True,
+    )
+    loaded = [set(line.split()) for line in proc.stdout.splitlines()]
+    assert len(loaded) == len(lookups)
+    for (module, name, before, added), loads in zip(MOVED_LOOKUPS, loaded):
+        assert loads - before == added, (module, name)
 
 
 # A valid keyword set for every exported value type with a float field; each
@@ -127,7 +215,8 @@ def test_value_type_rejects_several_non_finite_fields(type_name, kwargs):
 # A Python int past the float range is not finite: while the check compared
 # against +-inf, the two cascades raised a bare OverflowError and BjtParams
 # accepted its i_es. CoefficientReport checked only its float fields, so
-# accepted it; EconSeries' column check raised a bare OverflowError.
+# accepted it; EconSeries' column check raised a bare OverflowError, and so did
+# the current-conservation check of OperatingPoint and BjtCurrents.
 @pytest.mark.parametrize(
     "call, name",
     [
@@ -140,9 +229,15 @@ def test_value_type_rejects_several_non_finite_fields(type_name, kwargs):
          "period 'a': investments"),
         (lambda: econamp.EconSeries(["a"], [1.0], [1.0], [1.0], [10**400]),
          "period 'a': quantity_out"),
+        (lambda: econamp.OperatingPoint(0.65, 10**400, 1e-3, 1.01e-3, 5.0), "i_b"),
+        (lambda: econamp.OperatingPoint(0.65, 1e-5, -10**400, 1.01e-3, 5.0), "i_c"),
+        (lambda: econamp.OperatingPoint(0.65, 1e-5, 1e-3, 10**400, 5.0), "i_e"),
+        (lambda: econamp.BjtCurrents(10**400, 1e-3, 1e-5), "i_e"),
+        (lambda: econamp.BjtCurrents(1.01e-3, 1e-3, -10**400), "i_b"),
     ],
     ids=["cascade-stage-1", "cascade-stage-2", "BjtParams-i_es", "CoefficientReport-beta_v",
-         "EconSeries-investments", "EconSeries-quantity_out"],
+         "EconSeries-investments", "EconSeries-quantity_out", "OperatingPoint-i_b",
+         "OperatingPoint-i_c", "OperatingPoint-i_e", "BjtCurrents-i_e", "BjtCurrents-i_b"],
 )
 def test_int_past_the_float_range_is_refused(call, name):
     with pytest.raises(ValueError, match=rf"^{name} must be finite"):

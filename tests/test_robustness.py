@@ -364,7 +364,7 @@ GUARDED = {
 OUTCOME_SHA = {
     "BjtParams": "a23858958867480ff3c01971886a1d2696fad4e8ec774083b9c0a6112c13764c",
     "AmplifierConfig": "22b9ea3c522bfcb3ebcb66e91f67d4f853a330e1bc62bf497970c951a438d383",
-    "OperatingPoint": "7bb04262cf6333a3f87bca1e35ff6837cf72bd35154e84196e965bfb0b72c420",
+    "OperatingPoint": "1605db0af010ea3b6db135f094d4804c847ca82f5c255aad758fd07b038d5202",
     "SmallSignalParams": "e6c268521c420c3afc6a3a343807d6c3899e39e4dcce3c8e96d960edda2f48f1",
     "StageGain": "9be47ec275462b92fccae5682c1f2fc6649d27da7aa58717022907a9a5133194",
     "stage_gain": "b1e0ca84015970d9cd9e27b1b785b24f35f6dd6ad3e87c6566ccb72d6f99a24a",
